@@ -64,7 +64,9 @@ def _coeff_vector(n, delta):
 
 @lru_cache(maxsize=64)
 def _zero_columns(n, order):
-    return indicator_moment_columns(n, order, _coeff_vector(n, np.zeros(n - 2)))
+    cols = indicator_moment_columns(n, order, _coeff_vector(n, np.zeros(n - 2)))
+    cols.setflags(write=False)  # cached and shared
+    return cols
 
 
 def analytic_baseline(n):

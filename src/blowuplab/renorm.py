@@ -309,7 +309,12 @@ def iterate(state0, cfg, max_steps, record_monotonicity=False):
     "converged" when the per-step delta movement summed over the last
     quarter of the run stays below tol_conv (with the partial sums'
     domination constant against sum tau_k^(-1-gamma) fitted and recorded);
-    "exhausted" otherwise.  Errors never propagate out of the loop.
+    "exhausted" otherwise.
+
+    Only three errors from a step are absorbed into the record: EscapeError
+    ends the run as "escaped", and DegeneracyError or DomainError end it as
+    "exhausted" with the message in `rec.error`.  Any other exception, such
+    as EvaluationError or numpy's LinAlgError, propagates to the caller.
     """
     if max_steps < 1:
         raise DomainError("max_steps must be >= 1")

@@ -11,7 +11,7 @@ sign-change roots (see `_kernels`).
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -93,22 +93,30 @@ def angles_to_cartesian(n, angles):
     return x
 
 
+def _frozen(a):
+    """Mark an array read-only before it is shared through an lru cache."""
+    a.setflags(write=False)
+    return a
+
+
 @lru_cache(maxsize=64)
 def build_rule(n, order):
-    """Product rule over the angles whose weights sum to |S^{n-1}|."""
+    """Product rule over the angles whose weights sum to |S^{n-1}|.
+
+    The rule is cached and shared, so its arrays are read-only.
+    """
     if n < 2:
         raise DomainError("n must be >= 2")
     if order < 2:
         raise DomainError("order must be >= 2")
-    phi = (np.arange(order) + 0.5) * (2.0 * math.pi / order)
-    phi_w = np.full(order, 2.0 * math.pi / order)
+    phi = _frozen((np.arange(order) + 0.5) * (2.0 * math.pi / order))
+    phi_w = _frozen(np.full(order, 2.0 * math.pi / order))
     psi_nodes = []
     psi_weights = []
     for j in range(1, n - 1):
         t, w = roots_jacobi(order, (j - 1) / 2.0, (j - 1) / 2.0)
-        psi = np.arccos(t)
-        psi_nodes.append(psi)
-        psi_weights.append(w)
+        psi_nodes.append(_frozen(np.arccos(t)))
+        psi_weights.append(_frozen(w))
     return SphereRule(
         n=n,
         order=order,
@@ -181,21 +189,69 @@ def mc_integrate(n, f, samples, seed):
 @lru_cache(maxsize=16)
 def _gauss_legendre(order):
     x, w = roots_legendre(order)
-    return x, w
+    return _frozen(x), _frozen(w)
+
+
+def _fold_axis(nodes, weights, images):
+    """Keep one node per orbit of the index maps `images`, with the orbit's weight.
+
+    `images` must list every non-identity element of the group, so that the
+    orbit of index k is {k} plus images[.][k]; its lowest index is kept.
+    Each distinct orbit member adds its weight once.
+    """
+    k = np.arange(len(nodes))
+    rep = np.minimum.reduce([k, *images])
+    folded = np.zeros(len(nodes))
+    np.add.at(folded, rep, weights)
+    keep = np.flatnonzero(rep == k)
+    return nodes[keep], folded[keep]
 
 
 @lru_cache(maxsize=64)
 def _prefix_rule(n, order):
-    """Squared coordinates and weights of the product rule on S^{n-3}.
+    """Squared coordinates and weights of the folded product rule on S^{n-3}.
 
     These are the outer nodes left after the last two angles of S^{n-1} are
-    handled by panels and the closed-form indicator resolution.
+    handled by panels and the closed-form indicator resolution.  The kernel
+    sees them only through their squared coordinates, and those depend on
+    each angle only through its cos^2.  So each axis of `build_rule(n-2,
+    order)` keeps one node per mirror orbit and carries the orbit's summed
+    weight; orbits are formed by node index, never by comparing values:
+
+    - Gauss-Jacobi psi axes: node k pairs with node N-1-k (t -> -t); with
+      odd N the middle node is its own orbit.
+    - phi axis, even N: phi -> phi + pi and phi -> pi - phi, which leaves
+      the nodes in (0, pi/2].
+    - phi axis, odd N: phi -> 2 pi - phi only, the one reflection that maps
+      the midpoint nodes onto each other.
+
+    So phi keeps (N+2)//4 nodes for even N and (N+1)//2 for odd N, and each
+    of the n-4 psi axes keeps (N+1)//2: about (N/2)^(n-3)/2 rows instead of
+    N^(n-3), each of which the kernel evaluates on two panels of N nodes.
+    The cost limit is still checked against the unfolded product, so an
+    (n, order) that exceeds MAX_PRODUCT_NODES raises DomainError as before.
     """
     if n == 3:
-        return np.ones((1, 1)), np.ones(1)
+        return _frozen(np.ones((1, 1))), _frozen(np.ones(1))
     rule = build_rule(n - 2, order)
-    pts = rule.cartesian()
-    return pts * pts, rule.weights()
+    k = np.arange(order)
+    if order % 2:
+        phi_images = [order - 1 - k]
+    else:
+        half = order // 2
+        phi_images = [(k + half) % order, (half - 1 - k) % order, order - 1 - k]
+    phi, phi_w = _fold_axis(rule.phi_nodes, rule.phi_weights, phi_images)
+    psi = [_fold_axis(x, w, [order - 1 - k]) for x, w in zip(rule.psi_nodes, rule.psi_weights)]
+    # `order` is kept, so nodes() and weights() still check the unfolded size
+    folded = replace(
+        rule,
+        phi_nodes=phi,
+        phi_weights=phi_w,
+        psi_nodes=tuple(x for x, _ in psi),
+        psi_weights=tuple(w for _, w in psi),
+    )
+    pts = folded.cartesian()
+    return _frozen(pts * pts), _frozen(folded.weights())
 
 
 _HALF_T = math.sqrt(0.5)
@@ -278,7 +334,7 @@ def _adaptive_circle_prefix(c1, c2, order):
     {A = 0}; grading the single prefix angle at the exact structure keeps
     the full n=4 moment pipeline at ~1e-12 relative accuracy.  Returns
     (squared coordinates, weights) with the 4-fold quadrant symmetry folded
-    into the weights.
+    into the weights, both read-only because they are cached.
     """
     pieces = []
     # left piece: t = sin(phi), A = c1 + (c2 - c1) t^2
@@ -291,7 +347,7 @@ def _adaptive_circle_prefix(c1, c2, order):
     pieces.append((zsq, wt / np.sqrt(1.0 - t * t)))
     zsq = np.concatenate([p[0] for p in pieces], axis=0)
     w = 4.0 * np.concatenate([p[1] for p in pieces])
-    return zsq, w
+    return _frozen(zsq), _frozen(w)
 
 
 def indicator_moment_columns(n, order, coeffs, force_pure=False):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blowuplab import moments, renorm
-from blowuplab.errors import DomainError, EscapeError
+from blowuplab.errors import DegeneracyError, DomainError, EscapeError, EvaluationError
 from blowuplab.quadratic import DeltaState
 
 ETA = math.log(2.0) / (2.0 * math.pi)
@@ -233,3 +233,33 @@ class TestSweep:
         text = renorm.sweep_to_csv(rows, 4)
         header = text.splitlines()[0]
         assert header == "tau0,delta0_1,delta0_2,classification,step,final_tau,final_ratio"
+
+
+class TestIterateErrors:
+    """Which step errors `iterate` absorbs into the record and which propagate."""
+
+    def _run(self, monkeypatch, exc):
+        def boom(state, cfg, rng=None):
+            raise exc
+
+        monkeypatch.setattr(renorm, "_step_detail", boom)
+        return renorm.iterate(DeltaState(n=4, tau=10.0, delta=np.zeros(2)), cfg4(), 5)
+
+    def test_escape_is_classified(self, monkeypatch):
+        rec = self._run(monkeypatch, EscapeError("left the ball"))
+        assert rec.classification.kind == "escaped"
+        assert rec.classification.step == 1
+
+    @pytest.mark.parametrize("exc", [DegeneracyError("tie"), DomainError("bad state")])
+    def test_degeneracy_and_domain_exhaust(self, monkeypatch, exc):
+        rec = self._run(monkeypatch, exc)
+        assert rec.classification.kind == "exhausted"
+        assert rec.classification.step == 1
+        assert rec.error == str(exc)
+
+    @pytest.mark.parametrize(
+        "exc", [EvaluationError("nan moment"), np.linalg.LinAlgError("no eig")]
+    )
+    def test_other_errors_propagate(self, monkeypatch, exc):
+        with pytest.raises(type(exc)):
+            self._run(monkeypatch, exc)

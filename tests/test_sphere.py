@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from blowuplab import sphere
+from blowuplab import _kernels, moments, sphere
 from blowuplab.errors import (
     DomainError,
     EvaluationError,
@@ -221,3 +221,68 @@ class TestMonteCarlo:
     def test_rejects_tiny_sample_count(self):
         with pytest.raises(DomainError):
             sphere.mc_integrate(3, lambda x: np.ones(len(x)), 10, 0)
+
+
+def _unfolded_prefix(n, order):
+    """Full product rule on S^{n-3}: squared coordinates and weights."""
+    rule = sphere.build_rule(n - 2, order)
+    pts = rule.cartesian()
+    return pts * pts, rule.weights()
+
+
+class TestPrefixFold:
+    # orders are even, odd and even but not a multiple of 4
+    CASES = [
+        (5, 64), (5, 33), (5, 30), (5, 21), (5, 15),
+        (6, 32), (6, 33), (6, 30), (6, 21), (6, 15),
+        (7, 16), (7, 15), (7, 14),
+    ]
+
+    @pytest.mark.parametrize("n,order", CASES)
+    def test_block_matches_unfolded_rule(self, n, order):
+        glx, glw = sphere._gauss_legendre(order)
+        folded = sphere._prefix_rule(n, order)
+        full = _unfolded_prefix(n, order)
+        mixed = np.array([1e-2, -5e-3, 2e-3, -1e-3, 3e-3][: n - 2])
+        for delta in (np.zeros(n - 2), mixed):
+            coeffs = np.concatenate([delta, [1.0 - delta.sum()]])
+            a = _kernels.indicator_moment_block(*folded, coeffs, n, math.pi, glx, glw)
+            b = _kernels.indicator_moment_block(*full, coeffs, n, math.pi, glx, glw)
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+    @pytest.mark.parametrize("n,order", CASES)
+    def test_weights_and_row_count(self, n, order):
+        zsq, w = sphere._prefix_rule(n, order)
+        assert w.sum() == pytest.approx(sphere.surface_area(n - 2), rel=1e-13)
+        phi_rows = (order + 1) // 2 if order % 2 else (order + 2) // 4
+        psi_rows = (order + 1) // 2
+        assert zsq.shape == (phi_rows * psi_rows ** (n - 4), n - 2)
+        assert w.shape == (zsq.shape[0],)
+        assert np.abs(zsq.sum(axis=1) - 1.0).max() < 1e-14
+
+    def test_cost_limit_unchanged(self):
+        # 30^5 nodes on S^5 exceed MAX_PRODUCT_NODES before folding
+        with pytest.raises(DomainError):
+            sphere._prefix_rule(8, 30)
+
+
+class TestCachedArraysReadOnly:
+    def _cached(self):
+        rule = sphere.build_rule(5, 12)
+        return [
+            rule.phi_nodes, rule.phi_weights, *rule.psi_nodes, *rule.psi_weights,
+            *sphere._prefix_rule(5, 12),
+            *sphere._adaptive_circle_prefix(0.3, -0.2, 12),
+            *sphere._gauss_legendre(12),
+            moments._zero_columns(5, 12),
+        ]
+
+    def test_in_place_write_raises(self):
+        before = [a.copy() for a in self._cached()]
+        for a in self._cached():
+            with pytest.raises(ValueError):
+                a[0] = -1.0
+            with pytest.raises(ValueError):
+                a *= 2.0
+        for old, new in zip(before, self._cached()):
+            assert np.array_equal(old, new)
