@@ -1,7 +1,8 @@
 """Kernel backend selection: compiled Cython core with a numpy fallback.
 
 The compiled extension is preferred when importable; set BLOWUPLAB_PURE=1
-to force the numpy implementation (used by the benchmark and tests).
+to force the numpy implementation (to replay a pure-backend manifest on a
+compiled install).
 """
 
 import os
@@ -10,28 +11,25 @@ import numpy as np
 
 from . import _pure
 
-_impl = None
+SNAP_EPS = _pure.SNAP_EPS
+
+_impl = _pure
 if os.environ.get("BLOWUPLAB_PURE", "") != "1":
     try:
         from . import _core as _impl  # type: ignore[attr-defined]
     except ImportError:
-        _impl = None
-
-HAVE_COMPILED = _impl is not None
+        pass
 
 
 def backend_name():
-    return "compiled" if _impl is not None else "pure"
+    return "pure" if _impl is _pure else "compiled"
 
 
-def row_reductions(zsq, coeffs, ndim, theta_max, glx, glw, force_pure=False):
-    if _impl is None or force_pure:
-        return _pure.row_reductions(zsq, coeffs, ndim, theta_max, glx, glw)
-    return _impl.row_reductions(zsq, coeffs, ndim, theta_max, glx, glw)
+# Looked up by indicator_moment_block at call time, so it can be wrapped.
+row_reductions = _impl.row_reductions
 
 
-def indicator_moment_block(zsq, weights, coeffs, ndim, theta_max, glx, glw,
-                           force_pure=False):
+def indicator_moment_block(zsq, weights, coeffs, ndim, theta_max, glx, glw):
     """Integrals of chi_{p>0} * {1, x_1^2, ..., x_n^2} over the unit sphere.
 
     `zsq` and `weights` describe the prefix product rule on the outer
@@ -41,7 +39,7 @@ def indicator_moment_block(zsq, weights, coeffs, ndim, theta_max, glx, glw,
     Summation over prefix rows uses numpy's fixed pairwise reduction so the
     result does not depend on threading or chunk partitioning.
     """
-    R = row_reductions(zsq, coeffs, ndim, theta_max, glx, glw, force_pure=force_pure)
+    R = row_reductions(zsq, coeffs, ndim, theta_max, glx, glw)
     weights = np.asarray(weights, dtype=np.float64)
     chi_w = R[:, 0] * weights
     sin_w = R[:, 1] * weights

@@ -33,24 +33,24 @@ _HALF_T = np.sqrt(0.5)  # sin(pi/4), the quarter midpoint in t
 SNAP_EPS = 1e-11
 
 
-def _sin_power_integrals(ct, st, j0, m_max):
-    """Integrals of sin^m over the resolved inner interval, m = 0..m_max.
+def _sin_power_pair(ct, st, j0, ndim):
+    """(J_{ndim-2}, J_ndim): integrals of sin^m over the resolved inner interval.
 
     ct, st are cos/sin of the interval endpoint psi*, j0 the exact length
-    of the interval (computed stably by the caller via arctan).
+    of the interval (computed stably by the caller via arctan).  Only ndim's
+    parity of J_m = 2 ct st^(m-1)/m + (m-1)/m J_{m-2} runs; st^(m-1) still
+    takes one multiply per m, so the powers round alike for every ndim.
     """
-    J = np.empty(ct.shape + (m_max + 1,), dtype=np.float64)
-    J[..., 0] = j0
-    if m_max >= 1:
-        J[..., 1] = 2.0 * ct
-    st_pow = None
-    for m in range(2, m_max + 1):
-        st_pow = st if st_pow is None else st_pow * st
-        J[..., m] = (2.0 * ct * st_pow) / m + ((m - 1.0) / m) * J[..., m - 2]
-    return J
+    j_prev = j = j0 if ndim % 2 == 0 else 2.0 * ct
+    st_pow = 1.0
+    for m in range(2, ndim + 1):
+        st_pow = st_pow * st
+        if m % 2 == ndim % 2:
+            j_prev, j = j, (2.0 * ct * st_pow) / m + ((m - 1.0) / m) * j
+    return j_prev, j
 
 
-def _accumulate(out, rows, alpha, beta, t_nodes, t_weights, q, left_piece, ndim):
+def _accumulate(out, rows, t_nodes, t_weights, q, left_piece, ndim):
     """Add one mapped panel's reductions for the selected rows.
 
     t_nodes/t_weights: (M, G) mapped abscissae in the piece variable and
@@ -73,9 +73,9 @@ def _accumulate(out, rows, alpha, beta, t_nodes, t_weights, q, left_piece, ndim)
     st = 1.0 / np.sqrt(opq)
     ct = u * st
     j0 = 2.0 * np.arctan(u)
-    J = _sin_power_integrals(ct, st, j0, ndim)
-    j_lo = np.where(pos, J[..., ndim - 2], 0.0)
-    j_hi = np.where(pos, J[..., ndim], 0.0)
+    j_lo, j_hi = _sin_power_pair(ct, st, j0, ndim)
+    j_lo = np.where(pos, j_lo, 0.0)
+    j_hi = np.where(pos, j_hi, 0.0)
 
     jac_pow = ndim - 3
     base = w_theta if jac_pow == 0 else w_theta * s2 ** (jac_pow / 2.0)
@@ -110,7 +110,7 @@ def _piece(out, rows, alpha, beta, glx, glw, left_piece, ndim):
         t = np.broadcast_to(t, (a.shape[0], gx.shape[0]))
         wt = np.broadcast_to(_HALF_T * 0.5 * glw[None, :], t.shape)
         q = a + b * t * t
-        _accumulate(out, rows[m_plain], a, b, t, wt, q, left_piece, ndim)
+        _accumulate(out, rows[m_plain], t, wt, q, left_piece, ndim)
 
     if np.any(m_sin):
         a = alpha[m_sin]
@@ -124,7 +124,7 @@ def _piece(out, rows, alpha, beta, glx, glw, left_piece, ndim):
         t = t_r[:, None] * sw
         wt = ww * t_r[:, None] * cw
         q = a[:, None] * cw * cw
-        _accumulate(out, rows[m_sin], a, b, t, wt, q, left_piece, ndim)
+        _accumulate(out, rows[m_sin], t, wt, q, left_piece, ndim)
 
     if np.any(m_layer):
         a = alpha[m_layer]
@@ -138,7 +138,7 @@ def _piece(out, rows, alpha, beta, glx, glw, left_piece, ndim):
         t = ell[:, None] * sh
         wt = wv * ell[:, None] * ch
         q = a[:, None] * ch * ch
-        _accumulate(out, rows[m_layer], a, b, t, wt, q, left_piece, ndim)
+        _accumulate(out, rows[m_layer], t, wt, q, left_piece, ndim)
 
     if np.any(m_cosh):
         a = alpha[m_cosh]
@@ -154,7 +154,7 @@ def _piece(out, rows, alpha, beta, glx, glw, left_piece, ndim):
         t = t_r[:, None] * ch
         wt = wv * t_r[:, None] * sh
         q = (-a)[:, None] * sh * sh
-        _accumulate(out, rows[m_cosh], a, b, t, wt, q, left_piece, ndim)
+        _accumulate(out, rows[m_cosh], t, wt, q, left_piece, ndim)
 
 
 _CHUNK_ROWS = 16384

@@ -48,11 +48,10 @@ class SampledField:
         """Sample a vectorized function of (..., n) points on the lattice."""
         center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
         k = int(math.ceil(radius / h))
-        axis = center_axis = h * np.arange(-k, k + 1)
-        grids = np.meshgrid(*[center_axis + c for c in center], indexing="ij")
+        axis = h * np.arange(-k, k + 1)
+        grids = np.meshgrid(*[axis + c for c in center], indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=1)
         vals = np.asarray(f(pts), dtype=np.float64).reshape(grids[0].shape)
-        del axis
         return cls(n=n, h=h, center=center, radius=k * h, values=vals)
 
     def lattice_points(self):

@@ -262,22 +262,16 @@ def inner_slab_integral(kappa, mu):
 
 
 def mc_moment_check(delta, n, samples, seed):
-    """Monte Carlo estimates of B and B_i from one Philox sample stream."""
+    """Monte Carlo estimates of B and B_i, all n+1 columns from one Philox pass."""
     delta = np.atleast_1d(np.asarray(delta, dtype=np.float64))
     diag = np.concatenate([delta, [1.0 - delta.sum(), -1.0]])
 
-    def all_columns(x):
-        chi = (x * x @ diag > 0).astype(np.float64)
-        return chi
+    def columns(x):
+        sq = x * x
+        chi = (sq @ diag > 0).astype(np.float64)
+        return np.vstack([-chi, -chi * sq.T])
 
-    b_est = mc_integrate(n, lambda x: -all_columns(x), samples, seed)
-    bi_est = []
-    for i in range(n):
-        bi_est.append(
-            mc_integrate(
-                n, lambda x, i=i: -all_columns(x) * x[:, i] ** 2, samples, seed
-            )
-        )
+    b_est, *bi_est = mc_integrate(n, columns, samples, seed)
     return b_est, bi_est
 
 

@@ -155,7 +155,10 @@ def mc_integrate(n, f, samples, seed):
     """Uniform-sphere Monte Carlo via normalized Gaussian vectors (Philox).
 
     The generator is counter-based and keyed by the seed alone, so the
-    sample sequence is fully determined by (seed, index).
+    sample sequence is fully determined by (seed, index).  `f` maps (m, n)
+    points to (m,) values, a scalar, or a (k, m) stack; a stack gives k
+    estimates from the one stream, each row summed on its own exactly as
+    its lone run would be (a moment check's n+1 columns share one stream).
     """
     if samples < 1000:
         raise DomainError("samples must be >= 1000")
@@ -170,20 +173,22 @@ def mc_integrate(n, f, samples, seed):
         vals = np.asarray(f(g), dtype=np.float64)
         if vals.shape == ():
             vals = np.full(m, float(vals))
+        if vals.ndim > 2 or vals.shape[-1] != m:
+            raise DomainError("integrand must map (m, n) points to (m,) or (k, m) values")
         if not np.all(np.isfinite(vals)):
             raise EvaluationError("integrand produced non-finite values")
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
+        rows = np.atleast_2d(vals)
+        total = total + np.array([np.sum(r) for r in rows])
+        total_sq = total_sq + np.array([np.sum(r * r) for r in rows])
         done += m
     area = surface_area(n)
     mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0) * samples / max(samples - 1, 1)
-    return McEstimate(
-        value=area * mean,
-        std_error=area * math.sqrt(var / samples),
-        samples=samples,
-        seed=seed,
-    )
+    var = np.maximum(total_sq / samples - mean * mean, 0.0) * samples / max(samples - 1, 1)
+    estimates = [
+        McEstimate(area * mu, area * math.sqrt(v / samples), samples, seed)
+        for mu, v in zip(mean, var)
+    ]
+    return estimates if vals.ndim == 2 else estimates[0]
 
 
 @lru_cache(maxsize=16)
@@ -289,7 +294,7 @@ def _piece_nodes_1d(alpha, beta, order):
         ws.append(0.5 * abs(hi - target) * gw)
         return np.concatenate(ts), np.concatenate(ws)
 
-    if abs(alpha) < _kernels._pure.SNAP_EPS:
+    if abs(alpha) < _kernels.SNAP_EPS:
         alpha = 0.0
     q_end = alpha + beta * T * T
     if abs(beta) < 1e-300:
@@ -350,7 +355,7 @@ def _adaptive_circle_prefix(c1, c2, order):
     return _frozen(zsq), _frozen(w)
 
 
-def indicator_moment_columns(n, order, coeffs, force_pure=False):
+def indicator_moment_columns(n, order, coeffs):
     """Vector of integrals of chi_{p>0} * {1, x_1^2, .., x_n^2}.
 
     `coeffs` are the diagonal coefficients of p on axes 1..n-1 once the
@@ -365,9 +370,7 @@ def indicator_moment_columns(n, order, coeffs, force_pure=False):
         zsq, wts = _prefix_rule(n, order)
     glx, glw = _gauss_legendre(order)
     theta_max = 2.0 * math.pi if n == 3 else math.pi
-    return _kernels.indicator_moment_block(
-        zsq, wts, coeffs, n, theta_max, glx, glw, force_pure=force_pure
-    )
+    return _kernels.indicator_moment_block(zsq, wts, coeffs, n, theta_max, glx, glw)
 
 
 def _closed_form_columns_2d(c1):

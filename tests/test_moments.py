@@ -104,6 +104,28 @@ class TestFourierBlock:
         assert np.abs(proj - block_diag).max() <= tol
 
 
+class TestMcMomentCheck:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_one_stream_equals_column_runs(self, n):
+        # two chunks, so the per-chunk sums are accumulated too
+        samples = sphere._MC_CHUNK + 1000
+        delta = np.linspace(-1.0, 1.0, n - 2) * 0.02
+        diag = np.concatenate([delta, [1.0 - delta.sum(), -1.0]])
+
+        def chi(x):
+            return (x * x @ diag > 0).astype(np.float64)
+
+        b_est, bi_est = moments.mc_moment_check(delta, n, samples, 11)
+        runs = [sphere.mc_integrate(n, lambda x: -chi(x), samples, 11)]
+        runs += [
+            sphere.mc_integrate(n, lambda x, i=i: -chi(x) * x[:, i] ** 2, samples, 11)
+            for i in range(n)
+        ]
+        assert len(bi_est) == n
+        for est, run in zip([b_est, *bi_est], runs):
+            assert est.value == run.value and est.std_error == run.std_error
+
+
 class TestQuarticMatrix:
     def test_n4_values(self):
         mat = moments.quartic_moment_matrix(4, 48)

@@ -222,6 +222,31 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             sphere.mc_integrate(3, lambda x: np.ones(len(x)), 10, 0)
 
+    def test_stack_equals_row_runs(self):
+        # a (k, m) integrand reduces each row from the one stream exactly as
+        # a run of that row alone would
+        rows = [
+            lambda x: np.ones(len(x)),
+            lambda x: x[:, 0] ** 2,
+            lambda x: x[:, 1] * x[:, 3] + x[:, 2],
+        ]
+        stacked = sphere.mc_integrate(4, lambda x: np.stack([f(x) for f in rows]), 10**5, 5)
+        assert len(stacked) == len(rows)
+        for f, est in zip(rows, stacked):
+            assert est == sphere.mc_integrate(4, f, 10**5, 5)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda x: np.ones(len(x) + 1),
+            lambda x: np.ones((len(x), 2)),
+            lambda x: np.ones((2, len(x), 1)),
+        ],
+    )
+    def test_rejects_wrong_last_axis(self, f):
+        with pytest.raises(DomainError):
+            sphere.mc_integrate(3, f, 2000, 0)
+
 
 def _unfolded_prefix(n, order):
     """Full product rule on S^{n-3}: squared coordinates and weights."""
