@@ -21,6 +21,12 @@ the integrand is analytic:
 
 which removes the sqrt-type kinks and boundary layers of the naive
 reduction.
+
+Rows are processed in blocks sized by element count (rows x nodes), not by
+row count.  That bounds the working set of a call, so large calls neither
+spill the cache nor make the allocator map and unmap megabytes per call;
+the block size has no knob, and the results do not depend on how the rows
+are partitioned.
 """
 
 import numpy as np
@@ -157,7 +163,14 @@ def _piece(out, rows, alpha, beta, glx, glw, left_piece, ndim):
         _accumulate(out, rows[m_cosh], t, wt, q, left_piece, ndim)
 
 
-_CHUNK_ROWS = 16384
+# Rows run in blocks of about this many (row, node) elements, so every
+# (rows, G) temporary of _piece/_accumulate is near 32 KB whatever the row
+# count or order: the working set stays in cache and the allocator reuses
+# the same small buffers instead of returning large ones to the OS and
+# faulting them in again on every call.  The row count follows from the node
+# count alone, and the result does not depend on it: each row's arithmetic
+# and its pairwise sum over the nodes are the same in any block.
+_BLOCK_ELEMS = 4096
 
 
 def row_reductions(zsq, coeffs, ndim, theta_max, glx, glw):
@@ -193,14 +206,15 @@ def row_reductions(zsq, coeffs, ndim, theta_max, glx, glw):
     factor = 4.0 if theta_max > 4.0 else 2.0
 
     all_rows = np.arange(m_rows)
-    for lo in range(0, m_rows, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, m_rows)
+    block = max(1, _BLOCK_ELEMS // len(glx))
+    for lo in range(0, m_rows, block):
+        hi = min(lo + block, m_rows)
         rows = all_rows[lo:hi]
         a_c = a_sin[lo:hi]
         b_full = np.full(hi - lo, b_cos)
         # left: t = sin(theta), q = b_cos + (a - b_cos) t^2
         _piece(out, rows, b_full, a_c - b_cos, glx, glw, True, ndim)
         # right: t = cos(theta), q = a + (b_cos - a) t^2
-        _piece(out, rows, a_c.copy(), b_cos - a_c, glx, glw, False, ndim)
+        _piece(out, rows, a_c, b_cos - a_c, glx, glw, False, ndim)
     out *= factor
     return out

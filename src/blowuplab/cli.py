@@ -2,19 +2,32 @@
 
 Subcommands: moments, map, iterate, sweep, fourier2d, project-grid, verify.
 Every file-writing run also writes a JSON manifest of the full effective
-configuration; re-running from a manifest reproduces outputs byte for
-byte.  Exit codes: 0 success, 1 criterion failure, 2 usage/validation.
+configuration and of the environment (kernel backend, library versions);
+re-running from a manifest reproduces outputs byte for byte in the same
+environment, and `iterate --manifest` warns on stderr when it is not.
+Exit codes: 0 success, 1 criterion failure, 2 usage/validation.
 """
 
 import argparse
 import json
 import math
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import __version__, acceptance, correction, gridproj, moments, renorm, sphere
+from . import (
+    __version__,
+    _kernels,
+    acceptance,
+    correction,
+    gridproj,
+    moments,
+    renorm,
+    sphere,
+)
 from .quadratic import DeltaState, HarmonicQuadratic, make_p_delta
 
 
@@ -51,10 +64,41 @@ def _json_dump(obj):
     return json.dumps(obj, indent=2, sort_keys=True, default=_np_default)
 
 
+def _environment():
+    """What byte-identical replay depends on besides the configuration."""
+    return {
+        "backend": _kernels.backend_name(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
+def _warn_environment(manifest, path):
+    """One stderr warning when the manifest's environment is not this one."""
+    here = _environment()
+    stamp = manifest.get("environment")
+    if stamp is None:
+        detail = f"has no environment stamp ({', '.join(sorted(here))})"
+    else:
+        diff = [
+            f"{key} {stamp.get(key)!r} != {here[key]!r}"
+            for key in sorted(here)
+            if stamp.get(key) != here[key]
+        ]
+        if not diff:
+            return
+        detail = "was written in another environment: " + ", ".join(diff)
+    sys.stderr.write(
+        f"warning: manifest {path} {detail}; the replay may not be byte-identical\n"
+    )
+
+
 def _write_manifest(prefix, command, config, outputs):
     manifest = {
         "command": command,
         "config": config,
+        "environment": _environment(),
         "outputs": outputs,
         "package_version": __version__,
     }
@@ -158,6 +202,7 @@ def _cmd_map(args, parser):
 def _cmd_iterate(args, parser):
     if args.manifest:
         loaded = json.loads(Path(args.manifest).read_text())
+        _warn_environment(loaded, args.manifest)
         cfg = renorm.MapConfig(**loaded["config"]["map"])
         tau0 = loaded["config"]["tau0"]
         delta0 = np.array(loaded["config"]["delta0"])

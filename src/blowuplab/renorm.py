@@ -421,9 +421,12 @@ def _sweep_cell(args):
 
 
 def default_workers():
+    """BLOWUP_WORKERS if set, else the CPUs this process may run on."""
     env = os.environ.get("BLOWUP_WORKERS", "")
     if env.strip():
         return max(1, int(env))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

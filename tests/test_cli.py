@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blowuplab import _kernels
 from blowuplab.cli import main
 
 
@@ -91,8 +92,7 @@ class TestIterate:
             "-o", str(tmp_path / "orig"),
         ]
         run(capsys, argv)
-        code, _ = run(
-            capsys,
+        code = main(
             [
                 "iterate",
                 "--manifest",
@@ -102,9 +102,51 @@ class TestIterate:
             ],
         )
         assert code == 0
+        assert capsys.readouterr().err == ""  # same environment: no warning
         assert (tmp_path / "orig.csv").read_bytes() == (
             tmp_path / "replay.csv"
         ).read_bytes()
+
+    def _replay_with(self, capsys, tmp_path, edit):
+        """Iterate, edit the written manifest, replay it; (stderr, csv pair)."""
+        argv = [
+            "iterate", "--n", "3", "--tau0", "10", "--delta0", "0",
+            "--steps", "5", "--order", "16", "--c-gamma", "0",
+            "-o", str(tmp_path / "orig"),
+        ]
+        run(capsys, argv)
+        path = tmp_path / "orig.manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        code = main(["iterate", "--manifest", str(path), "-o", str(tmp_path / "replay")])
+        err = capsys.readouterr().err
+        assert code == 0
+        return err, (tmp_path / "orig.csv").read_bytes(), (tmp_path / "replay.csv").read_bytes()
+
+    def test_manifest_records_environment(self, capsys, tmp_path):
+        run(capsys, ["iterate", "--n", "3", "--steps", "2", "--order", "16",
+                     "-o", str(tmp_path / "r")])
+        env = json.loads((tmp_path / "r.manifest.json").read_text())["environment"]
+        assert env["backend"] == _kernels.backend_name()
+        assert env["numpy"] == np.__version__
+        assert set(env) == {"backend", "python", "numpy", "scipy"}
+
+    def test_replay_warns_on_other_backend(self, capsys, tmp_path):
+        def edit(m):
+            m["environment"]["backend"] = "other"
+
+        err, orig, replay = self._replay_with(capsys, tmp_path, edit)
+        assert err.count("\n") == 1
+        assert "backend 'other'" in err and "byte-identical" in err
+        assert "numpy" not in err
+        assert orig == replay
+
+    def test_replay_warns_without_stamp(self, capsys, tmp_path):
+        err, orig, replay = self._replay_with(capsys, tmp_path, lambda m: m.pop("environment"))
+        assert err.count("\n") == 1
+        assert "no environment stamp" in err and "byte-identical" in err
+        assert orig == replay
 
     def test_escape_classification(self, capsys):
         code, out = run(

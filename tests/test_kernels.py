@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from blowuplab import _kernels, sphere
+from blowuplab import _kernels, moments, sphere
 from blowuplab._kernels import _pure
 
 
@@ -74,3 +75,59 @@ class TestSinPowerPair:
             for m, got in ((ndim - 2, j_lo[k]), (ndim, j_hi[k])):
                 ref, _ = quad(lambda s: math.cos(s) ** m, -a, a, epsabs=0.0, epsrel=1e-13)
                 assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def _rows_inputs(n, order, delta):
+    """Arguments of `row_reductions` as `indicator_moment_columns` builds them."""
+    coeffs = moments._coeff_vector(n, np.asarray(delta, dtype=np.float64))
+    if n == 4:
+        zsq, _ = sphere._adaptive_circle_prefix(float(coeffs[0]), float(coeffs[1]), order)
+    else:
+        zsq, _ = sphere._prefix_rule(n, order)
+    glx, glw = sphere._gauss_legendre(order)
+    return zsq, coeffs, n, math.pi, glx, glw
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize(
+        "n, order, delta",
+        [
+            (4, 64, [0.0, 0.0]),
+            (4, 64, [3e-2, -1e-2]),
+            (5, 64, [0.0, 0.0, 0.0]),
+            (5, 64, [1e-2, -5e-3, 2e-3]),
+            (6, 32, [0.0] * 4),
+            (6, 32, [2e-2, -1e-2, 5e-3, -3e-3]),
+            (7, 16, [0.0] * 5),
+            (7, 16, [1e-2, -2e-2, 3e-3, 4e-3, -1e-3]),
+        ],
+    )
+    def test_partition_invariant(self, monkeypatch, n, order, delta):
+        # each row's arithmetic and its pairwise sum over the nodes are the
+        # same in any block, so one row per block and all rows in one block
+        # give the same bits as the default
+        args = _rows_inputs(n, order, delta)
+        default = _pure.row_reductions(*args)
+        monkeypatch.setattr(_pure, "_BLOCK_ELEMS", 1)
+        one_row = _pure.row_reductions(*args)
+        monkeypatch.setattr(_pure, "_BLOCK_ELEMS", args[0].shape[0] * order)
+        one_block = _pure.row_reductions(*args)
+        assert np.array_equal(one_row, default)
+        assert np.array_equal(one_block, default)
+
+    @pytest.mark.parametrize(
+        "n, order, delta, rows",
+        [(6, 32, [2e-2, -1e-2, 5e-3, -3e-3], 2048), (4, 256, [3e-2, -1e-2], 928)],
+    )
+    def test_bounded_working_set(self, n, order, delta, rows):
+        # temporaries scale with the block, not with rows x nodes: all rows
+        # at once would peak at 11 MiB (n=6/32) and 37 MiB (n=4/256)
+        args = _rows_inputs(n, order, delta)
+        assert args[0].shape[0] == rows
+        tracemalloc.start()
+        try:
+            _pure.row_reductions(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20

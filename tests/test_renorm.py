@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -233,6 +234,18 @@ class TestSweep:
         text = renorm.sweep_to_csv(rows, 4)
         header = text.splitlines()[0]
         assert header == "tau0,delta0_1,delta0_2,classification,step,final_tau,final_ratio"
+
+
+class TestDefaultWorkers:
+    def test_respects_affinity(self, monkeypatch):
+        monkeypatch.delenv("BLOWUP_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert renorm.default_workers() == 1
+
+    def test_env_overrides(self, monkeypatch):
+        monkeypatch.setenv("BLOWUP_WORKERS", "3")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert renorm.default_workers() == 3
 
 
 class TestIterateErrors:
