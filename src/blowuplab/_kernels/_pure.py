@@ -106,7 +106,7 @@ def _piece(out, rows, alpha, beta, glx, glw, left_piece, ndim):
 
     m_sin = (alpha > 0.0) & (beta < 0.0)
     m_layer = (alpha > 0.0) & (beta > 0.0) & (4.0 * alpha < q_end)
-    m_cosh = (alpha <= 0.0) & (q_end > 0.0) & (alpha < 0.0)
+    m_cosh = alpha < 0.0  # live, so q_end > 0
     m_plain = ~(m_sin | m_layer | m_cosh)
 
     if np.any(m_plain):

@@ -343,11 +343,6 @@ _TAGS = {
     "A10": "monte carlo oracle agreement",
 }
 
-# criteria expected red: spec-stated tolerances shown unattainable by analysis
-# (see the project notes); they run faithfully and report measured values.
-KNOWN_RED = ("A3", "A6", "A9")
-
-
 def run_all(name_filter=None, order=None):
     results = []
     for key, fn in CRITERIA.items():

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 criterion failure, 2 usage/validation.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import platform
@@ -158,18 +159,13 @@ def _cmd_moments(args, parser):
     return 0
 
 
+_MAP_DEFAULTS = {f.name: f.default for f in dataclasses.fields(renorm.MapConfig)}
+
+
 def _map_config(args):
+    """MapConfig from the map flags; a field with no flag keeps its default."""
     return renorm.MapConfig(
-        n=args.n,
-        order=args.order,
-        gamma=args.gamma,
-        alpha=args.alpha,
-        c_noise=args.c_noise,
-        noise=args.noise,
-        seed=args.seed,
-        C_gamma=args.c_gamma,
-        kappa0=args.kappa0,
-        tol_conv=getattr(args, "tol_conv", 1e-9),
+        **{name: getattr(args, name) for name in _MAP_DEFAULTS if hasattr(args, name)}
     )
 
 
@@ -184,6 +180,7 @@ def _cmd_map(args, parser):
     out = {
         "before": {"tau": state.tau, "delta": list(state.delta)},
         "after": {"tau": new_state.tau, "delta": list(new_state.delta)},
+        "escaped": not new_state.in_small_ball,
         "correction_projection_diag": list(np.diag(z_half.coeff)),
         "noise_diag": list(xi),
         "monotonicity": {
@@ -207,7 +204,7 @@ def _cmd_iterate(args, parser):
         tau0 = loaded["config"]["tau0"]
         delta0 = np.array(loaded["config"]["delta0"])
         steps = loaded["config"]["steps"]
-        prefix = args.output or loaded["config"]["output_prefix"]
+        prefix = args.output
     else:
         if args.n < 2:
             parser.error("n must be >= 2")
@@ -367,21 +364,24 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_map_args(p, with_tol=False):
-        p.add_argument("--order", type=int, default=64)
-        p.add_argument("--gamma", type=float, default=0.1)
-        p.add_argument("--alpha", type=float, default=0.2)
-        p.add_argument("--noise", choices=renorm.NOISE_MODES, default="off")
-        p.add_argument("--c-noise", type=float, default=0.0)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--c-gamma", type=float, default=None)
-        p.add_argument("--kappa0", type=float, default=0.2)
+        default = _MAP_DEFAULTS
+        p.add_argument("--order", type=int, default=default["order"])
+        p.add_argument("--gamma", type=float, default=default["gamma"])
+        p.add_argument("--alpha", type=float, default=default["alpha"])
+        p.add_argument("--noise", choices=renorm.NOISE_MODES, default=default["noise"])
+        p.add_argument("--c-noise", type=float, default=default["c_noise"])
+        p.add_argument("--seed", type=int, default=default["seed"])
+        p.add_argument(
+            "--c-gamma", dest="C_gamma", type=float, default=default["C_gamma"]
+        )
+        p.add_argument("--kappa0", type=float, default=default["kappa0"])
         if with_tol:
-            p.add_argument("--tol-conv", type=float, default=1e-9)
+            p.add_argument("--tol-conv", type=float, default=default["tol_conv"])
 
     p = sub.add_parser("moments", help="moment sets for one or more delta")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", action="append", default=None)
-    p.add_argument("--order", type=int, default=64)
+    p.add_argument("--order", type=int, default=moments.DEFAULT_ORDER)
     p.add_argument("--mc-check", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", "-o", default=None)

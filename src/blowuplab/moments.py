@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .quadratic import HarmonicQuadratic
+from .quadratic import HarmonicQuadratic, normal_form_diagonal
 from .sphere import (
     build_rule,
     indicator_moment_columns,
@@ -59,7 +59,7 @@ class FourierBlock2:
 
 
 def _coeff_vector(n, delta):
-    return np.concatenate([delta, [1.0 - delta.sum()]])
+    return normal_form_diagonal(delta)[:-1]
 
 
 @lru_cache(maxsize=64)
@@ -219,34 +219,12 @@ def _strip_exact(kappa, a0, a1, b0, b1):
     return total
 
 
-def _panel_quad(kappa, a0, a1, b0, b1, depth):
-    p1_min = kappa + a0 * a0 - b1 * b1
-    p1_max = kappa + a1 * a1 - b0 * b0
-    p0_min = a0 * a0 - b1 * b1
-    p0_max = a1 * a1 - b0 * b0
-    chi1 = 1.0 if p1_min > 0 else (0.0 if p1_max <= 0 else None)
-    chi0 = 1.0 if p0_min > 0 else (0.0 if p0_max <= 0 else None)
-    if chi1 is not None and chi0 is not None:
-        return (chi1 - chi0) * (a1 - a0) * (b1 - b0)
-    if depth >= 6:
-        return _strip_exact(kappa, a0, a1, b0, b1)
-    am = 0.5 * (a0 + a1)
-    bm = 0.5 * (b0 + b1)
-    d = depth + 1
-    return (
-        _panel_quad(kappa, a0, am, b0, bm, d)
-        + _panel_quad(kappa, am, a1, b0, bm, d)
-        + _panel_quad(kappa, a0, am, bm, b1, d)
-        + _panel_quad(kappa, am, a1, bm, b1, d)
-    )
-
-
 def inner_slab_integral(kappa, mu):
     """Inner-slab increment integral and its leading asymptotic.
 
     numeric = integral over (0, mu)^2 of the indicator difference between
-    {kappa + x^2 > y^2} and {x^2 > y^2}, by recursive panel splitting along
-    the boundary curves with exact strip resolution at the leaves;
+    {kappa + x^2 > y^2} and {x^2 > y^2}, in closed form: `_strip_exact` is
+    exact on any first-quadrant rectangle, so one call covers the square;
     asymptotic = -(1/4) kappa ln|kappa| (positive for 0 < kappa < 1, the
     leading term of the increment).
     """
@@ -256,15 +234,14 @@ def inner_slab_integral(kappa, mu):
         return InnerSlabResult(0.0, 0.0)
     if abs(kappa) >= mu * mu:
         raise DomainError("requires |kappa| < mu^2")
-    numeric = _panel_quad(kappa, 0.0, mu, 0.0, mu, 0)
+    numeric = _strip_exact(kappa, 0.0, mu, 0.0, mu)
     asymptotic = -0.25 * kappa * math.log(abs(kappa))
     return InnerSlabResult(float(numeric), float(asymptotic))
 
 
 def mc_moment_check(delta, n, samples, seed):
     """Monte Carlo estimates of B and B_i, all n+1 columns from one Philox pass."""
-    delta = np.atleast_1d(np.asarray(delta, dtype=np.float64))
-    diag = np.concatenate([delta, [1.0 - delta.sum(), -1.0]])
+    diag = normal_form_diagonal(np.atleast_1d(np.asarray(delta, dtype=np.float64)))
 
     def columns(x):
         sq = x * x

@@ -142,8 +142,7 @@ class DeltaState:
         return float(self.delta.max() / (1.0 - self.delta_tilde))
 
     def polynomial(self):
-        d = np.concatenate([self.delta, [1.0 - self.delta_tilde, -1.0]])
-        base = np.diag(self.tau * d)
+        base = np.diag(self.tau * normal_form_diagonal(self.delta))
         return HarmonicQuadratic.from_matrix(self.Q @ base @ self.Q.T)
 
     def to_json(self):
@@ -168,6 +167,11 @@ class DeltaState:
         )
 
 
+def normal_form_diagonal(delta):
+    """The diagonal (delta_1..delta_{n-2}, 1 - sum(delta), -1) of p_delta."""
+    return np.concatenate([delta, [1.0 - delta.sum(), -1.0]])
+
+
 def make_p_delta(n, delta):
     """The normal form diag(delta_1..delta_{n-2}, 1 - sum(delta), -1)."""
     delta = np.atleast_1d(np.asarray(delta, dtype=np.float64))
@@ -175,8 +179,7 @@ def make_p_delta(n, delta):
         raise DomainError("n must be >= 2")
     if delta.shape != (n - 2,):
         raise DomainError(f"delta must have length n-2 = {n - 2}, got {delta.shape}")
-    diag = np.concatenate([delta, [1.0 - delta.sum(), -1.0]])
-    return HarmonicQuadratic(n, np.diag(diag))
+    return HarmonicQuadratic(n, np.diag(normal_form_diagonal(delta)))
 
 
 def sup_norm_ball(q):

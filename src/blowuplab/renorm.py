@@ -13,15 +13,21 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .correction import from_fourier_block, scale_projection
 from .errors import DegeneracyError, DomainError, EscapeError
-from .moments import compute_moments, fourier_block2
-from .quadratic import DeltaState, HarmonicQuadratic, diagonalize
+from .moments import DEFAULT_ORDER, compute_moments, fourier_block2
+from .quadratic import (
+    DEFAULT_KAPPA0,
+    DeltaState,
+    HarmonicQuadratic,
+    diagonalize,
+    normal_form_diagonal,
+)
 
 NOISE_MODES = ("off", "random", "adversarial")
 
@@ -31,14 +37,14 @@ class MapConfig:
     """Configuration of the half-scale map."""
 
     n: int
-    order: int = 64
+    order: int = DEFAULT_ORDER
     gamma: float = 0.1
     alpha: float = 0.2
     c_noise: float = 0.0
     noise: str = "off"
     seed: int = 0
     C_gamma: float = None
-    kappa0: float = 0.2
+    kappa0: float = DEFAULT_KAPPA0
     tol_conv: float = 1e-9
 
     def __post_init__(self):
@@ -59,18 +65,7 @@ class MapConfig:
         return calibrate_threshold_constant(self.n, self.gamma, self.order)
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "order": self.order,
-            "gamma": self.gamma,
-            "alpha": self.alpha,
-            "c_noise": self.c_noise,
-            "noise": self.noise,
-            "seed": self.seed,
-            "C_gamma": self.C_gamma,
-            "kappa0": self.kappa0,
-            "tol_conv": self.tol_conv,
-        }
+        return asdict(self)
 
 
 def _noise_diagonal(state, cfg, rng):
@@ -98,7 +93,11 @@ def _noise_diagonal(state, cfg, rng):
 
 
 def _step_detail(state, cfg, rng=None):
-    """One half-scale step, returning the new state and its ingredients."""
+    """One half-scale step, returning the new state and its ingredients.
+
+    The new state is returned whether or not it is inside the kappa0 ball;
+    callers decide what leaving it means from `new_state.in_small_ball`.
+    """
     if state.n != cfg.n:
         raise DomainError("state and config dimensions differ")
     if not state.in_small_ball:
@@ -112,24 +111,29 @@ def _step_detail(state, cfg, rng=None):
         rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
     xi = _noise_diagonal(state, cfg, rng)
 
-    base = np.concatenate([state.delta, [1.0 - state.delta_tilde, -1.0]])
-    diag_new = state.tau * base + np.diag(z_half.coeff) + xi
+    diag_new = (
+        state.tau * normal_form_diagonal(state.delta) + np.diag(z_half.coeff) + xi
+    )
     ambient = HarmonicQuadratic.from_matrix(
         state.Q @ np.diag(diag_new) @ state.Q.T
     )
     new_state = diagonalize(ambient, kappa0=cfg.kappa0)
+    return new_state, m, z_half, xi
+
+
+def half_step(state, cfg, rng=None):
+    """Apply the half-scale map once.
+
+    Raises EscapeError, carrying the new state, when the step leaves the
+    kappa0 ball; DomainError when `state` is outside the ball or tau <= 1.
+    """
+    new_state, _, _, _ = _step_detail(state, cfg, rng)
     if not new_state.in_small_ball:
         raise EscapeError(
             f"|delta| = {np.linalg.norm(new_state.delta):.6f} left the "
             f"kappa0 = {cfg.kappa0} ball",
             state=new_state,
         )
-    return new_state, m, z_half, xi
-
-
-def half_step(state, cfg, rng=None):
-    """Apply the half-scale map once; raises EscapeError on leaving the ball."""
-    new_state, _, _, _ = _step_detail(state, cfg, rng)
     return new_state
 
 
@@ -218,7 +222,9 @@ def calibrate_threshold_constant(n, gamma, order, tau=10.0):
                 continue
             try:
                 new_state, m, _, _ = _step_detail(state, cfg)
-            except (EscapeError, DegeneracyError):
+            except DegeneracyError:
+                continue
+            if not new_state.in_small_ball:
                 continue
             report = check_monotonicity(state, new_state, cfg, moments_at_state=m)
             if report.regime == "negative" and not report.deltajclaim_holds:
@@ -311,10 +317,13 @@ def iterate(state0, cfg, max_steps, record_monotonicity=False):
     domination constant against sum tau_k^(-1-gamma) fitted and recorded);
     "exhausted" otherwise.
 
-    Only three errors from a step are absorbed into the record: EscapeError
-    ends the run as "escaped", and DegeneracyError or DomainError end it as
-    "exhausted" with the message in `rec.error`.  Any other exception, such
-    as EvaluationError or numpy's LinAlgError, propagates to the caller.
+    The step that leaves the ball is recorded like every other step, with
+    its row and, when asked for, its monotonicity report from the moments
+    the step computed; the run then ends as "escaped".  Two errors from a
+    step are absorbed into the record: DegeneracyError or DomainError end
+    the run as "exhausted" with the message in `rec.error`.  Any other
+    exception, such as EvaluationError, numpy's LinAlgError or an
+    EscapeError raised inside a step, propagates to the caller.
     """
     if max_steps < 1:
         raise DomainError("max_steps must be >= 1")
@@ -348,19 +357,6 @@ def iterate(state0, cfg, max_steps, record_monotonicity=False):
     for k in range(1, max_steps + 1):
         try:
             new_state, m, _, _ = _step_detail(state, cfg, rng)
-        except EscapeError as exc:
-            if exc.state is not None:
-                if exc.state.tau <= state.tau:
-                    rec.tau_monotone = False
-                inc = float(np.linalg.norm(exc.state.delta - state.delta))
-                cum += inc
-                push(k, exc.state, cum)
-                if record_monotonicity:
-                    rec.monotonicity.append(
-                        check_monotonicity(state, exc.state, cfg)
-                    )
-            rec.classification = Classification(kind="escaped", step=k)
-            return rec
         except (DegeneracyError, DomainError) as exc:
             rec.error = str(exc)
             rec.classification = Classification(kind="exhausted", step=k)
@@ -375,6 +371,9 @@ def iterate(state0, cfg, max_steps, record_monotonicity=False):
         increments.append(inc)
         cum += inc
         push(k, new_state, cum)
+        if not new_state.in_small_ball:
+            rec.classification = Classification(kind="escaped", step=k)
+            return rec
         state = new_state
 
     taus = rec.taus()[:-1]
@@ -399,8 +398,7 @@ def iterate(state0, cfg, max_steps, record_monotonicity=False):
 
 
 def _sweep_cell(args):
-    idx, tau0, delta0, cfg_dict, max_steps = args
-    cfg = MapConfig(**cfg_dict)
+    idx, tau0, delta0, cfg, max_steps = args
     state = DeltaState(
         n=cfg.n, tau=tau0, delta=np.asarray(delta0), kappa0=cfg.kappa0
     )
@@ -440,7 +438,7 @@ def sweep(tau0_values, delta0_values, cfg, max_steps, workers=None):
     idx = 0
     for tau0 in tau0_values:
         for d0 in delta0_values:
-            tasks.append((idx, float(tau0), np.atleast_1d(d0), cfg.to_dict(), max_steps))
+            tasks.append((idx, float(tau0), np.atleast_1d(d0), cfg, max_steps))
             idx += 1
     workers = workers or default_workers()
     results = [None] * len(tasks)

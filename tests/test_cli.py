@@ -142,6 +142,19 @@ class TestIterate:
         assert "numpy" not in err
         assert orig == replay
 
+    def test_replay_without_output_prints_and_keeps_manifest(self, capsys, tmp_path):
+        run(capsys, ["iterate", "--n", "3", "--steps", "5", "--order", "16",
+                     "--c-gamma", "0", "-o", str(tmp_path / "orig")])
+        path = tmp_path / "orig.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["environment"]["backend"] = "other"
+        path.write_text(json.dumps(manifest))
+        code, out = run(capsys, ["iterate", "--manifest", str(path)])
+        assert code == 0
+        assert json.loads(path.read_text())["environment"]["backend"] == "other"
+        csv_text = (tmp_path / "orig.csv").read_text()
+        assert out[: out.index("{")] == csv_text
+
     def test_replay_warns_without_stamp(self, capsys, tmp_path):
         err, orig, replay = self._replay_with(capsys, tmp_path, lambda m: m.pop("environment"))
         assert err.count("\n") == 1
@@ -159,6 +172,17 @@ class TestIterate:
         assert code == 0
         summary = json.loads(out[out.index("{") :])
         assert summary["classification"]["kind"] == "escaped"
+
+
+class TestMap:
+    def test_reports_escape(self, capsys):
+        code, out = run(capsys, ["map", "--n", "4", "--tau", "1.1", "--delta", "0.1999,0"])
+        assert code == 0
+        assert json.loads(out)["escaped"] is True
+        code, out = run(capsys, ["map", "--n", "4", "--tau", "10", "--delta", "0.05,0",
+                                 "--order", "32", "--c-gamma", "0"])
+        assert code == 0
+        assert json.loads(out)["escaped"] is False
 
 
 class TestSweep:

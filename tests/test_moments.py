@@ -166,9 +166,12 @@ class TestInnerSlab:
         with pytest.raises(DomainError):
             moments.inner_slab_integral(0.02, 0.1)
 
-    @pytest.mark.parametrize("kappa", [1e-4, 1e-6, -1e-4])
-    def test_against_1d_oracle(self, kappa):
-        mu = 0.1
+    @pytest.mark.parametrize(
+        "kappa, mu",
+        [pytest.param(k, 0.1, id=str(k)) for k in (1e-4, 1e-6, -1e-4, 3e-3, -5e-3)]
+        + [pytest.param(k, 0.5, id=f"{k}-mu0.5") for k in (1e-4, 3e-3, -5e-3)],
+    )
+    def test_against_1d_oracle(self, kappa, mu):
         res = moments.inner_slab_integral(kappa, mu)
 
         def strip(a):

@@ -168,6 +168,25 @@ class TestIterate:
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
         assert all(m.deltajclaim_holds for m in rec.monotonicity)
 
+    def test_escape_step_reuses_its_moments(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return moments.compute_moments(*args, **kwargs)
+
+        monkeypatch.setattr(renorm, "compute_moments", counted)
+        rec = renorm.iterate(
+            DeltaState(n=4, tau=10.0, delta=np.array([0.05, 0.0])),
+            cfg4(order=32),
+            250,
+            record_monotonicity=True,
+        )
+        assert rec.classification.kind == "escaped"
+        assert rec.classification.step == 196
+        assert len(rec.monotonicity) == 196
+        assert len(calls) == 196  # one moment set per step, the escaping one too
+
     def test_out_of_ball_start(self):
         cfg = cfg4()
         rec = renorm.iterate(DeltaState(n=4, tau=10.0, delta=np.array([0.5, 0.0])), cfg, 10)
@@ -259,9 +278,16 @@ class TestIterateErrors:
         return renorm.iterate(DeltaState(n=4, tau=10.0, delta=np.zeros(2)), cfg4(), 5)
 
     def test_escape_is_classified(self, monkeypatch):
-        rec = self._run(monkeypatch, EscapeError("left the ball"))
+        outside = DeltaState(n=4, tau=10.5, delta=np.array([0.3, 0.0]))
+        monkeypatch.setattr(
+            renorm, "_step_detail", lambda state, cfg, rng=None: (outside, None, None, None)
+        )
+        rec = renorm.iterate(DeltaState(n=4, tau=10.0, delta=np.zeros(2)), cfg4(), 5)
         assert rec.classification.kind == "escaped"
         assert rec.classification.step == 1
+        assert len(rec.steps) == 2
+        assert rec.steps[1].tau == outside.tau
+        assert np.array_equal(rec.steps[1].delta, outside.delta)
 
     @pytest.mark.parametrize("exc", [DegeneracyError("tie"), DomainError("bad state")])
     def test_degeneracy_and_domain_exhaust(self, monkeypatch, exc):
