@@ -29,6 +29,81 @@ def backend_name():
 row_reductions = _impl.row_reductions
 
 
+# For n >= 5 the kernel reads a prefix row only through a = zsq @ coeffs[:-1],
+# so its reductions R(a) are tabulated once per call instead of evaluated per
+# row.  R is analytic in a except for an A ln|A| singularity at a = 0, so each
+# side of 0 that holds rows, of extent e, is cut into _TABLE_LEVELS dyadic
+# panels toward 0 plus one last panel [0, e 2^-_TABLE_LEVELS], each carrying
+# _TABLE_NODES first-kind Chebyshev nodes: at most 2 * 13 * 8 = 208 kernel
+# rows whatever the prefix size, plus one at a = 0 for snapped rows.
+_TABLE_LEVELS = 12
+_TABLE_NODES = 8
+
+_CHEB_THETA = np.pi * (np.arange(_TABLE_NODES) + 0.5) / _TABLE_NODES
+_CHEB_X = np.cos(_CHEB_THETA)
+# values at _CHEB_X -> coefficients of T_0..T_{N-1} (discrete cosine transform)
+_CHEB_V2C = (2.0 / _TABLE_NODES) * np.cos(np.outer(np.arange(_TABLE_NODES), _CHEB_THETA))
+_CHEB_V2C[0] *= 0.5
+
+
+def _panel_coords(r):
+    """(panel, x): the panel of each r in [0, 1] and its position in [-1, 1].
+
+    Panel p < _TABLE_LEVELS is [2^-(p+1), 2^-p]; panel _TABLE_LEVELS is
+    [0, 2^-_TABLE_LEVELS].
+    """
+    _, exp = np.frexp(r)
+    panel = np.where(r > 0.0, np.clip(-exp, 0, _TABLE_LEVELS), _TABLE_LEVELS)
+    last = panel == _TABLE_LEVELS
+    x = np.ldexp(r, np.where(last, _TABLE_LEVELS + 1, panel + 2)) - np.where(last, 1.0, 3.0)
+    return panel, x
+
+
+def _table_reductions(a, coeffs, ndim, theta_max, glx, glw):
+    """R at every a, interpolated from one kernel call on the graded table.
+
+    The kernel snaps |a| < SNAP_EPS to an exact touch, so such rows read
+    the kernel's own value at a = 0, one more table row; when every row is
+    snapped (delta = 0) that row is the whole call.
+    """
+    snapped = np.abs(a) < SNAP_EPS
+    sides = [s for s in (-1.0, 1.0) if np.any(s * a >= SNAP_EPS)]
+    extents = np.array([np.max(s * a) for s in sides])
+    # panel p of r = |a| / e spans [lo_p, hi_p]; node positions in r
+    hi = np.ldexp(1.0, -np.arange(_TABLE_LEVELS + 1))
+    lo = np.append(0.5 * hi[:-1], 0.0)
+    r_nodes = (lo[:, None] + (hi - lo)[:, None] * 0.5 * (_CHEB_X + 1.0)).ravel()
+    nodes = [s * e * r_nodes for s, e in zip(sides, extents)]
+    if np.any(snapped):
+        nodes.append(np.zeros(1))
+    nodes = np.concatenate(nodes)
+
+    zsq = np.zeros((nodes.shape[0], ndim - 2))
+    zsq[:, 0] = nodes
+    unit = np.zeros(ndim - 1)
+    unit[0] = 1.0
+    unit[-1] = coeffs[-1]
+    vals = row_reductions(zsq, unit, ndim, theta_max, glx, glw)
+    if not sides:
+        return np.broadcast_to(vals, (a.shape[0], 3))
+
+    per_side = _TABLE_LEVELS + 1
+    table = vals[: len(sides) * per_side * _TABLE_NODES].reshape(-1, _TABLE_NODES, 3)
+    cheb = np.einsum("kj,pjc->pck", _CHEB_V2C, table)
+    side = (a > 0.0).astype(np.intp) if len(sides) == 2 else np.zeros(a.shape[0], np.intp)
+    panel, x = _panel_coords(np.abs(a) / extents[side])
+    coef = np.take(cheb, side * per_side + panel, axis=0)
+    # T_0..T_{N-1} at x by the three-term recurrence T_{k+1} = 2x T_k - T_{k-1}
+    cheb_t = np.empty((_TABLE_NODES, x.shape[0]))
+    cheb_t[0] = 1.0
+    cheb_t[1] = x
+    for k in range(2, _TABLE_NODES):
+        cheb_t[k] = 2.0 * x * cheb_t[k - 1] - cheb_t[k - 2]
+    out = np.einsum("km,mck->mc", cheb_t, coef)
+    out[snapped] = vals[-1]
+    return out
+
+
 def indicator_moment_block(zsq, weights, coeffs, ndim, theta_max, glx, glw):
     """Integrals of chi_{p>0} * {1, x_1^2, ..., x_n^2} over the unit sphere.
 
@@ -36,10 +111,20 @@ def indicator_moment_block(zsq, weights, coeffs, ndim, theta_max, glx, glw):
     (ndim-3)-sphere; `coeffs` are the diagonal coefficients on the first
     ndim-1 axes after the last axis is normalized to -1.  Returns an
     (ndim+1,) vector [I_chi, I_{x_1^2}, ..., I_{x_n^2}] (all >= 0).
-    Summation over prefix rows uses numpy's fixed pairwise reduction so the
-    result does not depend on threading or chunk partitioning.
+
+    For ndim = 3, 4 the kernel runs on every prefix row.  For ndim >= 5 it
+    runs once, on the graded table in a = zsq @ coeffs[:-1] (at most 208
+    rows plus one at a = 0; only that one when delta = 0), and each prefix
+    row's reductions are interpolated from it.  Summation over prefix rows uses numpy's fixed
+    pairwise reduction so the result does not depend on threading or chunk
+    partitioning.
     """
-    R = row_reductions(zsq, coeffs, ndim, theta_max, glx, glw)
+    zsq = np.asarray(zsq, dtype=np.float64)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    if ndim >= 5:
+        R = _table_reductions(zsq @ coeffs[:-1], coeffs, ndim, theta_max, glx, glw)
+    else:
+        R = row_reductions(zsq, coeffs, ndim, theta_max, glx, glw)
     weights = np.asarray(weights, dtype=np.float64)
     chi_w = R[:, 0] * weights
     sin_w = R[:, 1] * weights
@@ -47,7 +132,7 @@ def indicator_moment_block(zsq, weights, coeffs, ndim, theta_max, glx, glw):
 
     out = np.empty(ndim + 1, dtype=np.float64)
     out[0] = np.sum(chi_w)
-    out[1:ndim - 1] = np.sum(np.asarray(zsq) * sin_w[:, None], axis=0)
+    out[1:ndim - 1] = np.sum(zsq * sin_w[:, None], axis=0)
     out[ndim - 1] = np.sum(cos_w)
     out[ndim] = out[0] - np.sum(sin_w) - out[ndim - 1]
     return out

@@ -146,14 +146,14 @@ def a4_increment_scaling(order=64):
     )
 
 
-def a5_quartic_matrix(order=48):
+def a5_quartic_matrix():
     """Quartic moment matrix equals lambda1 I + lambda2 J with its eigensystem."""
     t0 = time.time()
     worst = 0.0
     eig_ok = True
     for n in (4, 5, 6):
         lam1, lam2 = moments.quartic_moment_eigenvalues(n)
-        mat = moments.quartic_moment_matrix(n, order)
+        mat = moments.quartic_moment_matrix(n)
         d = n - 2
         target = lam1 * np.eye(d) + lam2 * np.ones((d, d))
         worst = max(worst, float(np.abs(mat - target).max()))
@@ -327,7 +327,7 @@ CRITERIA = {
 }
 
 # criteria that take a quadrature order override from the CLI
-_ORDER_AWARE = {"A1", "A2", "A4", "A5", "A7", "A8", "A10"}
+_ORDER_AWARE = {"A1", "A2", "A4", "A7", "A8", "A10"}
 
 # extra searchable keywords for --filter
 _TAGS = {

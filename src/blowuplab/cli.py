@@ -69,6 +69,7 @@ def _environment():
     """What byte-identical replay depends on besides the configuration."""
     return {
         "backend": _kernels.backend_name(),
+        "package": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
@@ -79,6 +80,9 @@ def _warn_environment(manifest, path):
     """One stderr warning when the manifest's environment is not this one."""
     here = _environment()
     stamp = manifest.get("environment")
+    if stamp is not None and "package" not in stamp:
+        # stamps written before 0.2.0 leave the version to the top level
+        stamp = {**stamp, "package": manifest.get("package_version")}
     if stamp is None:
         detail = f"has no environment stamp ({', '.join(sorted(here))})"
     else:

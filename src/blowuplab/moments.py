@@ -133,7 +133,13 @@ def fourier_block2(moments):
     return FourierBlock2(n=n, a2sigma2=HarmonicQuadratic(n, np.diag(diag)))
 
 
-def quartic_moment_matrix(n, order=DEFAULT_ORDER):
+# z_i^2 z_j^2 is a quartic, which the order-8 product rule integrates exactly
+# (Gauss-Jacobi is exact to degree 15, the 8-point midpoint rule in phi to
+# frequency 7); its node count 8^(n-3) stays small up to n = 8.
+_QUARTIC_ORDER = 8
+
+
+def quartic_moment_matrix(n):
     """Matrix of integrals of z_i^2 z_j^2 over the unit sphere in R^{n-2}.
 
     Equals lambda1 I + lambda2 J with lambda1 = 2 omega_{n-2}/((n-2) n) and
@@ -145,7 +151,7 @@ def quartic_moment_matrix(n, order=DEFAULT_ORDER):
     d = n - 2
     if d == 1:
         return np.array([[2.0]])
-    rule = build_rule(d, max(order, 8))
+    rule = build_rule(d, _QUARTIC_ORDER)
     pts = rule.cartesian()
     w = rule.weights()
     sq = pts * pts

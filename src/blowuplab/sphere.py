@@ -232,7 +232,9 @@ def _prefix_rule(n, order):
 
     So phi keeps (N+2)//4 nodes for even N and (N+1)//2 for odd N, and each
     of the n-4 psi axes keeps (N+1)//2: about (N/2)^(n-3)/2 rows instead of
-    N^(n-3), each of which the kernel evaluates on two panels of N nodes.
+    N^(n-3).  The kernel does not run on these rows: it runs on at most 209
+    table rows in a = zsq @ coeffs[:-1], which the rows are interpolated
+    from (see `_kernels.indicator_moment_block`).
     The cost limit is still checked against the unfolded product, so an
     (n, order) that exceeds MAX_PRODUCT_NODES raises DomainError as before.
     """
@@ -359,7 +361,12 @@ def indicator_moment_columns(n, order, coeffs):
     """Vector of integrals of chi_{p>0} * {1, x_1^2, .., x_n^2}.
 
     `coeffs` are the diagonal coefficients of p on axes 1..n-1 once the
-    axis-n coefficient is normalized to -1.
+    axis-n coefficient is normalized to -1.  The last two angles are
+    resolved by the kernel at Gauss-Legendre order `order`; the prefix
+    sphere S^{n-3} is one point for n = 3, the graded circle rule for n = 4
+    (the kernel runs on each of its rows) and the folded order-`order`
+    product rule for n >= 5 (the kernel runs once on a graded table in the
+    scalar it reads from a row, at most 209 rows).
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if n == 2:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blowuplab import _kernels
+from blowuplab import __version__, _kernels
 from blowuplab.cli import main
 
 
@@ -130,7 +130,8 @@ class TestIterate:
         env = json.loads((tmp_path / "r.manifest.json").read_text())["environment"]
         assert env["backend"] == _kernels.backend_name()
         assert env["numpy"] == np.__version__
-        assert set(env) == {"backend", "python", "numpy", "scipy"}
+        assert env["package"] == __version__
+        assert set(env) == {"backend", "package", "python", "numpy", "scipy"}
 
     def test_replay_warns_on_other_backend(self, capsys, tmp_path):
         def edit(m):
@@ -140,6 +141,18 @@ class TestIterate:
         assert err.count("\n") == 1
         assert "backend 'other'" in err and "byte-identical" in err
         assert "numpy" not in err
+        assert orig == replay
+
+    def test_replay_warns_on_other_package_version(self, capsys, tmp_path):
+        # as written by 0.1.0: the version only at the top, not in the stamp
+        def edit(m):
+            del m["environment"]["package"]
+            m["package_version"] = "0.1.0"
+
+        err, orig, replay = self._replay_with(capsys, tmp_path, edit)
+        assert err.count("\n") == 1
+        assert f"package '0.1.0' != '{__version__}'" in err and "byte-identical" in err
+        assert "backend" not in err
         assert orig == replay
 
     def test_replay_without_output_prints_and_keeps_manifest(self, capsys, tmp_path):

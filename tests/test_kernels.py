@@ -131,3 +131,87 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+_TABLE_ORDERS = [(5, 64), (5, 33), (5, 30), (6, 32), (6, 15), (7, 16), (7, 14), (8, 12)]
+_TABLE_DELTAS = {
+    "mixed": [1e-2, -5e-3, 2e-3, -4e-3, 3e-3, -1e-3],
+    "positive": [2e-2, 1e-2, 5e-3, 3e-3, 1e-3, 4e-3],
+    "negative": [-2e-2, -1e-2, -5e-3, -3e-3, -1e-3, -4e-3],
+    "zeros": [1e-2, 0.0, -5e-3, 0.0, 2e-3, 0.0],
+    "tiny": [1e-6, -7e-7, 3e-7, -5e-7, 8e-7, -2e-7],
+    "large": [0.3, 0.0, 0.0, 0.0, 0.0, 0.0],
+}
+
+
+def _table_case(n, order, delta, kernel_order=None):
+    """(block, per-row value, row count of each kernel call of the block).
+
+    The per-row value runs the kernel on every prefix row and then the
+    block's weighted sums; `kernel_order` replaces the kernel's
+    Gauss-Legendre order on the same prefix rule.
+    """
+    zsq, coeffs, _, theta_max, glx, glw = _rows_inputs(n, order, delta)
+    if kernel_order is not None:
+        glx, glw = sphere._gauss_legendre(kernel_order)
+    _, wts = sphere._prefix_rule(n, order)
+    kernel = _kernels.row_reductions
+    calls = []
+
+    def counted(zsq, *args):
+        calls.append(len(zsq))
+        return kernel(zsq, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "row_reductions", counted)
+        block = _kernels.indicator_moment_block(zsq, wts, coeffs, n, theta_max, glx, glw)
+    R = kernel(zsq, coeffs, n, theta_max, glx, glw)
+    chi_w, sin_w, cos_w = (R * wts[:, None]).T
+    per_row = np.empty(n + 1)
+    per_row[0] = np.sum(chi_w)
+    per_row[1 : n - 1] = np.sum(zsq * sin_w[:, None], axis=0)
+    per_row[n - 1] = np.sum(cos_w)
+    per_row[n] = per_row[0] - np.sum(sin_w) - per_row[n - 1]
+    return block, per_row, calls
+
+
+# At n = 8 / order 12 the kernel's own R is 1e-3 off at a prefix row with
+# a = 6.9e-11, just above the 1e-11 snap (0.1070138 against 0.1071165 at
+# orders 24-256), and the per-row path and the table take that error
+# differently; see test_low_order_gap_is_the_kernels.
+_KERNEL_LIMITED = pytest.mark.xfail(
+    strict=True,
+    reason="order-12 kernel is 1e-3 off near the snap; paths differ by 1.6e-8",
+)
+
+
+def _table_params():
+    for n, order in _TABLE_ORDERS:
+        for kind in sorted(_TABLE_DELTAS):
+            marks = _KERNEL_LIMITED if (n, order, kind) == (8, 12, "tiny") else ()
+            yield pytest.param(n, order, kind, marks=marks)
+
+
+class TestKernelTable:
+    @pytest.mark.parametrize("n, order, kind", _table_params())
+    def test_matches_per_row(self, n, order, kind):
+        # one kernel call on at most 2 sides x 13 panels x 8 nodes, and the
+        # interpolated rows sum to the per-row value
+        block, per_row, calls = _table_case(n, order, _TABLE_DELTAS[kind][: n - 2])
+        assert len(calls) == 1 and calls[0] <= 2 * 13 * 8
+        assert np.abs(block - per_row).max() <= 1e-9 * np.abs(per_row).max()
+
+    def test_low_order_gap_is_the_kernels(self):
+        # where the two paths differ by more than 1e-9, both are 8e-6 away
+        # from the same prefix with an order-96 kernel; the table adds under
+        # 1% to the per-row path's own error
+        n, order, delta = 8, 12, _TABLE_DELTAS["tiny"]
+        block, per_row, _ = _table_case(n, order, delta)
+        fine = _table_case(n, order, delta, kernel_order=96)[1]
+        assert np.abs(block - per_row).max() <= 1e-2 * np.abs(per_row - fine).max()
+
+    @pytest.mark.parametrize("n, order", _TABLE_ORDERS)
+    def test_zero_delta_is_one_row(self, n, order):
+        block, per_row, calls = _table_case(n, order, np.zeros(n - 2))
+        assert calls == [1]
+        assert np.array_equal(block, per_row)

@@ -128,7 +128,7 @@ class TestMcMomentCheck:
 
 class TestQuarticMatrix:
     def test_n4_values(self):
-        mat = moments.quartic_moment_matrix(4, 48)
+        mat = moments.quartic_moment_matrix(4)
         assert mat[0, 0] == pytest.approx(3 * math.pi / 4, rel=1e-12)
         assert mat[0, 1] == pytest.approx(math.pi / 4, rel=1e-12)
         lam1, lam2 = moments.quartic_moment_eigenvalues(4)
@@ -137,9 +137,9 @@ class TestQuarticMatrix:
         eigs = np.sort(np.linalg.eigvalsh(mat))
         assert np.allclose(eigs, [math.pi / 2, math.pi], atol=1e-12)
 
-    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_eigenvectors(self, n):
-        mat = moments.quartic_moment_matrix(n, 32)
+        mat = moments.quartic_moment_matrix(n)
         lam1, lam2 = moments.quartic_moment_eigenvalues(n)
         d = n - 2
         ones = np.ones(d)
