@@ -2,7 +2,9 @@
 
 The compiled extension is preferred when importable; set BLOWUPLAB_PURE=1
 to force the numpy implementation (to replay a pure-backend manifest on a
-compiled install).
+compiled install).  `indicator_moment_block` sums the backend's per-row
+reductions into moments; for n >= 5 it runs the backend on a graded table
+and interpolates the prefix rows from it, the same for either backend.
 """
 
 import os
@@ -44,14 +46,15 @@ _CHEB_X = np.cos(_CHEB_THETA)
 # values at _CHEB_X -> coefficients of T_0..T_{N-1} (discrete cosine transform)
 _CHEB_V2C = (2.0 / _TABLE_NODES) * np.cos(np.outer(np.arange(_TABLE_NODES), _CHEB_THETA))
 _CHEB_V2C[0] *= 0.5
+# node positions in r = |a| / e, panel by panel: panel p < _TABLE_LEVELS is
+# [2^-(p+1), 2^-p], the last panel is [0, 2^-_TABLE_LEVELS]
+_PANEL_HI = np.ldexp(1.0, -np.arange(_TABLE_LEVELS + 1))
+_PANEL_LO = np.append(0.5 * _PANEL_HI[:-1], 0.0)
+_TABLE_R = (_PANEL_LO[:, None] + (_PANEL_HI - _PANEL_LO)[:, None] * 0.5 * (_CHEB_X + 1.0)).ravel()
 
 
 def _panel_coords(r):
-    """(panel, x): the panel of each r in [0, 1] and its position in [-1, 1].
-
-    Panel p < _TABLE_LEVELS is [2^-(p+1), 2^-p]; panel _TABLE_LEVELS is
-    [0, 2^-_TABLE_LEVELS].
-    """
+    """(panel, x): the panel of each r in [0, 1] and its position in [-1, 1]."""
     _, exp = np.frexp(r)
     panel = np.where(r > 0.0, np.clip(-exp, 0, _TABLE_LEVELS), _TABLE_LEVELS)
     last = panel == _TABLE_LEVELS
@@ -69,11 +72,7 @@ def _table_reductions(a, coeffs, ndim, theta_max, glx, glw):
     snapped = np.abs(a) < SNAP_EPS
     sides = [s for s in (-1.0, 1.0) if np.any(s * a >= SNAP_EPS)]
     extents = np.array([np.max(s * a) for s in sides])
-    # panel p of r = |a| / e spans [lo_p, hi_p]; node positions in r
-    hi = np.ldexp(1.0, -np.arange(_TABLE_LEVELS + 1))
-    lo = np.append(0.5 * hi[:-1], 0.0)
-    r_nodes = (lo[:, None] + (hi - lo)[:, None] * 0.5 * (_CHEB_X + 1.0)).ravel()
-    nodes = [s * e * r_nodes for s, e in zip(sides, extents)]
+    nodes = [s * e * _TABLE_R for s, e in zip(sides, extents)]
     if np.any(snapped):
         nodes.append(np.zeros(1))
     nodes = np.concatenate(nodes)
@@ -115,12 +114,11 @@ def indicator_moment_block(zsq, weights, coeffs, ndim, theta_max, glx, glw):
     For ndim = 3, 4 the kernel runs on every prefix row.  For ndim >= 5 it
     runs once, on the graded table in a = zsq @ coeffs[:-1] (at most 208
     rows plus one at a = 0; only that one when delta = 0), and each prefix
-    row's reductions are interpolated from it.  Summation over prefix rows uses numpy's fixed
-    pairwise reduction so the result does not depend on threading or chunk
-    partitioning.
+    row's reductions are interpolated from it.  Summation over prefix rows
+    uses numpy's fixed pairwise reduction so the result does not depend on
+    threading or chunk partitioning.
     """
     zsq = np.asarray(zsq, dtype=np.float64)
-    coeffs = np.asarray(coeffs, dtype=np.float64)
     if ndim >= 5:
         R = _table_reductions(zsq @ coeffs[:-1], coeffs, ndim, theta_max, glx, glw)
     else:
