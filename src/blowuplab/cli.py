@@ -349,12 +349,14 @@ def _cmd_verify(args, parser):
     results = acceptance.run_all(name_filter=args.filter, order=args.order)
     if not results:
         parser.error(f"no criteria match filter {args.filter!r}")
-    failed = 0
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        sys.stdout.write(f"{status} {res.name}: {res.detail} [{res.seconds:.1f}s]\n")
-        failed += 0 if res.passed else 1
-    sys.stdout.write(f"{len(results) - failed}/{len(results)} criteria passed\n")
+    failed = sum(not res.passed for res in results)
+    if args.json:
+        sys.stdout.write(_json_dump([dataclasses.asdict(res) for res in results]) + "\n")
+    else:
+        for res in results:
+            status = "PASS" if res.passed else "FAIL"
+            sys.stdout.write(f"{status} {res.name}: {res.detail} [{res.seconds:.1f}s]\n")
+        sys.stdout.write(f"{len(results) - failed}/{len(results)} criteria passed\n")
     return 0 if failed == 0 else 1
 
 
@@ -435,6 +437,10 @@ def build_parser():
     p = sub.add_parser("verify", help="run the acceptance criteria suite")
     p.add_argument("--filter", default=None)
     p.add_argument("--order", type=int, default=None)
+    p.add_argument(
+        "--json", action="store_true",
+        help="print one JSON list of {name, passed, detail, seconds}",
+    )
 
     return parser
 

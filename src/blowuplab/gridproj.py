@@ -4,13 +4,16 @@ The best harmonic-quadratic fit of u(r x + x0)/r^2 in the Hessian
 least-squares sense reduces, for constant candidate Hessians, to the
 trace-free part of the lattice-averaged finite-difference Hessian over the
 ball; the r^2/r^2 rescaling cancels so the average runs directly over grid
-points inside B_r(x0).
+points inside B_r(x0).  Each second difference is evaluated on shifted
+slice views of the sampled values, so a field of any memory layout (a CSV
+load is a strided view) projects as it is, without an index grid.
 """
 
 import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -127,39 +130,44 @@ class ProjectionResult:
 
 
 def _hessian_average(field, r, step):
-    """Average FD Hessian over lattice points inside B_r, stencil `step` cells."""
-    m = field.values.shape[0]
+    """Average FD Hessian over lattice points inside B_r, stencil `step` cells.
+
+    Each second difference is one expression on shifted slice views of
+    `field.values`, cut to the ball's bounding box inside the stencil
+    margin.  The ball mask selects in C order, the lattice's own order,
+    so each mean sums the same values in the same order as a gather over
+    the selected points would.
+    """
     k = field.half_points
     n = field.n
-    h = field.h
-    ax = np.arange(-k, k + 1)
-    grids = np.meshgrid(*[ax] * n, indexing="ij")
-    idx = np.stack([g.ravel() for g in grids], axis=1)
-    r_cells = r / h
-    inside = (idx * idx).sum(axis=1) <= r_cells * r_cells
-    margin = np.all(np.abs(idx) <= k - step, axis=1)
-    sel = idx[inside & margin]
-    if sel.shape[0] == 0:
+    r_cells = r / field.h
+    reach = min(k - step, math.floor(r_cells))
+    if reach < 0:
         raise CoverageError("no lattice points inside the requested ball")
+    sq = np.arange(-reach, reach + 1) ** 2
+    inside = reduce(np.add.outer, [sq] * n) <= r_cells * r_cells
 
-    strides = np.array(field.values.strides) // field.values.itemsize
-    flat = (sel + k) @ strides
-    v = field.values.ravel()
-    hh = (step * h) ** 2
+    def shifted(offset):
+        return field.values[tuple(slice(k - reach + o, k + reach + 1 + o) for o in offset)]
+
+    unit = step * np.eye(n, dtype=int)
+    center = shifted(np.zeros(n, dtype=int))
+    hh = (step * field.h) ** 2
     hessian = np.empty((n, n))
     for i in range(n):
-        si = step * strides[i]
-        hessian[i, i] = np.mean(v[flat + si] - 2.0 * v[flat] + v[flat - si]) / hh
+        ei = unit[i]
+        second = shifted(ei) - 2.0 * center + shifted(-ei)
+        hessian[i, i] = np.mean(second[inside]) / hh
         for j in range(i + 1, n):
-            sj = step * strides[j]
+            ej = unit[j]
             cross = (
-                v[flat + si + sj]
-                - v[flat + si - sj]
-                - v[flat - si + sj]
-                + v[flat - si - sj]
+                shifted(ei + ej)
+                - shifted(ei - ej)
+                - shifted(-ei + ej)
+                + shifted(-ei - ej)
             )
-            hessian[i, j] = hessian[j, i] = np.mean(cross) / (4.0 * hh)
-    return hessian, sel.shape[0]
+            hessian[i, j] = hessian[j, i] = np.mean(cross[inside]) / (4.0 * hh)
+    return hessian, int(np.count_nonzero(inside))
 
 
 def project(field, r):

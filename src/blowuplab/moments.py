@@ -252,7 +252,10 @@ def mc_moment_check(delta, n, samples, seed):
     def columns(x):
         sq = x * x
         chi = (sq @ diag > 0).astype(np.float64)
-        return np.vstack([-chi, -chi * sq.T])
+        out = np.empty((n + 1, x.shape[0]))
+        np.negative(chi, out=out[0])
+        np.multiply(out[0], sq.T, out=out[1:])
+        return out
 
     b_est, *bi_est = mc_integrate(n, columns, samples, seed)
     return b_est, bi_est

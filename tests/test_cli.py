@@ -255,6 +255,21 @@ class TestProjectGrid:
         report = json.loads(out)
         assert report["r=0.4"]["tau"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_csv_input(self, capsys, tmp_path):
+        from blowuplab import gridproj
+
+        field = gridproj.SampledField.from_function(
+            lambda x: x[:, 0] ** 2 - x[:, 1] ** 2, 2, 1 / 16, 0.6
+        )
+        field.save(tmp_path / "f.csv")
+        code, out = run(
+            capsys, ["project-grid", "--input", str(tmp_path / "f.csv"), "--r", "0.4"]
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["r=0.4"]["tau"] == pytest.approx(1.0, abs=1e-9)
+        assert report["r=0.4"]["points_used"] == gridproj.project(field, 0.4).points_used
+
 
 class TestVerify:
     def test_filter_runs_subset(self, capsys):
@@ -271,6 +286,32 @@ class TestVerify:
         code, out = run(capsys, ["verify", "--filter", "zero-delta", "--order", "2"])
         assert code == 1
         assert "FAIL A2" in out
+
+    def test_text_lines(self, capsys):
+        code, out = run(capsys, ["verify", "--filter", "A5"])
+        lines = out.splitlines()
+        assert code == 0
+        assert len(lines) == 2
+        assert lines[0].startswith("PASS A5 quartic moment matrix: ")
+        assert lines[0].endswith("s]")
+        assert lines[1] == "1/1 criteria passed"
+
+    def test_json_list(self, capsys):
+        code, out = run(capsys, ["verify", "--filter", "A5", "--json"])
+        assert code == 0
+        (entry,) = json.loads(out)
+        assert set(entry) == {"name", "passed", "detail", "seconds"}
+        assert entry["name"] == "A5 quartic moment matrix"
+        assert entry["passed"] is True
+        assert entry["detail"] and entry["seconds"] >= 0.0
+
+    def test_json_keeps_failure_exit_code(self, capsys):
+        code, out = run(
+            capsys, ["verify", "--filter", "zero-delta", "--order", "2", "--json"]
+        )
+        assert code == 1
+        (entry,) = json.loads(out)
+        assert entry["name"].startswith("A2") and entry["passed"] is False
 
     def test_unknown_filter_exit_2(self):
         with pytest.raises(SystemExit) as exc:

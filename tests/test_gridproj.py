@@ -14,6 +14,45 @@ def quad_field(p, tau=1.0):
     return lambda pts: tau * np.einsum("ij,pi,pj->p", p.coeff, pts, pts)
 
 
+def gathered_hessian_average(field, r, step):
+    """The 0.2.0 average: index grid, C-order selection, flat gathers."""
+    k = field.half_points
+    n = field.n
+    h = field.h
+    ax = np.arange(-k, k + 1)
+    grids = np.meshgrid(*[ax] * n, indexing="ij")
+    idx = np.stack([g.ravel() for g in grids], axis=1)
+    r_cells = r / h
+    inside = (idx * idx).sum(axis=1) <= r_cells * r_cells
+    margin = np.all(np.abs(idx) <= k - step, axis=1)
+    sel = idx[inside & margin]
+    if sel.shape[0] == 0:
+        raise CoverageError("no lattice points inside the requested ball")
+    values = np.ascontiguousarray(field.values)
+    strides = np.array(values.strides) // values.itemsize
+    flat = (sel + k) @ strides
+    v = values.ravel()
+    hh = (step * h) ** 2
+    hessian = np.empty((n, n))
+    for i in range(n):
+        si = step * strides[i]
+        hessian[i, i] = np.mean(v[flat + si] - 2.0 * v[flat] + v[flat - si]) / hh
+        for j in range(i + 1, n):
+            sj = step * strides[j]
+            cross = (
+                v[flat + si + sj]
+                - v[flat + si - sj]
+                - v[flat - si + sj]
+                + v[flat - si - sj]
+            )
+            hessian[i, j] = hessian[j, i] = np.mean(cross) / (4.0 * hh)
+    return hessian, sel.shape[0]
+
+
+def wavy(pts):
+    return np.sin(3.0 * pts[:, 0] + 1.0) * np.exp(pts[:, -1]) + pts.sum(axis=1) ** 3
+
+
 class TestSampledField:
     def test_from_function_shape(self):
         f = gridproj.SampledField.from_function(lambda x: x[:, 0], 2, 0.25, 1.0)
@@ -37,6 +76,19 @@ class TestSampledField:
         loaded = gridproj.SampledField.load(tmp_path / "field.csv")
         assert loaded.h == pytest.approx(field.h)
         assert np.allclose(loaded.values, field.values)
+
+    @pytest.mark.parametrize("n, h, radius", [(2, 1 / 16, 0.6), (3, 1 / 8, 0.8)])
+    def test_csv_field_projects_as_the_original(self, tmp_path, n, h, radius):
+        # the loaded values are a strided view into the CSV's record array
+        field = gridproj.SampledField.from_function(wavy, n, h, radius)
+        field.save(tmp_path / "field.csv")
+        loaded = gridproj.SampledField.load(tmp_path / "field.csv")
+        got = gridproj.project(loaded, 0.5)
+        want = gridproj.project(field, 0.5)
+        assert np.array_equal(got.raw.coeff, want.raw.coeff)
+        assert (got.tau, got.fd_error, got.points_used) == (
+            want.tau, want.fd_error, want.points_used
+        )
 
     def test_rejects_bad_grid(self):
         with pytest.raises(DomainError):
@@ -139,6 +191,37 @@ class TestProject:
         rb = gridproj.project(fb, 1.0)
         rab = gridproj.project(fab, 1.0)
         assert np.abs(rab.raw.coeff - ra.raw.coeff - rb.raw.coeff).max() < 1e-12
+
+
+class TestHessianAverage:
+    @pytest.mark.parametrize("step", [1, 2])
+    @pytest.mark.parametrize(
+        "n, h, radius, center, r",
+        [
+            (2, 1 / 32, 1.0 + 5 / 32, None, 1.0),
+            (2, 1 / 32, 1.0 + 5 / 32, (0.3, -0.2), 0.55),
+            (2, 0.03, 0.7, None, 0.5),
+            (2, 1 / 16, 1.0, None, 1.0),
+            (3, 1 / 16, 0.8 + 5 / 16, None, 0.8),
+            (3, 1 / 16, 0.8 + 5 / 16, (0.1, 0.25, -0.4), 0.45),
+            (3, 0.07, 0.7, None, 0.66),
+        ],
+        ids=["2d", "2d-offcentre", "2d-fraction", "2d-clipped",
+             "3d", "3d-offcentre", "3d-clipped-fraction"],
+    )
+    def test_equals_gathered_average(self, n, h, radius, center, r, step):
+        field = gridproj.SampledField.from_function(wavy, n, h, radius, center)
+        hess, used = gridproj._hessian_average(field, r, step)
+        want, want_used = gathered_hessian_average(field, r, step)
+        assert np.array_equal(hess, want)
+        assert used == want_used
+
+    def test_no_point_inside(self):
+        field = gridproj.SampledField.from_function(wavy, 2, 0.5, 0.5)
+        with pytest.raises(CoverageError):
+            gathered_hessian_average(field, 0.5, 2)
+        with pytest.raises(CoverageError):
+            gridproj._hessian_average(field, 0.5, 2)
 
 
 class TestHalfStepEmpirical:

@@ -8,6 +8,67 @@ from blowuplab import moments, sphere
 from blowuplab.errors import DomainError
 from blowuplab.quadratic import make_p_delta
 
+# mc_moment_check(linspace(-1, 1, n - 2) * 0.02, n, _MC_CHUNK + 1000, seed 11)
+# as 0.2.0 computed it: (value, std_error) of B, B_1, ..., B_n.
+MC_PINS = {
+    2: [
+        (-3.145058781143069, 0.0030664992976596876),
+        (-2.5738049995869896, 0.0025968795380186616),
+        (-0.5712537815560794, 0.0008696845328521935),
+    ],
+    3: [
+        (-6.131705356215701, 0.006131219716086667),
+        (-1.9370224163971623, 0.0031150814065872396),
+        (-3.431081178200425, 0.004081022461695758),
+        (-0.7636017616181136, 0.0013259197489410269),
+    ],
+    4: [
+        (-9.874230883940848, 0.009633696470767764),
+        (-2.335934245842487, 0.003959158781820213),
+        (-2.6029819823642395, 0.004367284591422725),
+        (-4.03780771164225, 0.005230992807995524),
+        (-0.8975069440918714, 0.0016543306220475717),
+    ],
+    5: [
+        (-13.146533428274326, 0.012844923829772365),
+        (-2.4819212632152325, 0.004411800958288799),
+        (-2.635290540212718, 0.004663997887146769),
+        (-2.776314812999768, 0.0048819656104754265),
+        (-4.298265016922027, 0.005881487501353796),
+        (-0.9547417949245804, 0.0018402430624230722),
+    ],
+    6: [
+        (-15.518559116184344, 0.015132569206219523),
+        (-2.4447358244816173, 0.00448177171830517),
+        (-2.538009677554792, 0.004633005436141415),
+        (-2.6378463285591227, 0.004807324937181714),
+        (-2.721943484885644, 0.004936054609659572),
+        (-4.233047775051078, 0.005993169832987703),
+        (-0.9429760256520855, 0.001870325426617603),
+    ],
+    7: [
+        (-16.57421069285366, 0.016141373569645234),
+        (-2.2403878564790887, 0.004195621241361433),
+        (-2.292501720585357, 0.004282740049366706),
+        (-2.370844470500495, 0.004425261641209047),
+        (-2.444982698801374, 0.004552584546339806),
+        (-2.4933117703124155, 0.004630174838046863),
+        (-3.868329175328422, 0.005619852317636523),
+        (-0.8638530008465108, 0.001751827144154138),
+    ],
+    8: [
+        (-16.237725554896524, 0.015846797006668346),
+        (-1.9184122387570541, 0.003666553480560842),
+        (-1.9646056265058072, 0.003737818075078271),
+        (-2.006996841582867, 0.0038193888159348266),
+        (-2.054069122548171, 0.00390954525272747),
+        (-2.09658722845483, 0.003976307362899083),
+        (-2.13299902238237, 0.004033431029446819),
+        (-3.324933741044978, 0.004938415478554883),
+        (-0.7391217336204495, 0.001525213171910481),
+    ],
+}
+
 
 class TestComputeMoments:
     def test_zero_delta_3d(self):
@@ -124,6 +185,16 @@ class TestMcMomentCheck:
         assert len(bi_est) == n
         for est, run in zip([b_est, *bi_est], runs):
             assert est.value == run.value and est.std_error == run.std_error
+
+    @pytest.mark.parametrize("n", sorted(MC_PINS))
+    def test_bits_pinned(self, n):
+        # two chunks; any change to normalization, column layout or
+        # summation order moves these last digits
+        samples = sphere._MC_CHUNK + 1000
+        delta = np.linspace(-1.0, 1.0, n - 2) * 0.02
+        b_est, bi_est = moments.mc_moment_check(delta, n, samples, 11)
+        got = [(e.value, e.std_error) for e in [b_est, *bi_est]]
+        assert got == MC_PINS[n]
 
 
 class TestQuarticMatrix:
