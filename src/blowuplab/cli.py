@@ -461,6 +461,9 @@ def main(argv=None):
         return handlers[args.command](args, parser)
     except ValueError as exc:
         parser.error(str(exc))
+    except OSError as exc:
+        # a missing or unreadable input file is a usage error, not a traceback
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     return 2
 
 

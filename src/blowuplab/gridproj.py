@@ -96,10 +96,11 @@ class SampledField:
             vals = data["value"]
             axes = [np.unique(coords[:, i]) for i in range(n)]
             m = axes[0].size
-            h = float(axes[0][1] - axes[0][0])
-            center = np.array([0.5 * (a[0] + a[-1]) for a in axes])
+            k = (m - 1) // 2
+            center = np.array([a[k] for a in axes])
+            h = _lattice_spacing(axes, center, k)
             values = vals.reshape([m] * n)
-            return cls(n=n, h=h, center=center, radius=(m - 1) // 2 * h, values=values)
+            return cls(n=n, h=h, center=center, radius=k * h, values=values)
         header = json.loads(path.with_suffix(".json").read_text())
         values = np.fromfile(path.with_suffix(".bin"), dtype="<f8").reshape(
             header["shape"]
@@ -111,6 +112,23 @@ class SampledField:
             radius=float(header["R"]),
             values=values,
         )
+
+
+def _lattice_spacing(axes, center, k):
+    """The h whose lattice h * j + center reproduces every stored axis exactly.
+
+    A CSV stores h * j + c printed to 17 digits, so a difference of two
+    coordinates can be an ulp off h, and an ulp decides ball membership
+    at integral r/h.  The candidates are the end-to-end estimate and the
+    floats one and two ulps to each side, nearest first; with none exact
+    (a file not written by `save`) the estimate is kept.
+    """
+    j = np.arange(-k, k + 1)
+    guess = float((axes[0][-1] - axes[0][0]) / (2 * k))
+    for h in guess + np.spacing(guess) * np.array([0.0, -1.0, 1.0, -2.0, 2.0]):
+        if all(np.array_equal(h * j + c, a) for a, c in zip(axes, center)):
+            return float(h)
+    return guess
 
 
 @dataclass

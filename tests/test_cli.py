@@ -174,6 +174,13 @@ class TestIterate:
         assert "no environment stamp" in err and "byte-identical" in err
         assert orig == replay
 
+    def test_missing_manifest_is_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["iterate", "--manifest", str(tmp_path / "missing.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "missing.json" in err
+
     def test_escape_classification(self, capsys):
         code, out = run(
             capsys,
@@ -269,6 +276,13 @@ class TestProjectGrid:
         report = json.loads(out)
         assert report["r=0.4"]["tau"] == pytest.approx(1.0, abs=1e-9)
         assert report["r=0.4"]["points_used"] == gridproj.project(field, 0.4).points_used
+
+    def test_missing_input_is_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["project-grid", "--input", str(tmp_path / "missing.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "missing.csv" in err
 
 
 class TestVerify:

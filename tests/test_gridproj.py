@@ -92,6 +92,24 @@ class TestSampledField:
             want.tau, want.fd_error, want.points_used
         )
 
+    @pytest.mark.parametrize(
+        "n, h, radius, r, center",
+        [
+            (2, 0.1, 0.8, 0.3, None),
+            (2, 0.05, 0.8, 0.5, None),
+            (3, 0.1, 0.6, 0.3, (1.1, 0.2, -0.3)),
+        ],
+    )
+    def test_csv_keeps_non_dyadic_spacing(self, tmp_path, n, h, radius, r, center):
+        # a difference of two printed coordinates is an ulp off h = 0.1 or
+        # 0.05, and an ulp flips ball membership where r/h is an integer
+        field = gridproj.SampledField.from_function(wavy, n, h, radius, center)
+        field.save(tmp_path / "field.csv")
+        loaded = gridproj.SampledField.load(tmp_path / "field.csv")
+        assert loaded.h == field.h and loaded.radius == field.radius
+        assert np.array_equal(loaded.center, field.center)
+        assert gridproj.project(loaded, r).points_used == gridproj.project(field, r).points_used
+
     def test_rejects_bad_grid(self):
         with pytest.raises(DomainError):
             gridproj.SampledField(

@@ -117,11 +117,11 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize(
         "n, order, delta, rows",
-        [(6, 32, [2e-2, -1e-2, 5e-3, -3e-3], 2048), (4, 256, [3e-2, -1e-2], 928)],
+        [(6, 32, [2e-2, -1e-2, 5e-3, -3e-3], 2048), (4, 512, [3e-2, -1e-2], 812)],
     )
     def test_bounded_working_set(self, n, order, delta, rows):
         # temporaries scale with the block, not with rows x nodes: all rows
-        # at once would peak at 11 MiB (n=6/32) and 37 MiB (n=4/256)
+        # at once would peak at 11 MiB (n=6/32) and 64 MiB (n=4/512)
         args = _rows_inputs(n, order, delta)
         assert args[0].shape[0] == rows
         tracemalloc.start()
