@@ -264,10 +264,10 @@ def _prefix_rule(n, order):
 _HALF_T = math.sqrt(0.5)
 
 # Every graded panel of the n = 4 prefix is an image of one unit rule on
-# s in [0, 1], built once: panel k < _GRADE_LEVELS is [2^-(k+1), 2^-k] and
-# the last panel is [0, 2^-_GRADE_LEVELS], each with _GRADE_NODES
-# Gauss-Legendre nodes, (_GRADE_LEVELS + 1) * _GRADE_NODES = 150 nodes in
-# all.  Geometric grading with a fixed rule per panel converges like
+# s in [0, 1], built once (`_unit_graded_rule`): panel k < _GRADE_LEVELS is
+# [2^-(k+1), 2^-k] and the last panel is [0, 2^-_GRADE_LEVELS], each with
+# _GRADE_NODES Gauss-Legendre nodes, (_GRADE_LEVELS + 1) * _GRADE_NODES =
+# 150 nodes in all.  Geometric grading with a fixed rule per panel converges like
 # (3 + 2 sqrt 2)^(-2 N) per panel (Schwab, p- and hp-FEM, 1998), about
 # 5e-16 at N = 10.  Against a 34-level x 24-node, order-128 reference on
 # 159 deltas, 14 x 10 leaves the worst n = 4 error where 20 x 16 had it
@@ -276,15 +276,18 @@ _GRADE_LEVELS = 14
 _GRADE_NODES = 10
 
 
+@lru_cache(maxsize=1)
 def _unit_graded_rule():
-    x, w = roots_legendre(_GRADE_NODES)
+    """(nodes, weights) of the unit graded rule, read-only because cached.
+
+    Built on first use rather than at import: the Gauss-Legendre nodes
+    load scipy.linalg, which an import that never reaches n = 4 need not pay.
+    """
+    x, w = _gauss_legendre(_GRADE_NODES)
     hi = np.ldexp(1.0, -np.arange(_GRADE_LEVELS + 1))
     lo = np.append(0.5 * hi[:-1], 0.0)
     s = lo[:, None] + (hi - lo)[:, None] * (0.5 * (x + 1.0))
     return _frozen(s.ravel()), _frozen((0.5 * (hi - lo)[:, None] * w).ravel())
-
-
-_GRADE_S, _GRADE_W = _unit_graded_rule()
 
 
 def _piece_nodes_1d(alpha, beta, order):
@@ -293,9 +296,9 @@ def _piece_nodes_1d(alpha, beta, order):
     The downstream integrand is analytic in A away from A = 0 with an
     A*log|A| singularity there, so layers get a sinh map and near-roots
     beyond the end a sin map, both with `order` Gauss-Legendre nodes, and
-    an interior root or touch gets the unit graded rule (`_GRADE_S`,
-    `_GRADE_W`) scaled onto each side of it: 150 nodes a side, whatever
-    `order` is.
+    an interior root or touch gets the unit graded rule
+    (`_unit_graded_rule`) scaled onto each side of it: 150 nodes a side,
+    whatever `order` is.
     """
     T = _HALF_T
     glx, glw = _gauss_legendre(order)
@@ -306,7 +309,8 @@ def _piece_nodes_1d(alpha, beta, order):
 
     def graded(target, far):
         """Dyadic panels from `far` accumulating at `target` (either side)."""
-        return target + (far - target) * _GRADE_S, abs(far - target) * _GRADE_W
+        s, w = _unit_graded_rule()
+        return target + (far - target) * s, abs(far - target) * w
 
     if abs(alpha) < _kernels.SNAP_EPS:
         alpha = 0.0

@@ -292,10 +292,11 @@ class TestPrefixFold:
 
 
 # indicator_moment_columns(4, 128, _coeff_vector(4, delta)) with the unit
-# graded rule rebuilt at 34 levels x 24 Gauss-Legendre nodes (the formula of
-# sphere._unit_graded_rule with those constants, assigned to _GRADE_S and
-# _GRADE_W), printed with repr.  The parent's per-call grading loop run at
-# 34 x 24 and order 128 agrees with these to 5e-15.
+# graded rule rebuilt at 34 levels x 24 Gauss-Legendre nodes (sphere's
+# _GRADE_LEVELS and _GRADE_NODES set to those, the caches of
+# _unit_graded_rule and _adaptive_circle_prefix cleared), printed with repr.
+# The per-call grading loop of 0.2.0, run at 34 x 24 and order 128, agrees
+# with these to 5e-15.
 _DEEP_N4 = [
     ((0.05, 0.0), [10.361950059935648, 2.83716915664034, 2.590487514983916, 4.0339649452974236, 0.9003284430139615]),
     ((1e-05, 0.0), [9.869968587703758, 2.4676742402330736, 2.4674921469256748, 4.038197426414113, 0.896604774130898]),
@@ -346,7 +347,7 @@ class TestGradedPrefix:
     def test_unit_rule(self):
         # panels [2^-(k+1), 2^-k] and [0, 2^-L] tile [0, 1]: each integrates
         # polynomials of degree < 2N exactly, so their sum does too
-        s, w = sphere._GRADE_S, sphere._GRADE_W
+        s, w = sphere._unit_graded_rule()
         assert s.min() > 0.0 and s.max() < 1.0
         for k in (0, 1, 7, 2 * sphere._GRADE_NODES - 1):
             assert w @ s**k == pytest.approx(1.0 / (k + 1), rel=1e-14)
@@ -359,7 +360,7 @@ class TestCachedArraysReadOnly:
             rule.phi_nodes, rule.phi_weights, *rule.psi_nodes, *rule.psi_weights,
             *sphere._prefix_rule(5, 12),
             *sphere._adaptive_circle_prefix(0.3, -0.2, 12),
-            sphere._GRADE_S, sphere._GRADE_W,
+            *sphere._unit_graded_rule(),
             *sphere._gauss_legendre(12),
             moments._zero_columns(5, 12),
         ]
