@@ -41,6 +41,36 @@ row_reductions = _impl.row_reductions
 _TABLE_LEVELS = 12
 _TABLE_NODES = 8
 
+# The kernel's last-angle rule needs no more than K(n) Gauss-Legendre nodes
+# a quarter piece.  After the sin/sinh/cosh maps of `_pure._piece` the
+# integrand is analytic, so the rule converges geometrically (Trefethen,
+# Approximation Theory and Approximation Practice, 2013) and stops gaining at
+# a count set by the dimension.  Norm-wise error of R against a 256-node rule
+# over a = zsq @ coeffs[:-1] log-spaced in +-[1.1e-11, 1/2] and
+# b = coeffs[-1] in 1 +- sqrt(n-2)/2, which covers every |delta| < 1/2:
+#   n = 3:     1.3e-12 at 40 nodes, 7.2e-14 at 48
+#   n = 4:     1.1e-10 at 24, 2.8e-12 at 28, 7.5e-14 at 32
+#   n = 5..8:  2.1e-11 to 9.4e-13 at 32, 6.6e-14 to 3.3e-14 at 40
+# and no better at any count up to 72.  Outside that range a layer of width
+# sqrt(b/|a|) can need more: the moments of a general n = 4 quadratic with
+# b = 1e-9 are 2.9e-11 off on 32 nodes and 6.1e-14 on 64, so such
+# coefficients keep `order` nodes.
+_LAST_ANGLE_NODES = {3: 48, 4: 32}
+_LAST_ANGLE_NODES_HIGH = 40  # n >= 5
+
+
+def last_angle_nodes(ndim, order, coeffs):
+    """Node count of the kernel's last-angle rule: min(order, K(ndim)).
+
+    K(ndim) applies where it was measured: |coeffs[:-1]| <= 1/2 and
+    |coeffs[-1] - 1| <= sqrt(ndim-2)/2, which every normal form with
+    |delta| < 1/2 meets.  Other coefficient vectors keep `order` nodes.
+    """
+    if np.max(np.abs(coeffs[:-1])) > 0.5 or abs(coeffs[-1] - 1.0) > 0.5 * np.sqrt(ndim - 2):
+        return order
+    return min(order, _LAST_ANGLE_NODES.get(ndim, _LAST_ANGLE_NODES_HIGH))
+
+
 _CHEB_THETA = np.pi * (np.arange(_TABLE_NODES) + 0.5) / _TABLE_NODES
 _CHEB_X = np.cos(_CHEB_THETA)
 # values at _CHEB_X -> coefficients of T_0..T_{N-1} (discrete cosine transform)

@@ -50,6 +50,8 @@ class MapConfig:
     def __post_init__(self):
         if self.n < 2:
             raise DomainError("n must be >= 2")
+        if self.order < 2:
+            raise DomainError("order must be >= 2")
         if not (0.0 < self.gamma < 0.125):
             raise DomainError("gamma must lie in (0, 1/8)")
         if not (0.0 < self.alpha < 0.25):

@@ -383,12 +383,19 @@ def indicator_moment_columns(n, order, coeffs):
 
     `coeffs` are the diagonal coefficients of p on axes 1..n-1 once the
     axis-n coefficient is normalized to -1.  The last two angles are
-    resolved by the kernel at Gauss-Legendre order `order`; the prefix
-    sphere S^{n-3} is one point for n = 3, the graded circle rule for n = 4
-    (the kernel runs on each of its rows) and the folded order-`order`
-    product rule for n >= 5 (the kernel runs once on a graded table in the
-    scalar it reads from a row, at most 209 rows).
+    resolved by the kernel: the innermost in closed form, the last outer
+    one with min(order, K(n)) Gauss-Legendre nodes, where K = 48, 32, 40 at
+    n = 3, 4, >= 5 is where that rule reaches its rounding floor for
+    |delta| < 1/2 (`_kernels.last_angle_nodes`; other coefficient vectors
+    get `order` nodes).  So above K(n), raising `order` refines only the
+    prefix.  The prefix sphere S^{n-3} is one point for n = 3, the graded
+    circle rule for n = 4 (the kernel runs on each of its rows) and the
+    folded order-`order` product rule for n >= 5 (the kernel runs once on a
+    graded table in the scalar it reads from a row, at most 209 rows).
+    Raises DomainError for order < 2, at every n.
     """
+    if order < 2:
+        raise DomainError("order must be >= 2")
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if n == 2:
         return _closed_form_columns_2d(coeffs[0])
@@ -396,7 +403,7 @@ def indicator_moment_columns(n, order, coeffs):
         zsq, wts = _adaptive_circle_prefix(float(coeffs[0]), float(coeffs[1]), order)
     else:
         zsq, wts = _prefix_rule(n, order)
-    glx, glw = _gauss_legendre(order)
+    glx, glw = _gauss_legendre(_kernels.last_angle_nodes(n, order, coeffs))
     theta_max = 2.0 * math.pi if n == 3 else math.pi
     return _kernels.indicator_moment_block(zsq, wts, coeffs, n, theta_max, glx, glw)
 
@@ -423,7 +430,10 @@ def integrate_indicator_quadratic(rule, p, weight_axis=None, check_rtol=None):
     last one split into panels at the exact boundary roots.
 
     With `check_rtol` set, the value is recomputed at twice the order and a
-    QuadratureConvergenceWarning is raised if the two disagree.
+    QuadratureConvergenceWarning is raised if the two disagree.  Doubling
+    the order refines the kernel's last-angle rule only up to its K(n)
+    nodes (see `indicator_moment_columns`); for a normal form at n = 3 and
+    order >= 48 the two passes are the same computation.
     """
     n = rule.n
     if p.n != n:

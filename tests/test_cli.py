@@ -49,6 +49,13 @@ class TestMoments:
             main(["moments", "--n", "1", "--delta", ""])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("n, delta", [(3, "1e-2"), (4, "1e-2,0"), (5, "1e-2,0,0")])
+    def test_order_below_two_exit_2(self, capsys, n, delta):
+        with pytest.raises(SystemExit) as exc:
+            main(["moments", "--n", str(n), "--delta", delta, "--order", "1"])
+        assert exc.value.code == 2
+        assert "order must be >= 2" in capsys.readouterr().err
+
     def test_writes_csv_and_manifest(self, capsys, tmp_path):
         out_path = tmp_path / "mom.csv"
         code, _ = run(
@@ -173,6 +180,13 @@ class TestIterate:
         assert err.count("\n") == 1
         assert "no environment stamp" in err and "byte-identical" in err
         assert orig == replay
+
+    def test_order_below_two_exit_2(self, capsys):
+        # fails before any step, not as an "exhausted" run
+        with pytest.raises(SystemExit) as exc:
+            main(["iterate", "--n", "4", "--tau0", "10", "--delta0", "1e-3,0", "--order", "1"])
+        assert exc.value.code == 2
+        assert "order must be >= 2" in capsys.readouterr().err
 
     def test_missing_manifest_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -84,7 +84,7 @@ def _rows_inputs(n, order, delta):
         zsq, _ = sphere._adaptive_circle_prefix(float(coeffs[0]), float(coeffs[1]), order)
     else:
         zsq, _ = sphere._prefix_rule(n, order)
-    glx, glw = sphere._gauss_legendre(order)
+    glx, glw = sphere._gauss_legendre(_kernels.last_angle_nodes(n, order, coeffs))
     return zsq, coeffs, n, math.pi, glx, glw
 
 
@@ -110,7 +110,7 @@ class TestRowBlocks:
         default = _pure.row_reductions(*args)
         monkeypatch.setattr(_pure, "_BLOCK_ELEMS", 1)
         one_row = _pure.row_reductions(*args)
-        monkeypatch.setattr(_pure, "_BLOCK_ELEMS", args[0].shape[0] * order)
+        monkeypatch.setattr(_pure, "_BLOCK_ELEMS", args[0].shape[0] * len(args[4]))
         one_block = _pure.row_reductions(*args)
         assert np.array_equal(one_row, default)
         assert np.array_equal(one_block, default)
@@ -121,8 +121,10 @@ class TestRowBlocks:
     )
     def test_bounded_working_set(self, n, order, delta, rows):
         # temporaries scale with the block, not with rows x nodes: all rows
-        # at once would peak at 11 MiB (n=6/32) and 64 MiB (n=4/512)
-        args = _rows_inputs(n, order, delta)
+        # at once would peak at 11 MiB (n=6/32) and 64 MiB (n=4/512).  The
+        # last-angle rule is set to `order` nodes explicitly, since
+        # indicator_moment_columns would hand the kernel only 32 at n = 4
+        args = _rows_inputs(n, order, delta)[:4] + sphere._gauss_legendre(order)
         assert args[0].shape[0] == rows
         tracemalloc.start()
         try:
@@ -215,3 +217,59 @@ class TestKernelTable:
         block, per_row, calls = _table_case(n, order, np.zeros(n - 2))
         assert calls == [1]
         assert np.array_equal(block, per_row)
+
+
+def _floor_grid(n):
+    """(a, b) the kernel meets for |delta| < 1/2: a = zsq @ coeffs[:-1]
+    log-spaced in +-[1.1e-11, 1/2], b = coeffs[-1] in 1 +- sqrt(n-2)/2."""
+    mag = np.logspace(math.log10(1.1e-11), math.log10(0.5), 60)
+    half = 0.5 * math.sqrt(n - 2)
+    return np.concatenate([-mag[::-1], mag]), np.linspace(1.0 - half, 1.0 + half, 21)
+
+
+def _grid_reductions(n, a, b, nodes):
+    glx, glw = sphere._gauss_legendre(nodes)
+    zsq = np.zeros((a.shape[0], n - 2))
+    zsq[:, 0] = a
+    theta_max = 2 * math.pi if n == 3 else math.pi
+    out = []
+    for b_cos in b:
+        coeffs = np.zeros(n - 1)
+        coeffs[0], coeffs[-1] = 1.0, b_cos
+        out.append(_pure.row_reductions(zsq, coeffs, n, theta_max, glx, glw))
+    return np.stack(out)
+
+
+class TestLastAngleNodes:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_rounding_floor(self, n):
+        # K(n) nodes reach the 256-node values norm-wise to 3e-13 on every
+        # (a, b) a normal form can give the kernel; K(n) - 8 do not
+        k = _kernels.last_angle_nodes(n, 256, np.array([0.0] * (n - 2) + [1.0]))
+        a, b = _floor_grid(n)
+        ref = _grid_reductions(n, a, b, 256)
+        err = [np.abs(_grid_reductions(n, a, b, m) - ref).max() / np.abs(ref).max() for m in (k, k - 8)]
+        assert err[0] <= 3e-13 < err[1]
+
+    @pytest.mark.parametrize(
+        "n, order, nodes",
+        [(3, 64, 48), (4, 64, 32), (4, 24, 24), (5, 64, 40), (6, 32, 32), (7, 16, 16)],
+    )
+    def test_columns_use_min_of_order_and_floor(self, monkeypatch, n, order, nodes):
+        seen = []
+        block = _kernels.indicator_moment_block
+
+        def spy(zsq, weights, coeffs, ndim, theta_max, glx, glw):
+            seen.append(len(glx))
+            return block(zsq, weights, coeffs, ndim, theta_max, glx, glw)
+
+        monkeypatch.setattr(_kernels, "indicator_moment_block", spy)
+        delta = np.array([3e-2, -1e-2, 5e-3, -3e-3, 1e-3, 2e-3][: n - 2])
+        sphere.indicator_moment_columns(n, order, moments._coeff_vector(n, delta))
+        assert seen == [nodes]
+
+    def test_unmeasured_coefficients_keep_order(self):
+        # a general quadratic's coefficients can leave the measured range
+        # (here a = 0.9 and b = 1e-9); the rule then keeps `order` nodes
+        assert _kernels.last_angle_nodes(4, 64, np.array([0.9, 0.1 - 1e-9, 1e-9])) == 64
+        assert _kernels.last_angle_nodes(4, 64, np.array([0.1, 0.1, 0.8])) == 32

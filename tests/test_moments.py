@@ -112,6 +112,12 @@ class TestComputeMoments:
         with pytest.raises(DomainError):
             moments.compute_moments(np.array([0.1]), 4)
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_rejects_order_below_two(self, n, order):
+        with pytest.raises(DomainError, match="order must be >= 2"):
+            moments.compute_moments(np.full(n - 2, 1e-2), n, order)
+
     def test_csv_export(self):
         sets = [
             moments.compute_moments(np.array([0.0]), 3, 32),

@@ -28,6 +28,11 @@ class TestMapConfig:
         with pytest.raises(DomainError):
             renorm.MapConfig(n=3, noise="sometimes")
 
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_validates_order(self, order):
+        with pytest.raises(DomainError, match="order must be >= 2"):
+            renorm.MapConfig(n=4, order=order)
+
     def test_calibrated_constant_is_zero_for_clean_map(self):
         # the clean map amplifies every nonzero delta, so the smallest
         # constant making the threshold implication pass is zero

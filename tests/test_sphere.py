@@ -164,6 +164,15 @@ class TestIndicatorQuadratic:
         v2 = sphere.integrate_indicator_quadratic(sphere.build_rule(5, 128), p)
         assert abs(v1 - v2) < 1e-5 * abs(v2)
 
+    def test_general_quadratic_keeps_order(self):
+        # a = 0.9 and b = 1e-9 lie outside the range where the kernel's
+        # last-angle rule was measured: its 32 nodes would be 2.9e-11 off
+        p = HarmonicQuadratic(4, np.diag([0.9, 0.1 - 1e-9, 1e-9, -1.0]))
+        axes = [None, 0, 1, 2, 3]
+        got = [sphere.integrate_indicator_quadratic(sphere.build_rule(4, 64), p, ax) for ax in axes]
+        ref = [sphere.integrate_indicator_quadratic(sphere.build_rule(4, 256), p, ax) for ax in axes]
+        assert np.abs(np.subtract(got, ref)).max() <= 1e-12 * np.abs(ref).max()
+
     def test_rejects_non_diagonal(self):
         rule = sphere.build_rule(3, 8)
         q = HarmonicQuadratic.from_matrix(
@@ -325,7 +334,7 @@ class TestGradedPrefix:
                 marks=_LAYER_XFAIL if (d, order) == ((0.05, 1e-10), 32) else (),
             )
             for d, want in _DEEP_N4
-            for order in (32, 64)
+            for order in (32, 48, 64, 128)
         ],
     )
     def test_against_deep_reference(self, delta, order, want):
