@@ -7,6 +7,7 @@ reductions into moments; for n >= 5 it runs the backend on a graded table
 and interpolates the prefix rows from it, the same for either backend.
 """
 
+import math
 import os
 
 import numpy as np
@@ -66,7 +67,8 @@ def last_angle_nodes(ndim, order, coeffs):
     |coeffs[-1] - 1| <= sqrt(ndim-2)/2, which every normal form with
     |delta| < 1/2 meets.  Other coefficient vectors keep `order` nodes.
     """
-    if np.max(np.abs(coeffs[:-1])) > 0.5 or abs(coeffs[-1] - 1.0) > 0.5 * np.sqrt(ndim - 2):
+    *a_coeffs, b_coeff = coeffs.tolist()  # Python floats: cheaper than numpy on 2-7 entries
+    if max(map(abs, a_coeffs)) > 0.5 or abs(b_coeff - 1.0) > 0.5 * math.sqrt(ndim - 2):
         return order
     return min(order, _LAST_ANGLE_NODES.get(ndim, _LAST_ANGLE_NODES_HIGH))
 

@@ -267,9 +267,3 @@ class TestLastAngleNodes:
         delta = np.array([3e-2, -1e-2, 5e-3, -3e-3, 1e-3, 2e-3][: n - 2])
         sphere.indicator_moment_columns(n, order, moments._coeff_vector(n, delta))
         assert seen == [nodes]
-
-    def test_unmeasured_coefficients_keep_order(self):
-        # a general quadratic's coefficients can leave the measured range
-        # (here a = 0.9 and b = 1e-9); the rule then keeps `order` nodes
-        assert _kernels.last_angle_nodes(4, 64, np.array([0.9, 0.1 - 1e-9, 1e-9])) == 64
-        assert _kernels.last_angle_nodes(4, 64, np.array([0.1, 0.1, 0.8])) == 32
