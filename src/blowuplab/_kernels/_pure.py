@@ -13,14 +13,20 @@ the boundary function is exactly q(t) = alpha + beta t^2 in t = sin(theta)
 the integrand is analytic:
 
   - alpha > 0, beta > 0, strong layer: t = l*sinh(v), q = alpha*cosh(v)^2
-  - alpha > 0, beta < 0 (root or right-end layer): t = t_r*sin(w),
+  - alpha > 0, beta < 0 with q_end = alpha + beta/2 under alpha/4 (a root
+    inside the piece or just beyond its end): t = t_r*sin(w),
     q = alpha*cos(w)^2
   - alpha < 0 < beta (live beyond the root): t = t_r*cosh(v),
     q = |alpha|*sinh(v)^2
-  - otherwise plain Gauss-Legendre in t
+  - otherwise plain Gauss-Legendre in t, including a far root beyond the
+    end (4*q_end >= alpha, the test sphere._piece_nodes_1d uses too): q
+    stays above alpha/4 on the piece, so the integrand is analytic on a
+    Bernstein ellipse wide enough for geometric convergence (Trefethen,
+    Approximation Theory and Approximation Practice, 2013)
 
 which removes the sqrt-type kinks and boundary layers of the naive
-reduction.
+reduction.  The plain rule's nodes are the same for every row, so their
+node-only factors are built once a call, on (1, G).
 
 Rows are processed in blocks sized by element count (rows x nodes), not by
 row count.  That bounds the working set of a call, so large calls neither
@@ -39,86 +45,97 @@ _HALF_T = np.sqrt(0.5)  # sin(pi/4), the quarter midpoint in t
 SNAP_EPS = 1e-11
 
 
-def _sin_power_pair(ct, st, j0, ndim):
+def _j_pair(q, ndim):
     """(J_{ndim-2}, J_ndim): integrals of sin^m over the resolved inner interval.
 
-    ct, st are cos/sin of the interval endpoint psi*, j0 the exact length
-    of the interval (computed stably by the caller via arctan).  Only ndim's
-    parity of J_m = 2 ct st^(m-1)/m + (m-1)/m J_{m-2} runs; st^(m-1) still
-    takes one multiply per m, so the powers round alike for every ndim.
+    The interval is [psi*, pi - psi*] with tan(psi*) = 1/sqrt(q), q >= 0.
+    With u = sqrt(q) and s = sin^2(psi*) = 1/(1+q): J_0 = 2 arctan(u),
+    J_1 = 2 u sqrt(s), and J_m = (2/m) p + ((m-1)/m) J_{m-2} with
+    p = cos(psi*) sin^(m-1)(psi*) = u s^(m/2), one factor of s per step.
+    Only ndim's parity runs, so even ndim takes no square root of 1 + q.
+    q = 0 gives u = 0 and so J = 0 exactly.
     """
-    j_prev = j = j0 if ndim % 2 == 0 else 2.0 * ct
-    st_pow = 1.0
-    for m in range(2, ndim + 1):
-        st_pow = st_pow * st
-        if m % 2 == ndim % 2:
-            j_prev, j = j, (2.0 * ct * st_pow) / m + ((m - 1.0) / m) * j
+    u = np.sqrt(q)
+    s = 1.0 / (1.0 + q)
+    if ndim % 2 == 0:
+        p = u * s
+        j = p + np.arctan(u)  # J_2 = p + J_0 / 2
+    else:
+        p = u * np.sqrt(s)
+        j = 2.0 * p  # J_1
+    for m in range(4 - ndim % 2, ndim + 1, 2):
+        p = p * s
+        j_prev, j = j, (2.0 / m) * p + ((m - 1.0) / m) * j
     return j_prev, j
 
 
-def _accumulate(out, rows, t_nodes, t_weights, q, left_piece, ndim):
-    """Add one mapped panel's reductions for the selected rows.
+def _node_factors(t2, t_weights, left_piece, ndim):
+    """(w, w s2, w c2): the node weights of the three reductions.
 
-    t_nodes/t_weights: (M, G) mapped abscissae in the piece variable and
-    weights already including the substitution jacobian dt.  q: (M, G)
-    exact boundary values.  left_piece selects the (sin, cos) orientation.
+    t2 holds the squared nodes in the piece variable t (sin of the last
+    angle on the left piece, cos on the right) and t_weights their weights
+    dt.  w is dt / sqrt(1 - t2), the jacobian back to the angle, times the
+    s2^((ndim-3)/2) area factor; on the right piece s2 = 1 - t2, so the two
+    combine into (1 - t2)^((ndim-4)/2).  Any shape: the plain branch passes
+    its shared (1, G) nodes, the mapped branches (M, G).
     """
-    t2 = t_nodes * t_nodes
     one_m = 1.0 - t2
-    # jacobian of t = sin/cos substitution back to the angle
-    w_theta = t_weights / np.sqrt(one_m)
     if left_piece:
         s2, c2 = t2, one_m
+        base = t_weights / np.sqrt(one_m)
+        if ndim > 3:
+            base = base * t2 ** ((ndim - 3) / 2.0)
     else:
         s2, c2 = one_m, t2
-
-    pos = q > 0.0
-    q_safe = np.where(pos, q, 1.0)
-    u = np.sqrt(q_safe)
-    opq = 1.0 + q_safe
-    st = 1.0 / np.sqrt(opq)
-    ct = u * st
-    j0 = 2.0 * np.arctan(u)
-    j_lo, j_hi = _sin_power_pair(ct, st, j0, ndim)
-    j_lo = np.where(pos, j_lo, 0.0)
-    j_hi = np.where(pos, j_hi, 0.0)
-
-    jac_pow = ndim - 3
-    base = w_theta if jac_pow == 0 else w_theta * s2 ** (jac_pow / 2.0)
-    out[rows, 0] += np.sum(base * j_lo, axis=-1)
-    out[rows, 1] += np.sum(base * s2 * j_hi, axis=-1)
-    out[rows, 2] += np.sum(base * c2 * j_hi, axis=-1)
+        base = t_weights if ndim == 4 else t_weights * one_m ** ((ndim - 4) / 2.0)
+    return base, base * s2, base * c2
 
 
-def _piece(out, rows, alpha, beta, glx, glw, left_piece, ndim):
-    """Integrate one quarter piece (t in [0, sin(pi/4)]) for all rows."""
+def _accumulate(out, rows, factors, q, ndim):
+    """Add one panel's reductions for the selected rows.
+
+    factors: `_node_factors` of the panel's nodes, (1, G) or (M, G).
+    q: (M, G) exact boundary values, >= 0 by construction in every branch;
+    the clamp only keeps a rounding -0.0 or -ulp out of the square root.
+    Each row's weighted sum is numpy's pairwise reduction over its nodes.
+    """
+    base, base_s2, base_c2 = factors
+    j_lo, j_hi = _j_pair(np.maximum(q, 0.0), ndim)
+    out[rows, 0] += (base * j_lo).sum(axis=-1)
+    out[rows, 1] += (base_s2 * j_hi).sum(axis=-1)
+    out[rows, 2] += (base_c2 * j_hi).sum(axis=-1)
+
+
+def _piece(out, rows, alpha, beta, gx, glw, plain, left_piece, ndim):
+    """Integrate one quarter piece (t in [0, sin(pi/4)]) for all rows.
+
+    gx: Gauss-Legendre nodes mapped to [0, 1].  plain: (t2, factors) of the
+    plain rule on [0, sin(pi/4)] for this piece, shared by every row.
+    """
     alpha = np.where(np.abs(alpha) < SNAP_EPS, 0.0, alpha)
     q_end = alpha + 0.5 * beta
     live = (alpha > 0.0) | (q_end > 0.0)
-    if not np.any(live):
+    if not live.any():
         return
     rows = rows[live]
     alpha = alpha[live]
     beta = beta[live]
     q_end = q_end[live]
 
-    gx = 0.5 * (glx + 1.0)
-
-    m_sin = (alpha > 0.0) & (beta < 0.0)
+    # a root at or beyond the end whose q_end keeps a quarter of alpha is
+    # far enough for the plain rule, as in sphere._piece_nodes_1d
+    far = (q_end > 0.0) & (4.0 * q_end >= alpha)
+    m_sin = (alpha > 0.0) & (beta < 0.0) & ~far
     m_layer = (alpha > 0.0) & (beta > 0.0) & (4.0 * alpha < q_end)
     m_cosh = alpha < 0.0  # live, so q_end > 0
     m_plain = ~(m_sin | m_layer | m_cosh)
 
-    if np.any(m_plain):
-        a = alpha[m_plain, None]
-        b = beta[m_plain, None]
-        t = _HALF_T * gx[None, :]
-        t = np.broadcast_to(t, (a.shape[0], gx.shape[0]))
-        wt = np.broadcast_to(_HALF_T * 0.5 * glw[None, :], t.shape)
-        q = a + b * t * t
-        _accumulate(out, rows[m_plain], t, wt, q, left_piece, ndim)
+    if m_plain.any():
+        t2, factors = plain
+        q = alpha[m_plain, None] + beta[m_plain, None] * t2
+        _accumulate(out, rows[m_plain], factors, q, ndim)
 
-    if np.any(m_sin):
+    if m_sin.any():
         a = alpha[m_sin]
         b = beta[m_sin]
         t_r = np.sqrt(a / -b)
@@ -130,23 +147,24 @@ def _piece(out, rows, alpha, beta, glx, glw, left_piece, ndim):
         t = t_r[:, None] * sw
         wt = ww * t_r[:, None] * cw
         q = a[:, None] * cw * cw
-        _accumulate(out, rows[m_sin], t, wt, q, left_piece, ndim)
+        factors = _node_factors(t * t, wt, left_piece, ndim)
+        _accumulate(out, rows[m_sin], factors, q, ndim)
 
-    if np.any(m_layer):
+    if m_layer.any():
         a = alpha[m_layer]
         b = beta[m_layer]
         ell = np.sqrt(a / b)
         v_max = np.arcsinh(_HALF_T / ell)
         v = v_max[:, None] * gx[None, :]
         wv = v_max[:, None] * 0.5 * glw[None, :]
-        sh = np.sinh(v)
-        ch = np.cosh(v)
-        t = ell[:, None] * sh
-        wt = wv * ell[:, None] * ch
-        q = a[:, None] * ch * ch
-        _accumulate(out, rows[m_layer], t, wt, q, left_piece, ndim)
+        sh2 = np.sinh(v) ** 2
+        ch2 = 1.0 + sh2  # cosh^2, without a cosh per node
+        wt = wv * ell[:, None] * np.sqrt(ch2)
+        q = a[:, None] * ch2
+        factors = _node_factors((a / b)[:, None] * sh2, wt, left_piece, ndim)
+        _accumulate(out, rows[m_layer], factors, q, ndim)
 
-    if np.any(m_cosh):
+    if m_cosh.any():
         a = alpha[m_cosh]
         b = beta[m_cosh]
         t_r = np.sqrt(-a / b)
@@ -156,11 +174,11 @@ def _piece(out, rows, alpha, beta, glx, glw, left_piece, ndim):
         v = v_max[:, None] * gx[None, :]
         wv = v_max[:, None] * 0.5 * glw[None, :]
         sh = np.sinh(v)
-        ch = np.cosh(v)
-        t = t_r[:, None] * ch
+        sh2 = sh * sh
         wt = wv * t_r[:, None] * sh
-        q = (-a)[:, None] * sh * sh
-        _accumulate(out, rows[m_cosh], t, wt, q, left_piece, ndim)
+        q = (-a)[:, None] * sh2
+        factors = _node_factors((t_r * t_r)[:, None] * (1.0 + sh2), wt, left_piece, ndim)
+        _accumulate(out, rows[m_cosh], factors, q, ndim)
 
 
 # Rows run in blocks of about this many (row, node) elements, so every
@@ -205,6 +223,15 @@ def row_reductions(zsq, coeffs, ndim, theta_max, glx, glw):
     b_cos = coeffs[-1]
     factor = 4.0 if theta_max > 4.0 else 2.0
 
+    gx = 0.5 * (glx + 1.0)
+    # plain-rule nodes and factors of each piece, shared by every block
+    t_plain = _HALF_T * gx[None, :]
+    t2_plain = t_plain * t_plain
+    wt_plain = _HALF_T * 0.5 * glw[None, :]
+    plain = {
+        left: (t2_plain, _node_factors(t2_plain, wt_plain, left, ndim)) for left in (True, False)
+    }
+
     all_rows = np.arange(m_rows)
     block = max(1, _BLOCK_ELEMS // len(glx))
     for lo in range(0, m_rows, block):
@@ -213,8 +240,8 @@ def row_reductions(zsq, coeffs, ndim, theta_max, glx, glw):
         a_c = a_sin[lo:hi]
         b_full = np.full(hi - lo, b_cos)
         # left: t = sin(theta), q = b_cos + (a - b_cos) t^2
-        _piece(out, rows, b_full, a_c - b_cos, glx, glw, True, ndim)
+        _piece(out, rows, b_full, a_c - b_cos, gx, glw, plain[True], True, ndim)
         # right: t = cos(theta), q = a + (b_cos - a) t^2
-        _piece(out, rows, a_c, b_cos - a_c, glx, glw, False, ndim)
+        _piece(out, rows, a_c, b_cos - a_c, gx, glw, plain[False], False, ndim)
     out *= factor
     return out

@@ -434,7 +434,13 @@ def sweep(tau0_values, delta0_values, cfg, max_steps, workers=None):
     """Classify a grid of initial conditions; rows ordered by cell index.
 
     Cells run in parallel across processes; results are keyed by index so
-    the table is independent of the worker count.
+    the table is independent of the worker count.  Before the pool opens,
+    the parent computes the delta = 0 moment set once.  That fills the
+    Gauss-Legendre rules, the zero-delta columns and the scipy.linalg
+    import that every cell needs, so workers forked from the parent
+    inherit them instead of each building them again.  This helps
+    only where the pool forks (the default on Linux); spawned workers start
+    from a fresh import.
     """
     tasks = []
     idx = 0
@@ -449,6 +455,7 @@ def sweep(tau0_values, delta0_values, cfg, max_steps, workers=None):
             i, row = _sweep_cell(t)
             results[i] = row
     else:
+        compute_moments(np.zeros(cfg.n - 2), cfg.n, cfg.order)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for i, row in pool.map(_sweep_cell, tasks, chunksize=4):
                 results[i] = row

@@ -394,16 +394,30 @@ def indicator_moment_columns(n, order, coeffs):
     graded table in the scalar it reads from a row, at most 209 rows).
     Raises DomainError for order < 2, at every n.
     """
+    return _moment_columns(n, order, coeffs, refine=False)
+
+
+def _moment_columns(n, order, coeffs, refine):
+    """`indicator_moment_columns`, or with `refine` its refinement pass.
+
+    The refinement pass doubles both resolutions: the prefix runs at
+    2 * order and the kernel on twice the min(order, K(n)) nodes of the
+    plain pass.  Doubling `order` alone would leave the kernel at K(n)
+    nodes, so above K(n) the two passes would share their kernel error.
+    """
     if order < 2:
         raise DomainError("order must be >= 2")
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if n == 2:
         return _closed_form_columns_2d(coeffs[0])
+    nodes = _kernels.last_angle_nodes(n, order, coeffs)
+    if refine:
+        order, nodes = 2 * order, 2 * nodes
     if n == 4:
         zsq, wts = _adaptive_circle_prefix(float(coeffs[0]), float(coeffs[1]), order)
     else:
         zsq, wts = _prefix_rule(n, order)
-    glx, glw = _gauss_legendre(_kernels.last_angle_nodes(n, order, coeffs))
+    glx, glw = _gauss_legendre(nodes)
     theta_max = 2.0 * math.pi if n == 3 else math.pi
     return _kernels.indicator_moment_block(zsq, wts, coeffs, n, theta_max, glx, glw)
 
@@ -429,11 +443,10 @@ def integrate_indicator_quadratic(rule, p, weight_axis=None, check_rtol=None):
     in closed form, and the remaining angles use the product rule with the
     last one split into panels at the exact boundary roots.
 
-    With `check_rtol` set, the value is recomputed at twice the order and a
-    QuadratureConvergenceWarning is raised if the two disagree.  Doubling
-    the order refines the kernel's last-angle rule only up to its K(n)
-    nodes (see `indicator_moment_columns`); for a normal form at n = 3 and
-    order >= 48 the two passes are the same computation.
+    With `check_rtol` set, the value is recomputed with the prefix at twice
+    the order and the kernel's last-angle rule on twice its nodes (see
+    `indicator_moment_columns`), and a QuadratureConvergenceWarning is
+    raised if the two disagree.  The refined value is returned.
     """
     n = rule.n
     if p.n != n:
@@ -460,7 +473,7 @@ def integrate_indicator_quadratic(rule, p, weight_axis=None, check_rtol=None):
 
     value = float(indicator_moment_columns(n, rule.order, coeffs)[col])
     if check_rtol is not None:
-        value2 = float(indicator_moment_columns(n, 2 * rule.order, coeffs)[col])
+        value2 = float(_moment_columns(n, rule.order, coeffs, refine=True)[col])
         if abs(value2 - value) > check_rtol * (abs(value2) + 1e-300):
             warnings.warn(
                 f"indicator quadrature changed by {abs(value2 - value):.3e} "

@@ -68,13 +68,18 @@ class TestSinPowerPair:
         # pi/2 that is cos^m over [-a, a], a = arctan(sqrt(q)), which keeps
         # the reference free of asin's cancellation near psi* = pi/2
         q = np.array([1e-6, 1e-2, 0.3, 1.0, 4.0, 250.0])
-        u = np.sqrt(q)
-        st = 1.0 / np.sqrt(1.0 + q)
-        j_lo, j_hi = _pure._sin_power_pair(u * st, st, 2.0 * np.arctan(u), ndim)
-        for k, a in enumerate(np.arctan(u)):
+        j_lo, j_hi = _pure._j_pair(q, ndim)
+        for k, a in enumerate(np.arctan(np.sqrt(q))):
             for m, got in ((ndim - 2, j_lo[k]), (ndim, j_hi[k])):
                 ref, _ = quad(lambda s: math.cos(s) ** m, -a, a, epsabs=0.0, epsrel=1e-13)
                 assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("ndim", [3, 4, 5, 6, 7, 8])
+    def test_zero_q_is_exact_zero(self, ndim):
+        # q = 0 is an empty interval; the kernel relies on this instead of
+        # masking q <= 0 out
+        j_lo, j_hi = _pure._j_pair(np.zeros(3), ndim)
+        assert np.array_equal(j_lo, np.zeros(3)) and np.array_equal(j_hi, np.zeros(3))
 
 
 def _rows_inputs(n, order, delta):
@@ -250,6 +255,25 @@ class TestLastAngleNodes:
         ref = _grid_reductions(n, a, b, 256)
         err = [np.abs(_grid_reductions(n, a, b, m) - ref).max() / np.abs(ref).max() for m in (k, k - 8)]
         assert err[0] <= 3e-13 < err[1]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_far_root_switch(self, n):
+        # a piece with alpha > 0 > beta and its root beyond the end takes the
+        # plain rule once 4*q_end >= alpha and the sin map below that; rows on
+        # both sides of the switch, on the left piece (alpha = b > 0, switch at
+        # a = -b/2) and on the right (alpha = a, b < 0, switch at a = -2b),
+        # reach the 256-node values at K(n) nodes
+        k = _kernels.last_angle_nodes(n, 256, np.array([0.0] * (n - 2) + [1.0]))
+        rel = np.array([-0.3, -0.05, -1e-3, -1e-9, 0.0, 1e-9, 1e-3, 0.05, 0.3])
+        for b in (0.6, 0.8, 1.0, -0.1, -0.2):
+            a = (-0.5 * b if b > 0 else -2.0 * b) * (1.0 + rel)
+            alpha = np.full_like(a, b) if b > 0 else a
+            q_end = 0.5 * (a + b)
+            far = 4.0 * q_end >= alpha
+            assert np.all(q_end > 0.0) and 0 < np.count_nonzero(far) < len(a)
+            ref = _grid_reductions(n, a, np.array([b]), 256)
+            got = _grid_reductions(n, a, np.array([b]), k)
+            assert np.abs(got - ref).max() <= 3e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize(
         "n, order, nodes",

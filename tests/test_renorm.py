@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from blowuplab import moments, renorm
+from blowuplab import moments, renorm, sphere
 from blowuplab.errors import DegeneracyError, DomainError, EscapeError, EvaluationError
 from blowuplab.quadratic import DeltaState
 
@@ -243,6 +243,20 @@ class TestSweep:
         serial = renorm.sweep(taus, deltas, cfg, 15, workers=1)
         parallel = renorm.sweep(taus, deltas, cfg, 15, workers=3)
         assert serial == parallel
+
+    def test_pool_forks_from_warm_caches(self):
+        # the parent fills the rules and zero-delta columns a cell needs
+        # before the pool opens, and the rows do not depend on it
+        cfg = cfg4(order=32)
+        caches = [sphere._gauss_legendre, sphere._adaptive_circle_prefix, moments._zero_columns]
+        for c in caches:
+            c.cache_clear()
+        taus = [10.0, 20.0]
+        deltas = [np.array([0.05, 0.0]), np.array([0.02, -0.01])]
+        parallel = renorm.sweep(taus, deltas, cfg, 10, workers=2)
+        assert all(c.cache_info().currsize > 0 for c in caches)
+        assert moments._zero_columns.cache_info().currsize == 1
+        assert parallel == renorm.sweep(taus, deltas, cfg, 10, workers=1)
 
     def test_permutation_symmetric_classifications(self):
         cfg = cfg4(order=32)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,34 @@ class TestIndicatorQuadratic:
         rule = sphere.build_rule(5, 32)
         with pytest.warns(QuadratureConvergenceWarning):
             sphere.integrate_indicator_quadratic(rule, p, check_rtol=1e-12)
+
+
+    def test_check_pass_doubles_kernel_nodes(self, monkeypatch):
+        # at n = 3 / order 64 the plain pass runs K(3) = 48 kernel nodes;
+        # doubling the order alone would run 48 again
+        seen = []
+        block = _kernels.indicator_moment_block
+
+        def spy(zsq, weights, coeffs, ndim, theta_max, glx, glw):
+            seen.append(len(glx))
+            return block(zsq, weights, coeffs, ndim, theta_max, glx, glw)
+
+        monkeypatch.setattr(_kernels, "indicator_moment_block", spy)
+        p = make_p_delta(3, np.array([1e-8]))
+        sphere.integrate_indicator_quadratic(sphere.build_rule(3, 64), p, check_rtol=1e-12)
+        assert seen == [48, 96]
+
+    def test_check_sees_kernel_resolution(self):
+        # n = 3 has a one-point prefix, so only the kernel can change: 48 and
+        # 96 nodes agree to 1e-12 but not to 1e-15, which a check pass that
+        # repeated the 48-node computation could never report
+        p = make_p_delta(3, np.array([1e-8]))
+        rule = sphere.build_rule(3, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", QuadratureConvergenceWarning)
+            sphere.integrate_indicator_quadratic(rule, p, check_rtol=1e-12)
+        with pytest.warns(QuadratureConvergenceWarning):
+            sphere.integrate_indicator_quadratic(rule, p, check_rtol=1e-15)
 
 
 class TestMonteCarlo:
