@@ -122,8 +122,8 @@ def _piece(out, rows, alpha, beta, gx, glw, plain, left_piece, ndim):
     beta = beta[live]
     q_end = q_end[live]
 
-    # a root at or beyond the end whose q_end keeps a quarter of alpha is
-    # far enough for the plain rule, as in sphere._piece_nodes_1d
+    # a root beyond the end (q_end > 0) with q_end >= alpha/4 is far enough
+    # for the plain rule, as in sphere._piece_nodes_1d
     far = (q_end > 0.0) & (4.0 * q_end >= alpha)
     m_sin = (alpha > 0.0) & (beta < 0.0) & ~far
     m_layer = (alpha > 0.0) & (beta > 0.0) & (4.0 * alpha < q_end)

@@ -402,7 +402,7 @@ def _moment_columns(n, order, coeffs, refine):
 
     The refinement pass doubles both resolutions: the prefix runs at
     2 * order and the kernel on twice the min(order, K(n)) nodes of the
-    plain pass.  Doubling `order` alone would leave the kernel at K(n)
+    first pass.  Doubling `order` alone would leave the kernel at K(n)
     nodes, so above K(n) the two passes would share their kernel error.
     """
     if order < 2:

@@ -204,7 +204,7 @@ class TestIndicatorQuadratic:
 
 
     def test_check_pass_doubles_kernel_nodes(self, monkeypatch):
-        # at n = 3 / order 64 the plain pass runs K(3) = 48 kernel nodes;
+        # at n = 3 / order 64 the first pass runs K(3) = 48 kernel nodes;
         # doubling the order alone would run 48 again
         seen = []
         block = _kernels.indicator_moment_block
