@@ -1,14 +1,11 @@
-"""Kernel backend selection: compiled Cython core with a numpy fallback.
+"""The indicator-moment kernel: per-row reductions summed into moments.
 
-The compiled extension is preferred when importable; set BLOWUPLAB_PURE=1
-to force the numpy implementation (to replay a pure-backend manifest on a
-compiled install).  `indicator_moment_block` sums the backend's per-row
-reductions into moments; for n >= 5 it runs the backend on a graded table
-and interpolates the prefix rows from it, the same for either backend.
+`row_reductions` is the numpy kernel of `_pure`.  `indicator_moment_block`
+sums its per-row reductions into moments; for n >= 5 it runs the kernel on
+a graded table and interpolates the prefix rows from it.
 """
 
 import math
-import os
 
 import numpy as np
 
@@ -16,20 +13,14 @@ from . import _pure
 
 SNAP_EPS = _pure.SNAP_EPS
 
-_impl = _pure
-if os.environ.get("BLOWUPLAB_PURE", "") != "1":
-    try:
-        from . import _core as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        pass
-
 
 def backend_name():
-    return "pure" if _impl is _pure else "compiled"
+    """Kernel name for environment stamps; a manifest naming another warns on replay."""
+    return "pure"
 
 
 # Looked up by indicator_moment_block at call time, so it can be wrapped.
-row_reductions = _impl.row_reductions
+row_reductions = _pure.row_reductions
 
 
 # For n >= 5 the kernel reads a prefix row only through a = zsq @ coeffs[:-1],

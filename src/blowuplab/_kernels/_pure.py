@@ -1,10 +1,9 @@
-"""Numpy fallback for the indicator-moment reduction kernel.
+"""The indicator-moment reduction kernel, in numpy.
 
-Contract shared with the compiled `_core` extension: given squared
-coordinates of the outer-sphere prefix nodes and the coefficient vector of
-a diagonal quadratic (last axis normalized to -1), integrate over the last
-outer angle with the innermost angle of the indicator resolved in closed
-form.
+Given squared coordinates of the outer-sphere prefix nodes and the
+coefficient vector of a diagonal quadratic (last axis normalized to -1),
+`row_reductions` integrates over the last outer angle with the innermost
+angle of the indicator resolved in closed form.
 
 The last-angle integrand is even about every quarter of the period, so only
 theta in [0, pi/2] is integrated (times a symmetry factor).  On a quarter

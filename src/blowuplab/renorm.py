@@ -421,10 +421,7 @@ def _sweep_cell(args):
 
 
 def default_workers():
-    """BLOWUP_WORKERS if set, else the CPUs this process may run on."""
-    env = os.environ.get("BLOWUP_WORKERS", "")
-    if env.strip():
-        return max(1, int(env))
+    """The CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -437,18 +434,19 @@ def sweep(tau0_values, delta0_values, cfg, max_steps, workers=None):
     the table is independent of the worker count.  Before the pool opens,
     the parent computes the delta = 0 moment set once.  That fills the
     Gauss-Legendre rules, the zero-delta columns and the scipy.linalg
-    import that every cell needs, so workers forked from the parent
-    inherit them instead of each building them again.  This helps
-    only where the pool forks (the default on Linux); spawned workers start
-    from a fresh import.
+    import that every cell needs, so workers forked from the parent inherit
+    them.  This helps only where the pool forks (the default on Linux).
+    `workers` defaults to `default_workers()`; below 1 is a ValueError.
     """
+    workers = default_workers() if workers is None else workers
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = []
     idx = 0
     for tau0 in tau0_values:
         for d0 in delta0_values:
             tasks.append((idx, float(tau0), np.atleast_1d(d0), cfg, max_steps))
             idx += 1
-    workers = workers or default_workers()
     results = [None] * len(tasks)
     if workers == 1 or len(tasks) == 1:
         for t in tasks:

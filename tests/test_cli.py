@@ -141,14 +141,16 @@ class TestIterate:
         assert set(env) == {"backend", "package", "python", "numpy", "scipy"}
 
     def test_replay_warns_on_other_backend(self, capsys, tmp_path):
-        def edit(m):
-            m["environment"]["backend"] = "other"
+        # "compiled": as written by a 0.5.0 install that built the Cython kernel
+        for backend in ("other", "compiled"):
+            def edit(m):
+                m["environment"]["backend"] = backend
 
-        err, orig, replay = self._replay_with(capsys, tmp_path, edit)
-        assert err.count("\n") == 1
-        assert "backend 'other'" in err and "byte-identical" in err
-        assert "numpy" not in err
-        assert orig == replay
+            err, orig, replay = self._replay_with(capsys, tmp_path, edit)
+            assert err.count("\n") == 1
+            assert f"backend '{backend}'" in err and "byte-identical" in err
+            assert "numpy" not in err
+            assert orig == replay
 
     def test_replay_warns_on_other_package_version(self, capsys, tmp_path):
         # as written by 0.1.0: the version only at the top, not in the stamp
@@ -234,6 +236,17 @@ class TestSweep:
         assert lines[0] == "tau0,delta0_1,classification,step,final_tau,final_ratio"
         assert len(lines) == 5
         assert json.loads((tmp_path / "sw.manifest.json").read_text())["command"] == "sweep"
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_2(self, capsys, tmp_path, workers):
+        # 0 is not "all CPUs": the worker count has one spelling, --workers N >= 1
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--n", "3", "--tau0-range", "10:20:2", "--delta0-range", "0:0.05:2",
+                  "--workers", workers, "-o", str(tmp_path / "sw")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "workers must be >= 1" in err
+        assert not (tmp_path / "sw.csv").exists()
 
 
 class TestFourier2D:

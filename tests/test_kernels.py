@@ -9,35 +9,21 @@ from blowuplab import _kernels, moments, sphere
 from blowuplab._kernels import _pure
 
 
-def _block(n, coeffs, order, rows=None):
-    """Kernel block at (n, order); `rows` replaces the row reduction backend."""
+def _block(n, coeffs, order):
+    """Kernel block at (n, order)."""
     if n == 3:
         zsq, wts = np.ones((1, 1)), np.ones(1)
     else:
         zsq, wts = sphere._prefix_rule(n, order)
     glx, glw = sphere._gauss_legendre(order)
     theta_max = 2 * math.pi if n == 3 else math.pi
-    with pytest.MonkeyPatch.context() as mp:
-        if rows is not None:
-            mp.setattr(_kernels, "row_reductions", rows)
-        return _kernels.indicator_moment_block(zsq, wts, coeffs, n, theta_max, glx, glw)
+    return _kernels.indicator_moment_block(zsq, wts, coeffs, n, theta_max, glx, glw)
 
 
-class TestBackends:
+class TestBlock:
     def test_pure_backend_always_available(self):
-        out = _block(3, np.array([0.0, 1.0]), 32, rows=_pure.row_reductions)
+        out = _block(3, np.array([0.0, 1.0]), 32)
         assert out[0] == pytest.approx(2 * math.pi, rel=1e-13)
-
-    def test_backends_agree(self):
-        core = pytest.importorskip("blowuplab._kernels._core")
-        rng = np.random.Generator(np.random.Philox(key=101))
-        for n in (3, 4, 5, 6):
-            for _ in range(6):
-                delta = rng.uniform(-1, 1, n - 2) * rng.uniform(0, 0.1)
-                coeffs = np.concatenate([delta, [1.0 - delta.sum()]])
-                a = _block(n, coeffs, 24, rows=core.row_reductions)
-                b = _block(n, coeffs, 24, rows=_pure.row_reductions)
-                assert np.abs(a - b).max() < 1e-13 * np.abs(b).max()
 
     def test_backend_deterministic(self):
         coeffs = np.array([1e-3, -2e-3, 1.0])

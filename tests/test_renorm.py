@@ -275,14 +275,8 @@ class TestSweep:
 
 class TestDefaultWorkers:
     def test_respects_affinity(self, monkeypatch):
-        monkeypatch.delenv("BLOWUP_WORKERS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert renorm.default_workers() == 1
-
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("BLOWUP_WORKERS", "3")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert renorm.default_workers() == 3
 
 
 class TestIterateErrors:
