@@ -42,8 +42,10 @@ def _parse_delta(text, n):
 
 
 def _parse_range(text):
-    lo, hi, count = text.split(":")
-    lo, hi, count = float(lo), float(hi), int(count)
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"range must be lo:hi:count, got {text!r}")
+    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1:
         raise ValueError("range count must be >= 1")
     return np.linspace(lo, hi, count)
@@ -275,6 +277,8 @@ def _cmd_sweep(args, parser):
 def _cmd_fourier2d(args, parser):
     if args.max_degree < 2:
         parser.error("max-degree must be >= 2")
+    if args.points < 1:
+        parser.error("points must be >= 1")
     if args.frame == "rotated":
         p = HarmonicQuadratic(2, np.array([[0.0, 0.5], [0.5, 0.0]]))
         expected = ("x1*x2", math.log(2.0) / math.pi)
@@ -312,18 +316,18 @@ def _cmd_project_grid(args, parser):
     if args.input:
         field = gridproj.SampledField.load(args.input)
     else:
+        if args.synthetic is None:
+            parser.error("give a field: --input FILE or --synthetic NAME")
         if args.h <= 0:
             parser.error("h must be positive")
         radius = args.radius or (args.r + 5 * args.h)
 
         def synthetic(pts):
-            p0 = make_p_delta(2, np.zeros(0))
-            base = args.tau0 * np.einsum("ij,pi,pj->p", p0.coeff, pts, pts)
             if args.synthetic == "ztilde":
                 return correction.explicit_solution_2d(pts)
-            if args.synthetic == "p0-plus-ztilde":
-                return base + correction.explicit_solution_2d(pts, frame="axis")
-            parser.error("unknown synthetic field")
+            p0 = make_p_delta(2, np.zeros(0))
+            base = args.tau0 * np.einsum("ij,pi,pj->p", p0.coeff, pts, pts)
+            return base + correction.explicit_solution_2d(pts, frame="axis")
 
         field = gridproj.SampledField.from_function(synthetic, 2, args.h, radius)
     results = {}
@@ -340,6 +344,16 @@ def _cmd_project_grid(args, parser):
     text = _json_dump(results) + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
+        config = {
+            "input": args.input,
+            "synthetic": args.synthetic,
+            "tau0": args.tau0,
+            "h": args.h,
+            "radius": args.radius,
+            "r": args.r,
+            "half_step": args.half_step,
+        }
+        _write_manifest(Path(args.output).with_suffix(""), "project-grid", config, [args.output])
     else:
         sys.stdout.write(text)
     return 0

@@ -418,8 +418,7 @@ def _moment_columns(n, order, coeffs, refine):
     else:
         zsq, wts = _prefix_rule(n, order)
     glx, glw = _gauss_legendre(nodes)
-    theta_max = 2.0 * math.pi if n == 3 else math.pi
-    return _kernels.indicator_moment_block(zsq, wts, coeffs, n, theta_max, glx, glw)
+    return _kernels.indicator_moment_block(zsq, wts, coeffs, n, glx, glw)
 
 
 def _closed_form_columns_2d(c1):

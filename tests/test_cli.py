@@ -311,6 +311,39 @@ class TestProjectGrid:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "missing.csv" in err
 
+    def test_output_writes_manifest(self, capsys, tmp_path):
+        out_path = tmp_path / "pg.json"
+        code, _ = run(
+            capsys,
+            ["project-grid", "--synthetic", "p0-plus-ztilde", "--h", "0.0625", "-o", str(out_path)],
+        )
+        assert code == 0
+        assert "r=1" in json.loads(out_path.read_text())
+        manifest = json.loads((tmp_path / "pg.manifest.json").read_text())
+        assert manifest["command"] == "project-grid"
+        assert manifest["outputs"] == [str(out_path)]
+        assert manifest["config"] == {
+            "input": None, "synthetic": "p0-plus-ztilde", "tau0": 10.0, "h": 0.0625,
+            "radius": None, "r": 1.0, "half_step": False,
+        }
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--n", "3", "--tau0-range", "5:50", "--delta0-range", "0:0.1:2"],
+         "range must be lo:hi:count"),
+        (["project-grid"], "--input FILE or --synthetic NAME"),
+        (["fourier2d", "--points", "0"], "points must be >= 1"),
+    ],
+)
+def test_usage_error_names_the_problem(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and message in err
+
 
 class TestVerify:
     def test_filter_runs_subset(self, capsys):

@@ -6,7 +6,6 @@ import pytest
 from scipy.integrate import quad
 
 from blowuplab import _kernels, moments, sphere
-from blowuplab._kernels import _pure
 
 
 def _block(n, coeffs, order):
@@ -16,16 +15,15 @@ def _block(n, coeffs, order):
     else:
         zsq, wts = sphere._prefix_rule(n, order)
     glx, glw = sphere._gauss_legendre(order)
-    theta_max = 2 * math.pi if n == 3 else math.pi
-    return _kernels.indicator_moment_block(zsq, wts, coeffs, n, theta_max, glx, glw)
+    return _kernels.indicator_moment_block(zsq, wts, coeffs, n, glx, glw)
 
 
 class TestBlock:
-    def test_pure_backend_always_available(self):
+    def test_zero_delta_is_half_sphere(self):
         out = _block(3, np.array([0.0, 1.0]), 32)
         assert out[0] == pytest.approx(2 * math.pi, rel=1e-13)
 
-    def test_backend_deterministic(self):
+    def test_deterministic(self):
         coeffs = np.array([1e-3, -2e-3, 1.0])
         a = _block(4, coeffs, 48)
         b = _block(4, coeffs, 48)
@@ -54,7 +52,7 @@ class TestSinPowerPair:
         # pi/2 that is cos^m over [-a, a], a = arctan(sqrt(q)), which keeps
         # the reference free of asin's cancellation near psi* = pi/2
         q = np.array([1e-6, 1e-2, 0.3, 1.0, 4.0, 250.0])
-        j_lo, j_hi = _pure._j_pair(q, ndim)
+        j_lo, j_hi = _kernels._j_pair(q, ndim)
         for k, a in enumerate(np.arctan(np.sqrt(q))):
             for m, got in ((ndim - 2, j_lo[k]), (ndim, j_hi[k])):
                 ref, _ = quad(lambda s: math.cos(s) ** m, -a, a, epsabs=0.0, epsrel=1e-13)
@@ -64,7 +62,7 @@ class TestSinPowerPair:
     def test_zero_q_is_exact_zero(self, ndim):
         # q = 0 is an empty interval; the kernel relies on this instead of
         # masking q <= 0 out
-        j_lo, j_hi = _pure._j_pair(np.zeros(3), ndim)
+        j_lo, j_hi = _kernels._j_pair(np.zeros(3), ndim)
         assert np.array_equal(j_lo, np.zeros(3)) and np.array_equal(j_hi, np.zeros(3))
 
 
@@ -76,7 +74,7 @@ def _rows_inputs(n, order, delta):
     else:
         zsq, _ = sphere._prefix_rule(n, order)
     glx, glw = sphere._gauss_legendre(_kernels.last_angle_nodes(n, order, coeffs))
-    return zsq, coeffs, n, math.pi, glx, glw
+    return zsq @ coeffs[:-1], coeffs[-1], n, glx, glw
 
 
 class TestRowBlocks:
@@ -98,11 +96,11 @@ class TestRowBlocks:
         # same in any block, so one row per block and all rows in one block
         # give the same bits as the default
         args = _rows_inputs(n, order, delta)
-        default = _pure.row_reductions(*args)
-        monkeypatch.setattr(_pure, "_BLOCK_ELEMS", 1)
-        one_row = _pure.row_reductions(*args)
-        monkeypatch.setattr(_pure, "_BLOCK_ELEMS", args[0].shape[0] * len(args[4]))
-        one_block = _pure.row_reductions(*args)
+        default = _kernels.row_reductions(*args)
+        monkeypatch.setattr(_kernels, "_BLOCK_ELEMS", 1)
+        one_row = _kernels.row_reductions(*args)
+        monkeypatch.setattr(_kernels, "_BLOCK_ELEMS", args[0].shape[0] * len(args[4]))
+        one_block = _kernels.row_reductions(*args)
         assert np.array_equal(one_row, default)
         assert np.array_equal(one_block, default)
 
@@ -115,11 +113,11 @@ class TestRowBlocks:
         # at once would peak at 11 MiB (n=6/32) and 64 MiB (n=4/512).  The
         # last-angle rule is set to `order` nodes explicitly, since
         # indicator_moment_columns would hand the kernel only 32 at n = 4
-        args = _rows_inputs(n, order, delta)[:4] + sphere._gauss_legendre(order)
+        args = _rows_inputs(n, order, delta)[:3] + sphere._gauss_legendre(order)
         assert args[0].shape[0] == rows
         tracemalloc.start()
         try:
-            _pure.row_reductions(*args)
+            _kernels.row_reductions(*args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -144,21 +142,22 @@ def _table_case(n, order, delta, kernel_order=None):
     block's weighted sums; `kernel_order` replaces the kernel's
     Gauss-Legendre order on the same prefix rule.
     """
-    zsq, coeffs, _, theta_max, glx, glw = _rows_inputs(n, order, delta)
+    a, b, _, glx, glw = _rows_inputs(n, order, delta)
     if kernel_order is not None:
         glx, glw = sphere._gauss_legendre(kernel_order)
-    _, wts = sphere._prefix_rule(n, order)
+    zsq, wts = sphere._prefix_rule(n, order)
+    coeffs = moments._coeff_vector(n, np.asarray(delta, dtype=np.float64))
     kernel = _kernels.row_reductions
     calls = []
 
-    def counted(zsq, *args):
-        calls.append(len(zsq))
-        return kernel(zsq, *args)
+    def counted(a, *args):
+        calls.append(len(a))
+        return kernel(a, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "row_reductions", counted)
-        block = _kernels.indicator_moment_block(zsq, wts, coeffs, n, theta_max, glx, glw)
-    R = kernel(zsq, coeffs, n, theta_max, glx, glw)
+        block = _kernels.indicator_moment_block(zsq, wts, coeffs, n, glx, glw)
+    R = kernel(a, b, n, glx, glw)
     chi_w, sin_w, cos_w = (R * wts[:, None]).T
     per_row = np.empty(n + 1)
     per_row[0] = np.sum(chi_w)
@@ -220,15 +219,7 @@ def _floor_grid(n):
 
 def _grid_reductions(n, a, b, nodes):
     glx, glw = sphere._gauss_legendre(nodes)
-    zsq = np.zeros((a.shape[0], n - 2))
-    zsq[:, 0] = a
-    theta_max = 2 * math.pi if n == 3 else math.pi
-    out = []
-    for b_cos in b:
-        coeffs = np.zeros(n - 1)
-        coeffs[0], coeffs[-1] = 1.0, b_cos
-        out.append(_pure.row_reductions(zsq, coeffs, n, theta_max, glx, glw))
-    return np.stack(out)
+    return np.stack([_kernels.row_reductions(a, b_cos, n, glx, glw) for b_cos in b])
 
 
 class TestLastAngleNodes:
@@ -269,9 +260,9 @@ class TestLastAngleNodes:
         seen = []
         block = _kernels.indicator_moment_block
 
-        def spy(zsq, weights, coeffs, ndim, theta_max, glx, glw):
+        def spy(zsq, weights, coeffs, ndim, glx, glw):
             seen.append(len(glx))
-            return block(zsq, weights, coeffs, ndim, theta_max, glx, glw)
+            return block(zsq, weights, coeffs, ndim, glx, glw)
 
         monkeypatch.setattr(_kernels, "indicator_moment_block", spy)
         delta = np.array([3e-2, -1e-2, 5e-3, -3e-3, 1e-3, 2e-3][: n - 2])

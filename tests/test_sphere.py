@@ -209,9 +209,9 @@ class TestIndicatorQuadratic:
         seen = []
         block = _kernels.indicator_moment_block
 
-        def spy(zsq, weights, coeffs, ndim, theta_max, glx, glw):
+        def spy(zsq, weights, coeffs, ndim, glx, glw):
             seen.append(len(glx))
-            return block(zsq, weights, coeffs, ndim, theta_max, glx, glw)
+            return block(zsq, weights, coeffs, ndim, glx, glw)
 
         monkeypatch.setattr(_kernels, "indicator_moment_block", spy)
         p = make_p_delta(3, np.array([1e-8]))
@@ -309,8 +309,8 @@ class TestPrefixFold:
         mixed = np.array([1e-2, -5e-3, 2e-3, -1e-3, 3e-3][: n - 2])
         for delta in (np.zeros(n - 2), mixed):
             coeffs = np.concatenate([delta, [1.0 - delta.sum()]])
-            a = _kernels.indicator_moment_block(*folded, coeffs, n, math.pi, glx, glw)
-            b = _kernels.indicator_moment_block(*full, coeffs, n, math.pi, glx, glw)
+            a = _kernels.indicator_moment_block(*folded, coeffs, n, glx, glw)
+            b = _kernels.indicator_moment_block(*full, coeffs, n, glx, glw)
             assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
     @pytest.mark.parametrize("n,order", CASES)
