@@ -34,13 +34,16 @@ reduction.  The plain rule's nodes are the same for every row, so their
 node-only factors are built once a call, on (1, G).
 
 Rows are processed in blocks sized by element count (rows x nodes), not by
-row count.  That bounds the working set of a call, so large calls neither
-spill the cache nor make the allocator map and unmap megabytes per call;
-the block size has no knob, and the results do not depend on how the rows
-are partitioned.
+row count, and each block's (rows, nodes) temporaries are written into
+per-thread scratch buffers that every block and call reuses.  That bounds
+the working set of a call and keeps it mapped, so no call spills the cache
+or makes the allocator return memory to the OS and fault it in again; the
+block size has no knob, and the results do not depend on how the rows are
+partitioned.
 """
 
 import math
+import threading
 
 import numpy as np
 
@@ -57,7 +60,36 @@ def backend_name():
     return "pure"
 
 
-def _j_pair(q, ndim):
+# The most (rows, G) temporaries one branch of `_piece` takes: 4 of its own,
+# 3 for _node_factors and 6 for _accumulate (5 of them in _j_pair).
+_SCRATCH_BUFFERS = 13
+
+
+class _Scratch(threading.local):
+    """Buffers for the kernel's (rows, G) temporaries, one set per thread.
+
+    `panel(shape)` returns a `take` for one panel: each call of it returns
+    a (rows, G) view of the next buffer, so a panel's temporaries are
+    distinct, and the next panel reuses them.  The buffers are kept across
+    blocks and calls.  They are allocated on first use and grow only when
+    a panel needs more than they hold, as a rule of more than _BLOCK_ELEMS
+    nodes does even one row at a time.
+    """
+
+    def __init__(self):
+        self.block = np.empty((_SCRATCH_BUFFERS, 0))
+
+    def panel(self, shape):
+        size = shape[0] * shape[1]
+        if size > self.block.shape[1]:
+            self.block = np.empty((_SCRATCH_BUFFERS, max(size, _BLOCK_ELEMS)))
+        return iter(self.block[:, :size].reshape(_SCRATCH_BUFFERS, *shape)).__next__
+
+
+_SCRATCH = _Scratch()
+
+
+def _j_pair(q, ndim, take=None):
     """(J_{ndim-2}, J_ndim): integrals of sin^m over the resolved inner interval.
 
     The interval is [psi*, pi - psi*] with tan(psi*) = 1/sqrt(q), q >= 0.
@@ -65,23 +97,32 @@ def _j_pair(q, ndim):
     J_1 = 2 u sqrt(s), and J_m = (2/m) p + ((m-1)/m) J_{m-2} with
     p = cos(psi*) sin^(m-1)(psi*) = u s^(m/2), one factor of s per step.
     Only ndim's parity runs, so even ndim takes no square root of 1 + q.
-    q = 0 gives u = 0 and so J = 0 exactly.
+    q = 0 gives u = 0 and so J = 0 exactly.  q is only read: the results
+    and temporaries go into buffers from `take()`, new arrays by default.
     """
-    u = np.sqrt(q)
-    s = 1.0 / (1.0 + q)
+    if take is None:
+        take = lambda: np.empty_like(q)  # noqa: E731
+    u = np.sqrt(q, out=take())
+    s = np.add(q, 1.0, out=take())
+    np.divide(1.0, s, out=s)
+    p = take()
     if ndim % 2 == 0:
-        p = u * s
-        j = p + np.arctan(u)  # J_2 = p + J_0 / 2
+        np.multiply(u, s, out=p)
+        j = np.add(p, np.arctan(u, out=u), out=u)  # J_2 = p + J_0 / 2
     else:
-        p = u * np.sqrt(s)
-        j = 2.0 * p  # J_1
+        np.multiply(u, np.sqrt(s, out=p), out=p)
+        j = np.multiply(p, 2.0, out=u)  # J_1
+    # at the top of each step j_prev's buffer is free, and the new j goes there
+    j_prev, tmp = take(), take()
     for m in range(4 - ndim % 2, ndim + 1, 2):
-        p = p * s
-        j_prev, j = j, (2.0 / m) * p + ((m - 1.0) / m) * j
+        np.multiply(p, s, out=p)
+        np.multiply(p, 2.0 / m, out=j_prev)
+        np.add(j_prev, np.multiply(j, (m - 1.0) / m, out=tmp), out=j_prev)
+        j_prev, j = j, j_prev
     return j_prev, j
 
 
-def _node_factors(t2, t_weights, left_piece, ndim):
+def _node_factors(t2, t_weights, left_piece, ndim, take):
     """(w, w s2, w c2): the node weights of the three reductions.
 
     t2 holds the squared nodes in the piece variable t (sin of the last
@@ -89,40 +130,52 @@ def _node_factors(t2, t_weights, left_piece, ndim):
     dt.  w is dt / sqrt(1 - t2), the jacobian back to the angle, times the
     s2^((ndim-3)/2) area factor; on the right piece s2 = 1 - t2, so the two
     combine into (1 - t2)^((ndim-4)/2).  Any shape: the plain branch passes
-    its shared (1, G) nodes, the mapped branches (M, G).
+    its shared (1, G) nodes, the mapped branches (M, G).  The results go
+    into buffers from `take()`, except that on the right piece at ndim = 4
+    w is t_weights itself.
     """
-    one_m = 1.0 - t2
+    base, base_s2, base_c2 = take(), take(), take()
     if left_piece:
-        s2, c2 = t2, one_m
-        base = t_weights / np.sqrt(one_m)
+        one_m = np.subtract(1.0, t2, out=base_c2)  # c2
+        np.divide(t_weights, np.sqrt(one_m, out=base), out=base)
         if ndim > 3:
-            base = base * t2 ** ((ndim - 3) / 2.0)
+            np.multiply(base, np.power(t2, (ndim - 3) / 2.0, out=base_s2), out=base)
+        np.multiply(base, t2, out=base_s2)
+        np.multiply(base, one_m, out=base_c2)
     else:
-        s2, c2 = one_m, t2
-        base = t_weights if ndim == 4 else t_weights * one_m ** ((ndim - 4) / 2.0)
-    return base, base * s2, base * c2
+        one_m = np.subtract(1.0, t2, out=base_s2)  # s2
+        if ndim == 4:
+            base = t_weights
+        else:
+            np.multiply(t_weights, np.power(one_m, (ndim - 4) / 2.0, out=base), out=base)
+        np.multiply(base, one_m, out=base_s2)
+        np.multiply(base, t2, out=base_c2)
+    return base, base_s2, base_c2
 
 
-def _accumulate(out, rows, factors, q, ndim):
+def _accumulate(out, rows, factors, q, ndim, take):
     """Add one panel's reductions for the selected rows.
 
     factors: `_node_factors` of the panel's nodes, (1, G) or (M, G).
     q: (M, G) exact boundary values, >= 0 by construction in every branch;
-    the clamp only keeps a rounding -0.0 or -ulp out of the square root.
-    Each row's weighted sum is numpy's pairwise reduction over its nodes.
+    the clamp, in place, only keeps a rounding -0.0 or -ulp out of the
+    square root.  Each row's weighted sum is numpy's pairwise reduction
+    over its nodes.
     """
     base, base_s2, base_c2 = factors
-    j_lo, j_hi = _j_pair(np.maximum(q, 0.0), ndim)
-    out[rows, 0] += (base * j_lo).sum(axis=-1)
-    out[rows, 1] += (base_s2 * j_hi).sum(axis=-1)
-    out[rows, 2] += (base_c2 * j_hi).sum(axis=-1)
+    j_lo, j_hi = _j_pair(np.maximum(q, 0.0, out=q), ndim, take)
+    prod = take()
+    out[rows, 0] += np.multiply(base, j_lo, out=prod).sum(axis=-1)
+    out[rows, 1] += np.multiply(base_s2, j_hi, out=prod).sum(axis=-1)
+    out[rows, 2] += np.multiply(base_c2, j_hi, out=prod).sum(axis=-1)
 
 
 def _piece(out, rows, alpha, beta, gx, glw, plain, left_piece, ndim):
     """Integrate one quarter piece (t in [0, sin(pi/4)]) for all rows.
 
     gx: Gauss-Legendre nodes mapped to [0, 1].  plain: (t2, factors) of the
-    plain rule on [0, sin(pi/4)] for this piece, shared by every row.
+    plain rule on [0, sin(pi/4)] for this piece, shared by every row.  Each
+    branch writes its (rows, G) temporaries into this thread's `_SCRATCH`.
     """
     alpha = np.where(np.abs(alpha) < SNAP_EPS, 0.0, alpha)
     q_end = alpha + 0.5 * beta
@@ -144,37 +197,47 @@ def _piece(out, rows, alpha, beta, gx, glw, plain, left_piece, ndim):
 
     if m_plain.any():
         t2, factors = plain
-        q = alpha[m_plain, None] + beta[m_plain, None] * t2
-        _accumulate(out, rows[m_plain], factors, q, ndim)
+        a = alpha[m_plain, None]
+        take = _SCRATCH.panel((a.shape[0], gx.shape[0]))
+        q = np.multiply(beta[m_plain, None], t2, out=take())
+        np.add(a, q, out=q)
+        _accumulate(out, rows[m_plain], factors, q, ndim, take)
 
     if m_sin.any():
         a = alpha[m_sin]
         b = beta[m_sin]
         t_r = np.sqrt(a / -b)
         w_max = np.arcsin(np.minimum(_HALF_T / t_r, 1.0))
-        w_ang = w_max[:, None] * gx[None, :]
-        ww = w_max[:, None] * 0.5 * glw[None, :]
-        sw = np.sin(w_ang)
-        cw = np.cos(w_ang)
-        t = t_r[:, None] * sw
-        wt = ww * t_r[:, None] * cw
-        q = a[:, None] * cw * cw
-        factors = _node_factors(t * t, wt, left_piece, ndim)
-        _accumulate(out, rows[m_sin], factors, q, ndim)
+        take = _SCRATCH.panel((a.shape[0], gx.shape[0]))
+        cw = np.multiply(w_max[:, None], gx[None, :], out=take())  # the angle w
+        t2 = np.sin(cw, out=take())
+        np.cos(cw, out=cw)
+        wt = np.multiply(w_max[:, None] * 0.5, glw[None, :], out=take())
+        np.multiply(np.multiply(wt, t_r[:, None], out=wt), cw, out=wt)
+        q = np.multiply(a[:, None], cw, out=take())
+        np.multiply(q, cw, out=q)
+        np.multiply(t_r[:, None], t2, out=t2)  # t
+        np.multiply(t2, t2, out=t2)
+        factors = _node_factors(t2, wt, left_piece, ndim, take)
+        _accumulate(out, rows[m_sin], factors, q, ndim, take)
 
     if m_layer.any():
         a = alpha[m_layer]
         b = beta[m_layer]
         ell = np.sqrt(a / b)
         v_max = np.arcsinh(_HALF_T / ell)
-        v = v_max[:, None] * gx[None, :]
-        wv = v_max[:, None] * 0.5 * glw[None, :]
-        sh2 = np.sinh(v) ** 2
-        ch2 = 1.0 + sh2  # cosh^2, without a cosh per node
-        wt = wv * ell[:, None] * np.sqrt(ch2)
-        q = a[:, None] * ch2
-        factors = _node_factors((a / b)[:, None] * sh2, wt, left_piece, ndim)
-        _accumulate(out, rows[m_layer], factors, q, ndim)
+        take = _SCRATCH.panel((a.shape[0], gx.shape[0]))
+        sh2 = np.multiply(v_max[:, None], gx[None, :], out=take())  # v
+        wt = np.multiply(v_max[:, None] * 0.5, glw[None, :], out=take())
+        np.sinh(sh2, out=sh2)
+        np.multiply(sh2, sh2, out=sh2)
+        ch2 = np.add(sh2, 1.0, out=take())  # cosh^2, without a cosh per node
+        q = np.sqrt(ch2, out=take())
+        np.multiply(np.multiply(wt, ell[:, None], out=wt), q, out=wt)
+        np.multiply(a[:, None], ch2, out=q)
+        np.multiply((a / b)[:, None], sh2, out=sh2)  # t^2
+        factors = _node_factors(sh2, wt, left_piece, ndim, take)
+        _accumulate(out, rows[m_layer], factors, q, ndim, take)
 
     if m_cosh.any():
         a = alpha[m_cosh]
@@ -183,21 +246,26 @@ def _piece(out, rows, alpha, beta, gx, glw, plain, left_piece, ndim):
         safe = t_r > 1e-300
         t_r = np.where(safe, t_r, 1e-300)
         v_max = np.arccosh(np.maximum(_HALF_T / t_r, 1.0))
-        v = v_max[:, None] * gx[None, :]
-        wv = v_max[:, None] * 0.5 * glw[None, :]
-        sh = np.sinh(v)
-        sh2 = sh * sh
-        wt = wv * t_r[:, None] * sh
-        q = (-a)[:, None] * sh2
-        factors = _node_factors((t_r * t_r)[:, None] * (1.0 + sh2), wt, left_piece, ndim)
-        _accumulate(out, rows[m_cosh], factors, q, ndim)
+        take = _SCRATCH.panel((a.shape[0], gx.shape[0]))
+        sh = np.multiply(v_max[:, None], gx[None, :], out=take())  # v
+        wt = np.multiply(v_max[:, None] * 0.5, glw[None, :], out=take())
+        np.sinh(sh, out=sh)
+        sh2 = np.multiply(sh, sh, out=take())
+        np.multiply(np.multiply(wt, t_r[:, None], out=wt), sh, out=wt)
+        q = np.multiply((-a)[:, None], sh2, out=take())
+        t2 = np.add(sh2, 1.0, out=sh2)
+        np.multiply((t_r * t_r)[:, None], t2, out=t2)
+        factors = _node_factors(t2, wt, left_piece, ndim, take)
+        _accumulate(out, rows[m_cosh], factors, q, ndim, take)
 
 
-# Rows run in blocks of about this many (row, node) elements, so every
-# (rows, G) temporary of _piece/_accumulate is near 32 KB whatever the row
-# count or order: the working set stays in cache and the allocator reuses
-# the same small buffers instead of returning large ones to the OS and
-# faulting them in again on every call.  The row count follows from the node
+# Rows run in blocks of about this many (row, node) elements, and every
+# (rows, G) temporary of _piece/_accumulate/_j_pair is a view of one of the
+# thread's _SCRATCH buffers of this size, whatever the row count or order.
+# So the working set stays in cache and the temporaries stay mapped: were
+# they allocated per panel, glibc would return the few hundred KB they add
+# up to to the OS at every call (its default trim threshold is 128 KB) and
+# fault them in again on the next.  The row count follows from the node
 # count alone, and the result does not depend on it: each row's arithmetic
 # and its pairwise sum over the nodes are the same in any block.
 _BLOCK_ELEMS = 4096
@@ -233,8 +301,10 @@ def row_reductions(a, b, ndim, glx, glw):
     t_plain = _HALF_T * gx[None, :]
     t2_plain = t_plain * t_plain
     wt_plain = _HALF_T * 0.5 * glw[None, :]
+    fresh = lambda: np.empty_like(t2_plain)  # noqa: E731
     plain = {
-        left: (t2_plain, _node_factors(t2_plain, wt_plain, left, ndim)) for left in (True, False)
+        left: (t2_plain, _node_factors(t2_plain, wt_plain, left, ndim, fresh))
+        for left in (True, False)
     }
 
     all_rows = np.arange(m_rows)
@@ -262,20 +332,23 @@ def row_reductions(a, b, ndim, glx, glw):
 _TABLE_LEVELS = 12
 _TABLE_NODES = 8
 
-# The kernel's last-angle rule needs no more than K(n) Gauss-Legendre nodes
+# The kernel's last-angle rule takes no more than K(n) Gauss-Legendre nodes
 # a quarter piece.  After the sin/sinh/cosh maps of `_piece` the integrand is
 # analytic, so the rule converges geometrically (Trefethen, Approximation
-# Theory and Approximation Practice, 2013) and stops gaining at a count set
-# by the dimension.  Norm-wise error of R against a 256-node rule over
-# a = zsq @ coeffs[:-1] log-spaced in +-[1.1e-11, 1/2] and b = coeffs[-1] in
-# 1 +- sqrt(n-2)/2, which covers every |delta| < 1/2:
-#   n = 3:     1.3e-12 at 40 nodes, 7.2e-14 at 48
-#   n = 4:     1.1e-10 at 24, 2.8e-12 at 28, 7.5e-14 at 32
-#   n = 5..8:  2.1e-11 to 9.4e-13 at 32, 6.6e-14 to 3.3e-14 at 40
-# and no better at any count up to 72.  Outside that range a layer of width
-# sqrt(b/|a|) can need more: the moments of a general n = 4 quadratic with
-# b = 1e-9 are 2.9e-11 off on 32 nodes and 6.1e-14 on 64, so such
-# coefficients keep `order` nodes.
+# Theory and Approximation Practice, 2013) at a rate set by the dimension.
+# Norm-wise error of R against a 256-node rule over a = zsq @ coeffs[:-1]
+# log-spaced in +-[1.1e-11, 1/2] and b = coeffs[-1] in 1 +- sqrt(n-2)/2,
+# which covers every |delta| < 1/2:
+#   n = 3:     1.3e-12 at 40 nodes, 7.5e-15 at 48
+#   n = 4:     1.1e-10 at 24, 2.7e-12 at 28, 9.5e-14 at 32, 4.5e-16 at 40
+#   n = 5..8:  2.1e-11 to 9.6e-13 at 32, 8.7e-14 to 7.2e-16 at 40
+# and 4e-16 to 1.5e-15 from 48 to 72 nodes.  K(n) was chosen where this
+# error stopped falling with the scipy rules of 0.6.0 and earlier, near
+# 6e-14: that floor was the 256-node reference's own weight error, which
+# the numpy rules (`sphere._gauss_jacobi`) do not have.  Outside that range
+# a layer of width sqrt(b/|a|) can need more: the moments of a general n = 4
+# quadratic with b = 1e-9 are 2.9e-11 off on 32 nodes and 4.2e-16 on 64, so
+# such coefficients keep `order` nodes.
 _LAST_ANGLE_NODES = {3: 48, 4: 32}
 _LAST_ANGLE_NODES_HIGH = 40  # n >= 5
 

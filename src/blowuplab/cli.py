@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import (
     __version__,
@@ -45,7 +44,16 @@ def _parse_range(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"range must be lo:hi:count, got {text!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    values = []
+    for name, kind, part in zip(("lo", "hi", "count"), (float, float, int), parts):
+        try:
+            values.append(kind(part))
+        except ValueError:
+            raise ValueError(
+                f"range must be lo:hi:count, got {text!r}: {name} {part!r} is not "
+                f"{'an integer' if kind is int else 'a number'}"
+            ) from None
+    lo, hi, count = values
     if count < 1:
         raise ValueError("range count must be >= 1")
     return np.linspace(lo, hi, count)
@@ -74,7 +82,6 @@ def _environment():
         "package": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
     }
 
 

@@ -432,10 +432,11 @@ def sweep(tau0_values, delta0_values, cfg, max_steps, workers=None):
 
     Cells run in parallel across processes; results are keyed by index so
     the table is independent of the worker count.  Before the pool opens,
-    the parent computes the delta = 0 moment set once.  That fills the
-    Gauss-Legendre rules, the zero-delta columns and the scipy.linalg
-    import that every cell needs, so workers forked from the parent inherit
-    them.  This helps only where the pool forks (the default on Linux).
+    the parent computes the delta = 0 moment set once.  That builds the
+    Gauss-Legendre rules, the zero-delta columns and the kernel's scratch
+    buffers that every cell needs, so workers forked from the parent
+    inherit them.  This helps only where the pool forks (the default on
+    Linux).
     `workers` defaults to `default_workers()`; below 1 is a ValueError.
     """
     workers = default_workers() if workers is None else workers

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma, roots_jacobi, roots_legendre
 
 from . import _kernels
 from .errors import DomainError, EvaluationError, QuadratureConvergenceWarning
@@ -28,7 +27,7 @@ def surface_area(n):
     """|S^{n-1}| = 2 pi^{n/2} / Gamma(n/2)."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    return 2.0 * math.pi ** (n / 2.0) / gamma(n / 2.0)
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 @dataclass(frozen=True)
@@ -99,6 +98,49 @@ def _frozen(a):
     return a
 
 
+def _gauss_jacobi(m, a):
+    """m-point Gauss rule for the weight (1 - x^2)^a on [-1, 1], by Golub-Welsch.
+
+    a = 0 is Gauss-Legendre.  The symmetric Jacobi matrix has zero diagonal
+    and off-diagonal b_k = sqrt(k (k + 2a) / ((2k + 2a - 1)(2k + 2a + 1))),
+    so its square splits by index parity, and the odd-index block (half the
+    size) has the squared positive nodes as its eigenvalues (Golub & Welsch,
+    Math. Comp. 23, 1969).  Those nodes are polished by two Newton steps on
+    p_m of the orthonormal recurrence, the weights are the Christoffel
+    numbers 1 / sum_{j<m} p_j(x)^2, and the negative half is the mirror
+    image, so nodes and weights are exactly symmetric.  Nodes ascend.
+    """
+    k = np.arange(1.0, m + 1.0)
+    b = np.zeros(m + 1)  # b[k] = b_k, and b[0] = 0 drops p_{-1}
+    b[1:] = np.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a - 1) * (2 * k + 2 * a + 1)))
+    # J^2 on the odd indices 1, 3, ..: diagonal b_{2j+1}^2 + b_{2j+2}^2 and
+    # off-diagonal b_{2j+2} b_{2j+3}, with b_m outside the m x m matrix
+    bj = np.append(b[1:m], 0.0)
+    half = m // 2
+    odd = np.diag(bj[0 : 2 * half : 2] ** 2 + bj[1 : 2 * half : 2] ** 2)
+    odd += np.diag(bj[1 : 2 * half - 1 : 2] * bj[2 : 2 * half : 2], 1)
+    x = np.sqrt(np.maximum(np.linalg.eigvalsh(odd, UPLO="U"), 0.0))
+    if m % 2:
+        x = np.concatenate([[0.0], x])
+    p0 = 1.0 / math.sqrt(math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5))
+    # each pass runs the recurrence b_k p_k = x p_{k-1} - b_{k-1} p_{k-2}
+    # (p_{-1} = 0, p_0 = p0) and its derivative to k = m, then takes a Newton
+    # step on p_m; the weights are read at the nodes the second pass starts
+    # from, which its step moves only below their own rounding
+    for _ in range(2):
+        p_prev, p = np.zeros_like(x), np.full_like(x, p0)
+        dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
+        total = np.zeros_like(x)
+        for j in range(1, m + 1):
+            total += p * p
+            p_prev, p = p, (x * p - b[j - 1] * p_prev) / b[j]
+            dp_prev, dp = dp, (p_prev + x * dp - b[j - 1] * dp_prev) / b[j]
+        x = x - p / dp
+    w = 1.0 / total
+    mirror = slice(None, 0, -1) if m % 2 else slice(None, None, -1)  # 0 is its own image
+    return np.concatenate([-x[mirror], x]), np.concatenate([w[mirror], w])
+
+
 @lru_cache(maxsize=64)
 def build_rule(n, order):
     """Product rule over the angles whose weights sum to |S^{n-1}|.
@@ -114,7 +156,7 @@ def build_rule(n, order):
     psi_nodes = []
     psi_weights = []
     for j in range(1, n - 1):
-        t, w = roots_jacobi(order, (j - 1) / 2.0, (j - 1) / 2.0)
+        t, w = _gauss_jacobi(order, (j - 1) / 2.0)
         psi_nodes.append(_frozen(np.arccos(t)))
         psi_weights.append(_frozen(w))
     return SphereRule(
@@ -193,7 +235,7 @@ def mc_integrate(n, f, samples, seed):
 
 @lru_cache(maxsize=16)
 def _gauss_legendre(order):
-    x, w = roots_legendre(order)
+    x, w = _gauss_jacobi(order, 0.0)
     return _frozen(x), _frozen(w)
 
 
@@ -280,8 +322,8 @@ _GRADE_NODES = 10
 def _unit_graded_rule():
     """(nodes, weights) of the unit graded rule, read-only because cached.
 
-    Built on first use rather than at import: the Gauss-Legendre nodes
-    load scipy.linalg, which an import that never reaches n = 4 need not pay.
+    Built on first use rather than at import, which an import that never
+    reaches n = 4 need not pay.
     """
     x, w = _gauss_legendre(_GRADE_NODES)
     hi = np.ldexp(1.0, -np.arange(_GRADE_LEVELS + 1))
@@ -385,7 +427,7 @@ def indicator_moment_columns(n, order, coeffs):
     axis-n coefficient is normalized to -1.  The last two angles are
     resolved by the kernel: the innermost in closed form, the last outer
     one with min(order, K(n)) Gauss-Legendre nodes, where K = 48, 32, 40 at
-    n = 3, 4, >= 5 is where that rule reaches its rounding floor for
+    n = 3, 4, >= 5 keeps that rule within 1e-13 of a 256-node one for
     |delta| < 1/2 (`_kernels.last_angle_nodes`; other coefficient vectors
     get `order` nodes).  So above K(n), raising `order` refines only the
     prefix.  The prefix sphere S^{n-3} is one point for n = 3, the graded

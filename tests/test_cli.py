@@ -138,7 +138,7 @@ class TestIterate:
         assert env["backend"] == _kernels.backend_name()
         assert env["numpy"] == np.__version__
         assert env["package"] == __version__
-        assert set(env) == {"backend", "package", "python", "numpy", "scipy"}
+        assert set(env) == {"backend", "package", "python", "numpy"}
 
     def test_replay_warns_on_other_backend(self, capsys, tmp_path):
         # "compiled": as written by a 0.5.0 install that built the Cython kernel
@@ -335,6 +335,10 @@ class TestProjectGrid:
          "range must be lo:hi:count"),
         (["project-grid"], "--input FILE or --synthetic NAME"),
         (["fourier2d", "--points", "0"], "points must be >= 1"),
+        (["sweep", "--n", "4", "--tau0-range", "5:50:x", "--delta0-range", "0:0.1:2"],
+         "range must be lo:hi:count, got '5:50:x': count 'x' is not an integer"),
+        (["sweep", "--n", "4", "--tau0-range", "0:1:2", "--delta0-range", "0:x:3"],
+         "range must be lo:hi:count, got '0:x:3': hi 'x' is not a number"),
     ],
 )
 def test_usage_error_names_the_problem(capsys, argv, message):

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import blowuplab
 from blowuplab import _kernels, moments, sphere
 
 
@@ -133,6 +139,47 @@ _TABLE_DELTAS = {
     "tiny": [1e-6, -7e-7, 3e-7, -5e-7, 8e-7, -2e-7],
     "large": [0.3, 0.0, 0.0, 0.0, 0.0, 0.0],
 }
+
+
+class TestScratch:
+    # the kernel writes its (rows, G) temporaries into per-thread buffers
+    # that every block and call reuses; what it returns must not share them
+
+    def test_result_survives_next_call(self):
+        args = _rows_inputs(4, 64, [3e-2, -1e-2])
+        first = _kernels.row_reductions(*args)
+        kept = first.copy()
+        _kernels.row_reductions(*_rows_inputs(5, 64, [1e-2, -5e-3, 2e-3]))
+        _kernels.row_reductions(*_rows_inputs(4, 24, [0.05, 1e-10]))
+        assert np.array_equal(first, kept)
+        assert np.array_equal(_kernels.row_reductions(*args), kept)
+
+    def test_threads_match_serial(self):
+        cases = [
+            (3, [1e-5]),
+            (4, [3e-2, -1e-2]),
+            (4, [0.05, 1e-10]),
+            (4, [-0.1436, -4.9e-6]),
+            (5, [1e-2, -5e-3, 2e-3]),
+            (6, [2e-2, -1e-2, 5e-3, -3e-3]),
+        ]
+        coeffs = [moments._coeff_vector(n, np.array(d)) for n, d in cases]
+
+        def columns(k):
+            return sphere.indicator_moment_columns(cases[k][0], 32, coeffs[k])
+
+        serial = [columns(k) for k in range(len(cases))]
+        jobs = [k for _ in range(8) for k in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(columns, jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == len(jobs)
+        for k, value in zip(jobs, got):
+            assert np.array_equal(value, serial[k])
 
 
 def _table_case(n, order, delta, kernel_order=None):
@@ -268,3 +315,51 @@ class TestLastAngleNodes:
         delta = np.array([3e-2, -1e-2, 5e-3, -3e-3, 1e-3, 2e-3][: n - 2])
         sphere.indicator_moment_columns(n, order, moments._coeff_vector(n, delta))
         assert seen == [nodes]
+
+
+def _fresh_interpreter(code):
+    """Stdout of `code` run in a new interpreter that imports this blowuplab."""
+    env = dict(os.environ, PYTHONPATH=str(Path(blowuplab.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+_N4_START = """
+import numpy as np
+from blowuplab import moments, renorm
+from blowuplab.quadratic import DeltaState
+cfg = renorm.MapConfig(n=4, C_gamma=0.0)
+start = DeltaState(n=4, tau=10.0, delta=np.array([0.05, -0.01]), kappa0=cfg.kappa0)
+"""
+
+
+class TestProcessFootprint:
+    def test_no_scipy_import(self):
+        # nothing the package computes loads scipy, so an import and a first
+        # computation pay only for numpy
+        out = _fresh_interpreter(_N4_START + """
+import sys
+renorm.half_step(start, cfg)
+moments.compute_moments(np.array([1e-2, -5e-3, 2e-3]), 5, 32)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+""")
+        assert out == "[]"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor faults as Linux counts them")
+    def test_steady_steps_fault_nothing_in(self):
+        # with the kernel's temporaries allocated per panel, a process that
+        # never imports scipy keeps glibc's 128 KB trim threshold, returns
+        # them to the OS at every call and faults them in again: about 190
+        # minor faults a step on x86_64 Linux, against none with the scratch
+        # buffers
+        out = _fresh_interpreter(_N4_START + """
+import resource
+renorm.iterate(start, cfg, 24)  # rules, prefix cache and scratch are built
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+steps = sum(len(renorm.iterate(start, cfg, 24).steps) for _ in range(3))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps)
+""")
+        assert float(out) < 1.0

@@ -1,8 +1,10 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from blowuplab import _kernels, moments, sphere
 from blowuplab.errors import (
@@ -55,6 +57,52 @@ class TestBuildRule:
         rule = sphere.build_rule(5, 8)
         pts = rule.cartesian()
         assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() < 1e-14
+
+
+_JACOBI_A = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
+
+
+def _even_moments(m, a):
+    """Integrals of x^(2k) (1 - x^2)^a over [-1, 1] for k < m.
+
+    Gamma(k+1/2) Gamma(a+1) / Gamma(k+a+3/2) is the k = 0 value times the
+    exact rational prod_{i<=k} (2i - 1) / (2i + 2a + 1), so no Gamma
+    overflows and each reference is good to a few ulp.
+    """
+    mu0 = math.gamma(0.5) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
+    ratio = Fraction(1)
+    out = []
+    for k in range(m):
+        if k:
+            ratio *= Fraction(2 * k - 1) / (2 * k + Fraction(2 * a) + 1)
+        out.append(mu0 * float(ratio))
+    return out
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("a", _JACOBI_A)
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 16, 64, 255, 256])
+    def test_exact_on_even_monomials(self, m, a):
+        # an m-point Gauss rule integrates degree <= 2m - 1 exactly; the
+        # weights' own rounding grows about linearly with m (5e-13 at 256)
+        x, w = sphere._gauss_jacobi(m, a)
+        got = [w @ x ** (2 * k) for k in range(m)]
+        assert got == pytest.approx(_even_moments(m, a), rel=4e-15 * max(m, 4), abs=0.0)
+
+    @pytest.mark.parametrize("a", _JACOBI_A)
+    @pytest.mark.parametrize("m", [2, 3, 16, 65, 256, 512])
+    def test_nodes_match_scipy(self, m, a):
+        # within 2 ulp of 1, the scale of [-1, 1]; scipy's weights are the
+        # less accurate of the two (1.3e-10 relative at 256 Legendre nodes)
+        x, w = sphere._gauss_jacobi(m, a)
+        ref, _ = roots_jacobi(m, a, a)
+        assert np.abs(x - ref).max() <= 2 * np.spacing(1.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 64])
+    def test_symmetric_ascending_positive(self, m):
+        x, w = sphere._gauss_jacobi(m, 1.5)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
 
 
 class TestIntegrate:
@@ -219,10 +267,11 @@ class TestIndicatorQuadratic:
         assert seen == [48, 96]
 
     def test_check_sees_kernel_resolution(self):
-        # n = 3 has a one-point prefix, so only the kernel can change: 48 and
-        # 96 nodes agree to 1e-12 but not to 1e-15, which a check pass that
-        # repeated the 48-node computation could never report
-        p = make_p_delta(3, np.array([1e-8]))
+        # n = 3 has a one-point prefix, so only the kernel can change: just
+        # above the 1e-11 snap, 48 and 96 nodes agree to 1e-12 but not to
+        # 1e-15 (a 3e-15 gap), which a check pass that repeated the 48-node
+        # computation could never report
+        p = make_p_delta(3, np.array([3e-11]))
         rule = sphere.build_rule(3, 64)
         with warnings.catch_warnings():
             warnings.simplefilter("error", QuadratureConvergenceWarning)
