@@ -36,10 +36,12 @@ node-only factors are built once a call, on (1, G).
 Rows are processed in blocks sized by element count (rows x nodes), not by
 row count, and each block's (rows, nodes) temporaries are written into
 per-thread scratch buffers that every block and call reuses.  That bounds
-the working set of a call and keeps it mapped, so no call spills the cache
-or makes the allocator return memory to the OS and fault it in again; the
-block size has no knob, and the results do not depend on how the rows are
-partitioned.
+the working set of a call and keeps it mapped, so no call makes the
+allocator return memory to the OS and fault it in again.  Each block also
+pays a fixed numpy dispatch cost that does not shrink with it, so blocks
+are as large as a 2 MiB working set allows, and the graded table and most
+n = 4 prefixes run as one block.  The block size has no knob, and the
+results do not depend on how the rows are partitioned.
 """
 
 import math
@@ -262,13 +264,19 @@ def _piece(out, rows, alpha, beta, gx, glw, plain, left_piece, ndim):
 # Rows run in blocks of about this many (row, node) elements, and every
 # (rows, G) temporary of _piece/_accumulate/_j_pair is a view of one of the
 # thread's _SCRATCH buffers of this size, whatever the row count or order.
-# So the working set stays in cache and the temporaries stay mapped: were
-# they allocated per panel, glibc would return the few hundred KB they add
-# up to to the OS at every call (its default trim threshold is 128 KB) and
-# fault them in again on the next.  The row count follows from the node
-# count alone, and the result does not depend on it: each row's arithmetic
-# and its pairwise sum over the nodes are the same in any block.
-_BLOCK_ELEMS = 4096
+# So the temporaries stay mapped: were they allocated per panel, glibc would
+# return them to the OS at every call (its default trim threshold is 128 KB)
+# and fault them in again on the next.  A block pays about 0.25 ms of fixed
+# numpy dispatch in _piece (the snap, the branch masks and their any()s,
+# fancy indexing, some 25 calls a branch), against 30-40 ns a (row, node),
+# so a call should be as few blocks as it can.  This is the largest power
+# of two whose _SCRATCH_BUFFERS buffers (1.66 MiB) stay under a 2 MiB
+# working set; it holds the n >= 5 table (208 rows x 40 nodes) and an n = 4
+# prefix of up to 512 rows at 32 nodes in one block.  The row count follows
+# from the node count alone, and the result does not depend on it: each
+# row's arithmetic and its pairwise sum over the nodes are the same in any
+# block.
+_BLOCK_ELEMS = 16384
 
 
 def row_reductions(a, b, ndim, glx, glw):

@@ -209,14 +209,35 @@ def _cmd_map(args, parser):
     return 0
 
 
+def _iterate_config(manifest, path, parser):
+    """The `config` of an iterate manifest.
+
+    A manifest another command wrote, or one without a key the replay
+    reads, is a usage error: exit 2 with one line that says which.
+    """
+    if not isinstance(manifest, dict):
+        problem = "is not a JSON object"
+    elif manifest.get("command", "iterate") != "iterate":
+        problem = f"was written by {manifest['command']!r}, not 'iterate'"
+    elif not isinstance(manifest.get("config"), dict):
+        problem = "has no 'config'"
+    else:
+        missing = [k for k in ("map", "tau0", "delta0", "steps") if k not in manifest["config"]]
+        if not missing:
+            return manifest["config"]
+        problem = f"has no {', '.join(map(repr, missing))} in its 'config'"
+    parser.exit(2, f"{parser.prog}: error: manifest {path} {problem}\n")
+
+
 def _cmd_iterate(args, parser):
     if args.manifest:
         loaded = json.loads(Path(args.manifest).read_text())
+        config = _iterate_config(loaded, args.manifest, parser)
         _warn_environment(loaded, args.manifest)
-        cfg = renorm.MapConfig(**loaded["config"]["map"])
-        tau0 = loaded["config"]["tau0"]
-        delta0 = np.array(loaded["config"]["delta0"])
-        steps = loaded["config"]["steps"]
+        cfg = renorm.MapConfig(**config["map"])
+        tau0 = config["tau0"]
+        delta0 = np.array(config["delta0"])
+        steps = config["steps"]
         prefix = args.output
     else:
         if args.n < 2:
@@ -257,6 +278,10 @@ def _cmd_sweep(args, parser):
     cfg = _map_config(args)
     tau0s = _parse_range(args.tau0_range)
     mags = _parse_range(args.delta0_range)
+    if args.n == 2 and len(mags) != 1:
+        parser.error(
+            f"--delta0-range count must be 1 at n=2, where delta has no entries; got {len(mags)}"
+        )
     deltas = []
     for s in mags:
         d = np.zeros(args.n - 2)

@@ -197,6 +197,37 @@ class TestIterate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "missing.json" in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (None, "was written by 'sweep', not 'iterate'"),
+            (lambda m: {k: v for k, v in m.items() if k != "config"}, "has no 'config'"),
+            (lambda m: {**m, "config": {k: v for k, v in m["config"].items() if k != "tau0"}},
+             "has no 'tau0' in its 'config'"),
+            (lambda m: [m], "is not a JSON object"),
+        ],
+        ids=["sweep", "no-config", "no-tau0", "list"],
+    )
+    def test_non_iterate_manifest_is_usage_error(self, capsys, tmp_path, edit, message):
+        # the basin manifest of a sweep, or an iterate manifest without a
+        # key the replay reads, ends in one line and exit 2, not a KeyError
+        if edit is None:
+            run(capsys, ["sweep", "--n", "3", "--tau0-range", "10:10:1", "--delta0-range",
+                         "0:0:1", "--steps", "2", "--order", "16", "--workers", "1",
+                         "-o", str(tmp_path / "orig")])
+        else:
+            run(capsys, ["iterate", "--n", "3", "--steps", "2", "--order", "16",
+                         "-o", str(tmp_path / "orig")])
+        path = tmp_path / "orig.manifest.json"
+        if edit is not None:
+            path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(SystemExit) as exc:
+            main(["iterate", "--manifest", str(path), "-o", str(tmp_path / "replay")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err and message in err
+        assert not (tmp_path / "replay.csv").exists()
+
     def test_escape_classification(self, capsys):
         code, out = run(
             capsys,
@@ -236,6 +267,19 @@ class TestSweep:
         assert lines[0] == "tau0,delta0_1,classification,step,final_tau,final_ratio"
         assert len(lines) == 5
         assert json.loads((tmp_path / "sw.manifest.json").read_text())["command"] == "sweep"
+
+    def test_n2_runs_each_tau0_once(self, capsys):
+        # delta has no entries at n = 2, so a --delta0-range count other
+        # than 1 would only repeat every cell; it is a usage error
+        code, out = run(capsys, ["sweep", "--n", "2", "--tau0-range", "5:50:3",
+                                 "--delta0-range", "0:0:1", "--steps", "5", "--workers", "1"])
+        assert code == 0
+        assert len(out.splitlines()) == 4
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--n", "2", "--tau0-range", "5:50:3", "--delta0-range", "0:0.1:20"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "--delta0-range count must be 1 at n=2" in err
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_exit_2(self, capsys, tmp_path, workers):

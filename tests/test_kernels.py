@@ -114,11 +114,14 @@ class TestRowBlocks:
         "n, order, delta, rows",
         [(6, 32, [2e-2, -1e-2, 5e-3, -3e-3], 2048), (4, 512, [3e-2, -1e-2], 812)],
     )
-    def test_bounded_working_set(self, n, order, delta, rows):
+    def test_bounded_working_set(self, monkeypatch, n, order, delta, rows):
         # temporaries scale with the block, not with rows x nodes: all rows
         # at once would peak at 11 MiB (n=6/32) and 64 MiB (n=4/512).  The
         # last-angle rule is set to `order` nodes explicitly, since
-        # indicator_moment_columns would hand the kernel only 32 at n = 4
+        # indicator_moment_columns would hand the kernel only 32 at n = 4.
+        # Fresh scratch, so the peak includes the buffers themselves and not
+        # only what a call adds to the ones earlier tests allocated
+        monkeypatch.setattr(_kernels, "_SCRATCH", _kernels._Scratch())
         args = _rows_inputs(n, order, delta)[:3] + sphere._gauss_legendre(order)
         assert args[0].shape[0] == rows
         tracemalloc.start()
@@ -128,6 +131,31 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize(
+        "n, order, delta, rows, nodes",
+        [(5, 64, [1e-2, -5e-3, 2e-3], 208, 40), (4, 64, [3e-2, -1e-2], 364, 32)],
+    )
+    def test_benchmark_shapes_are_one_block(self, monkeypatch, n, order, delta, rows, nodes):
+        # each block pays a fixed dispatch cost, so the kernel calls the
+        # benchmark makes, the n >= 5 table and an n = 4 prefix with an
+        # interior root, run as one block: one _piece call per quarter piece
+        calls = []
+        piece = _kernels._piece
+        kernel = _kernels.row_reductions
+
+        def piece_spy(out, piece_rows, *args):
+            calls.append(len(piece_rows))
+            return piece(out, piece_rows, *args)
+
+        def kernel_spy(a, b, ndim, glx, glw):
+            assert (len(a), len(glx)) == (rows, nodes)
+            return kernel(a, b, ndim, glx, glw)
+
+        monkeypatch.setattr(_kernels, "_piece", piece_spy)
+        monkeypatch.setattr(_kernels, "row_reductions", kernel_spy)
+        sphere.indicator_moment_columns(n, order, moments._coeff_vector(n, np.array(delta)))
+        assert calls == [rows, rows]
 
 
 _TABLE_ORDERS = [(5, 64), (5, 33), (5, 30), (6, 32), (6, 15), (7, 16), (7, 14), (8, 12)]
