@@ -11,6 +11,11 @@ b = coeffs[-1]; the kernel reads a row through nothing else.
 moments; for n >= 5 it runs the kernel on a graded table in `a` and
 interpolates the rows from it.
 
+At n = 4 the last two angles have an elementary integral, so there the
+kernel evaluates R(a; b) in closed form (`_closed_form_n4`: a few arctan,
+log and sqrt evaluations a row, no Gauss rule).  The rest of this docstring
+describes the quadrature that n = 3 and n >= 5 run.
+
 The last-angle integrand is even about every quarter of the period, so only
 theta in [0, pi/2] is integrated (times a symmetry factor).  On a quarter
 the boundary function is exactly q(t) = alpha + beta t^2 in t = sin(theta)
@@ -39,9 +44,9 @@ per-thread scratch buffers that every block and call reuses.  That bounds
 the working set of a call and keeps it mapped, so no call makes the
 allocator return memory to the OS and fault it in again.  Each block also
 pays a fixed numpy dispatch cost that does not shrink with it, so blocks
-are as large as a 2 MiB working set allows, and the graded table and most
-n = 4 prefixes run as one block.  The block size has no knob, and the
-results do not depend on how the rows are partitioned.
+are as large as a 2 MiB working set allows, and the graded table runs as
+one block.  The block size has no knob, and the results do not depend on
+how the rows are partitioned.
 """
 
 import math
@@ -133,8 +138,7 @@ def _node_factors(t2, t_weights, left_piece, ndim, take):
     s2^((ndim-3)/2) area factor; on the right piece s2 = 1 - t2, so the two
     combine into (1 - t2)^((ndim-4)/2).  Any shape: the plain branch passes
     its shared (1, G) nodes, the mapped branches (M, G).  The results go
-    into buffers from `take()`, except that on the right piece at ndim = 4
-    w is t_weights itself.
+    into buffers from `take()`.
     """
     base, base_s2, base_c2 = take(), take(), take()
     if left_piece:
@@ -146,10 +150,7 @@ def _node_factors(t2, t_weights, left_piece, ndim, take):
         np.multiply(base, one_m, out=base_c2)
     else:
         one_m = np.subtract(1.0, t2, out=base_s2)  # s2
-        if ndim == 4:
-            base = t_weights
-        else:
-            np.multiply(t_weights, np.power(one_m, (ndim - 4) / 2.0, out=base), out=base)
+        np.multiply(t_weights, np.power(one_m, (ndim - 4) / 2.0, out=base), out=base)
         np.multiply(base, one_m, out=base_s2)
         np.multiply(base, t2, out=base_c2)
     return base, base_s2, base_c2
@@ -271,12 +272,108 @@ def _piece(out, rows, alpha, beta, gx, glw, plain, left_piece, ndim):
 # fancy indexing, some 25 calls a branch), against 30-40 ns a (row, node),
 # so a call should be as few blocks as it can.  This is the largest power
 # of two whose _SCRATCH_BUFFERS buffers (1.66 MiB) stay under a 2 MiB
-# working set; it holds the n >= 5 table (208 rows x 40 nodes) and an n = 4
-# prefix of up to 512 rows at 32 nodes in one block.  The row count follows
+# working set; it holds the n >= 5 table (208 rows x 40 nodes) in one
+# block.  The row count follows
 # from the node count alone, and the result does not depend on it: each
 # row's arithmetic and its pairwise sum over the nodes are the same in any
 # block.
 _BLOCK_ELEMS = 16384
+
+
+# h(x) = sum_k (-x)^k / (2k + 1) near x = 0, where the closed form of h'
+# cancels: 28 terms leave under 1e-16 relative at |x| = 1/4, and beyond it
+# h' loses at most 3 eps / |x| = 12 eps to the cancellation.  Without the
+# series, R is 1.1e-5 off at b = a (1 + 1e-8), and worse closer to a = b.
+_SERIES_X = 0.25
+_SERIES_K = np.arange(28)
+_H_SERIES = (-1.0) ** _SERIES_K / (2 * _SERIES_K + 1)
+_DH_SERIES = (_SERIES_K * _H_SERIES)[1:]
+
+
+def _h_pair(x, xp1):
+    """(h(x), h'(x)): h(x) = arctan(sqrt x) / sqrt x, or artanh(sqrt -x) / sqrt -x for x < 0.
+
+    x > -1, and xp1 is 1 + x computed without cancellation, so that
+    artanh(s) = log1p(s) - log(1 - s^2) / 2 keeps its digits as x -> -1,
+    where h carries the a ln|a| singularity of R.  Away from x = 0,
+    h'(x) = (1 / (1 + x) - h(x)) / (2x); near it both come from the series.
+    """
+    s = np.sqrt(np.abs(x))
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 takes the series
+        h = np.where(x > 0.0, np.arctan(s), np.log1p(s) - 0.5 * np.log(xp1)) / s
+        dh = (1.0 / xp1 - h) / (2.0 * x)
+    near = np.abs(x) < _SERIES_X
+    if near.any():
+        x_near = x[near]
+        h[near] = np.polynomial.polynomial.polyval(x_near, _H_SERIES)
+        dh[near] = np.polynomial.polynomial.polyval(x_near, _DH_SERIES)
+    return h, dh
+
+
+def _closed_form_n4(a, b):
+    """`row_reductions` at n = 4, in closed form.
+
+    In Hopf coordinates x = (cos(alpha) z, sin(alpha) (cos(phi), sin(phi)))
+    of S^3, with z the prefix point on S^1 and u = sin^2(alpha), the area
+    element is du dz dphi / 2 and p = A (1 - u) + B(phi) u, with A = a and
+    B = b cos^2(phi) - sin^2(phi).  So R(a; b) is 1/2 the integral over
+    phi in [0, 2 pi) and u in [0, 1] of chi_{p>0} times 1, 1 - u and
+    u cos^2(phi), one weight per column.  The u-set is an interval ending
+    at u* = A / (A - B): [0, u*) when A > 0 > B, all of [0, 1] when
+    A > 0 <= B, (u*, 1] when A < 0 < B, and empty otherwise.
+
+    phi has four mirror images, and B >= 0 exactly for phi <= phi0 =
+    arctan(t0), t0 = sqrt(b).  With t = tan(phi), c = a - b and e = 1 + a,
+    u* dphi = a dt / (c + e t^2), so everything reduces to
+    P1 = int dt / (c + e t^2), P2 = int dt / (c + e t^2)^2 and
+    Q = int (1 + t^2) dt / (c + e t^2)^2.  With K = phi0/4 + t0/(4 (1+b)):
+
+      a > 0, t in [t0, inf):  R = 2 (phi0 + a P1, phi0/2 + a P1 - a^2 Q/2, K + a^2 P2/2)
+      a < 0, t in [0, t0]:    the same with the signs of the P1, Q, P2 terms flipped
+
+    Let h be as in `_h_pair`.  For a > 0, x = c / (e b) and
+    1 + x = a (1+b) / (e b): P1 = h(x) / (e t0), P2 = -h'(x) / (e^2 t0^3)
+    and Q = (P1 + (1+b) P2) / e; with b <= 0 (t0 = 0, possible only through
+    `sphere.integrate_indicator_quadratic`) the integrals over [0, inf) are
+    P1 = pi / (2 sqrt(c e)) and P2 = P1 / (2c).  For a < 0, y = e b / c and
+    1 + y = a (1+b) / c: P1 = (t0/c) h(y), P2 = t0 (h(y) + 1/(1+y)) / (2 c^2)
+    and Q = P2 - (t0 b / c^2) h'(y), which holds at e = 0 (a = -1) too.
+
+    Rows with |a| < SNAP_EPS are exact touches and get R(0) = 2 (phi0,
+    phi0/2, K) bit for bit: the exact a ln|a| response would amplify
+    rounding noise at delta = 0 and seed the unstable fixed point.
+    """
+    a = np.where(np.abs(a) < SNAP_EPS, 0.0, a)
+    t0 = math.sqrt(b) if b > 0.0 else 0.0
+    phi0 = math.atan(t0)
+    out = np.empty((a.shape[0], 3))
+    out[:] = (phi0, 0.5 * phi0, 0.25 * (phi0 + t0 / (1.0 + b)) if b > 0.0 else 0.0)
+    for sign, rows in ((1.0, a > 0.0), (-1.0, (a < 0.0) & (b > 0.0))):
+        if not rows.any():
+            continue
+        ar = a[rows]
+        e = 1.0 + ar
+        c = ar - b
+        if sign < 0.0:
+            yp1 = ar * (1.0 + b) / c
+            h, dh = _h_pair(e * b / c, yp1)
+            p1 = (t0 / c) * h
+            p2 = (0.5 * t0 / (c * c)) * (h + 1.0 / yp1)
+            q = p2 - (t0 * b / (c * c)) * dh
+        else:
+            if b > 0.0:
+                h, dh = _h_pair(c / (e * b), ar * (1.0 + b) / (e * b))
+                p1 = h / (e * t0)
+                p2 = -dh / (e * e * (t0 * b))
+            else:
+                p1 = (0.5 * math.pi) / np.sqrt(c * e)
+                p2 = p1 / (2.0 * c)
+            q = (p1 + (1.0 + b) * p2) / e
+        a_p1 = ar * p1
+        half_a2 = 0.5 * ar * ar
+        out[rows] += sign * np.stack([a_p1, a_p1 - half_a2 * q, half_a2 * p2], axis=1)
+    out *= 2.0
+    return out
 
 
 def row_reductions(a, b, ndim, glx, glw):
@@ -294,12 +391,15 @@ def row_reductions(a, b, ndim, glx, glw):
         Ambient dimension n (>= 3).  The last outer angle spans 2*pi at
         n = 3 and pi above, so its quarter [0, pi/2] counts 4 or 2 times.
     glx, glw : (G,) float arrays
-        Gauss-Legendre nodes and weights on [-1, 1].
+        Gauss-Legendre nodes and weights on [-1, 1] for the last outer
+        angle.  Unused at n = 4, where R is closed form (`_closed_form_n4`).
 
     Returns
     -------
     (M, 3) array with columns (chi, sin-moment, cos-moment) reductions.
     """
+    if ndim == 4:
+        return _closed_form_n4(a, b)
     m_rows = a.shape[0]
     out = np.zeros((m_rows, 3), dtype=np.float64)
     factor = 4.0 if ndim == 3 else 2.0
@@ -341,33 +441,36 @@ _TABLE_LEVELS = 12
 _TABLE_NODES = 8
 
 # The kernel's last-angle rule takes no more than K(n) Gauss-Legendre nodes
-# a quarter piece.  After the sin/sinh/cosh maps of `_piece` the integrand is
-# analytic, so the rule converges geometrically (Trefethen, Approximation
-# Theory and Approximation Practice, 2013) at a rate set by the dimension.
-# Norm-wise error of R against a 256-node rule over a = zsq @ coeffs[:-1]
-# log-spaced in +-[1.1e-11, 1/2] and b = coeffs[-1] in 1 +- sqrt(n-2)/2,
-# which covers every |delta| < 1/2:
+# a quarter piece (none at n = 4, which is closed form).  After the
+# sin/sinh/cosh maps of `_piece` the integrand is analytic, so the rule
+# converges geometrically (Trefethen, Approximation Theory and Approximation
+# Practice, 2013) at a rate set by the dimension.  Norm-wise error of R
+# against a 256-node rule over a = zsq @ coeffs[:-1] log-spaced in
+# +-[1.1e-11, 1/2] and b = coeffs[-1] in 1 +- sqrt(n-2)/2, which covers
+# every |delta| < 1/2:
 #   n = 3:     1.3e-12 at 40 nodes, 7.5e-15 at 48
-#   n = 4:     1.1e-10 at 24, 2.7e-12 at 28, 9.5e-14 at 32, 4.5e-16 at 40
 #   n = 5..8:  2.1e-11 to 9.6e-13 at 32, 8.7e-14 to 7.2e-16 at 40
 # and 4e-16 to 1.5e-15 from 48 to 72 nodes.  K(n) was chosen where this
 # error stopped falling with the scipy rules of 0.6.0 and earlier, near
 # 6e-14: that floor was the 256-node reference's own weight error, which
 # the numpy rules (`sphere._gauss_jacobi`) do not have.  Outside that range
-# a layer of width sqrt(b/|a|) can need more: the moments of a general n = 4
-# quadratic with b = 1e-9 are 2.9e-11 off on 32 nodes and 4.2e-16 on 64, so
+# a layer of width sqrt(b/|a|) can need more: the moments of a general n = 5
+# quadratic with b = 1e-9 are 4.0e-14 off on 40 nodes and 4.8e-16 on 64, so
 # such coefficients keep `order` nodes.
-_LAST_ANGLE_NODES = {3: 48, 4: 32}
+_LAST_ANGLE_NODES = {3: 48}
 _LAST_ANGLE_NODES_HIGH = 40  # n >= 5
 
 
 def last_angle_nodes(ndim, order, coeffs):
-    """Node count of the kernel's last-angle rule: min(order, K(ndim)).
+    """Node count of the kernel's last-angle rule: min(order, K(ndim)), or 0 at n = 4.
 
-    K(ndim) applies where it was measured: |coeffs[:-1]| <= 1/2 and
+    At n = 4 the kernel is closed form and takes an empty rule.  K(ndim)
+    applies where it was measured: |coeffs[:-1]| <= 1/2 and
     |coeffs[-1] - 1| <= sqrt(ndim-2)/2, which every normal form with
     |delta| < 1/2 meets.  Other coefficient vectors keep `order` nodes.
     """
+    if ndim == 4:
+        return 0
     *a_coeffs, b_coeff = coeffs.tolist()  # Python floats: cheaper than numpy on 2-7 entries
     if max(map(abs, a_coeffs)) > 0.5 or abs(b_coeff - 1.0) > 0.5 * math.sqrt(ndim - 2):
         return order

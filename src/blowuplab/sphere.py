@@ -6,7 +6,7 @@ t = cos(psi_j) with the sin^j Jacobian absorbed into the weight function,
 which makes the surface measure exact at every order.  Indicators of
 quadratics are never sampled: the innermost angle is resolved in closed
 form and the last outer angle is integrated on panels split at the exact
-sign-change roots (see `_kernels`).
+sign-change roots, or at n = 4 in closed form too (see `_kernels`).
 """
 
 import math
@@ -425,11 +425,12 @@ def indicator_moment_columns(n, order, coeffs):
 
     `coeffs` are the diagonal coefficients of p on axes 1..n-1 once the
     axis-n coefficient is normalized to -1.  The last two angles are
-    resolved by the kernel: the innermost in closed form, the last outer
-    one with min(order, K(n)) Gauss-Legendre nodes, where K = 48, 32, 40 at
-    n = 3, 4, >= 5 keeps that rule within 1e-13 of a 256-node one for
-    |delta| < 1/2 (`_kernels.last_angle_nodes`; other coefficient vectors
-    get `order` nodes).  So above K(n), raising `order` refines only the
+    resolved by the kernel: both in closed form at n = 4; elsewhere the
+    innermost in closed form and the last outer one with min(order, K(n))
+    Gauss-Legendre nodes, where K = 48, 40 at n = 3, >= 5 keeps that rule
+    within 1e-13 of a 256-node one for |delta| < 1/2
+    (`_kernels.last_angle_nodes`; other coefficient vectors get `order`
+    nodes).  So at n = 4, and above K(n), raising `order` refines only the
     prefix.  The prefix sphere S^{n-3} is one point for n = 3, the graded
     circle rule for n = 4 (the kernel runs on each of its rows) and the
     folded order-`order` product rule for n >= 5 (the kernel runs once on a
@@ -446,6 +447,7 @@ def _moment_columns(n, order, coeffs, refine):
     2 * order and the kernel on twice the min(order, K(n)) nodes of the
     first pass.  Doubling `order` alone would leave the kernel at K(n)
     nodes, so above K(n) the two passes would share their kernel error.
+    At n = 4 the kernel takes no nodes, and only the prefix refines.
     """
     if order < 2:
         raise DomainError("order must be >= 2")
@@ -486,8 +488,9 @@ def integrate_indicator_quadratic(rule, p, weight_axis=None, check_rtol=None):
 
     With `check_rtol` set, the value is recomputed with the prefix at twice
     the order and the kernel's last-angle rule on twice its nodes (see
-    `indicator_moment_columns`), and a QuadratureConvergenceWarning is
-    raised if the two disagree.  The refined value is returned.
+    `indicator_moment_columns`; at n = 4 the kernel is closed form, so only
+    the prefix), and a QuadratureConvergenceWarning is raised if the two
+    disagree.  The refined value is returned.
     """
     n = rule.n
     if p.n != n:

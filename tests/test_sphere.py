@@ -214,8 +214,11 @@ class TestIndicatorQuadratic:
         assert abs(v1 - v2) < 1e-5 * abs(v2)
 
     def test_general_quadratic_keeps_order(self):
-        # a = 0.9 and b = 1e-9 lie outside the range where the kernel's
-        # last-angle rule was measured: its 32 nodes would be 2.9e-11 off
+        # a = 0.9 and b = 1e-9 lie outside the range where the last-angle
+        # rules of n = 3, >= 5 were measured, so those keep `order` nodes;
+        # at n = 4 the kernel is closed form and only the prefix refines
+        # (TestClosedFormN4 in test_kernels checks this quadratic against
+        # scipy quad)
         p = HarmonicQuadratic(4, np.diag([0.9, 0.1 - 1e-9, 1e-9, -1.0]))
         axes = [None, 0, 1, 2, 3]
         got = [sphere.integrate_indicator_quadratic(sphere.build_rule(4, 64), p, ax) for ax in axes]
