@@ -64,6 +64,7 @@ def _coeff_vector(n, delta):
 
 @lru_cache(maxsize=64)
 def _zero_columns(n, order):
+    """The delta = 0 columns; `order` is only part of the cache key."""
     cols = indicator_moment_columns(n, order, _coeff_vector(n, np.zeros(n - 2)))
     cols.setflags(write=False)  # cached and shared
     return cols
@@ -87,9 +88,12 @@ def analytic_baseline(n):
 def compute_moments(delta, n, order=DEFAULT_ORDER):
     """Moment set at delta, with increments against the delta = 0 baseline.
 
-    The baseline uses the analytic B_i(0) for i <= n-2 and the same-order
-    quadrature values for i in {n-1, n}; C is stored as sum(C_i), which the
-    baseline mix preserves to ~1e-12.
+    B and B_i are one Gil-Pelaez integral (`sphere.indicator_moment_columns`)
+    in every dimension; `order` is validated (>= 2), recorded in the set
+    and otherwise selects nothing.  The baseline uses the analytic B_i(0)
+    for i <= n-2 and the same integral's values at delta = 0 for
+    i in {n-1, n}; C is stored as sum(C_i), which the baseline mix
+    preserves to ~1e-12.
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=np.float64))
     if delta.shape != (n - 2,):

@@ -4,14 +4,13 @@ Product rules in the polar angles (phi, psi_1, ..., psi_{n-2}): uniform
 midpoint nodes in phi (exact periodicity) and Gauss-Jacobi nodes in
 t = cos(psi_j) with the sin^j Jacobian absorbed into the weight function,
 which makes the surface measure exact at every order.  Indicators of
-quadratics are never sampled: the innermost angle is resolved in closed
-form and the last outer angle is integrated on panels split at the exact
-sign-change roots, or at n = 4 in closed form too (see `_kernels`).
+quadratics are never sampled or put on a product rule: their moments are
+one 1-D Gil-Pelaez integral in any dimension (see `_kernels`).
 """
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -233,264 +232,50 @@ def mc_integrate(n, f, samples, seed):
     return estimates if vals.ndim == 2 else estimates[0]
 
 
-@lru_cache(maxsize=16)
-def _gauss_legendre(order):
-    x, w = _gauss_jacobi(order, 0.0)
-    return _frozen(x), _frozen(w)
-
-
-def _fold_axis(nodes, weights, images):
-    """Keep one node per orbit of the index maps `images`, with the orbit's weight.
-
-    `images` must list every non-identity element of the group, so that the
-    orbit of index k is {k} plus images[.][k]; its lowest index is kept.
-    Each distinct orbit member adds its weight once.
-    """
-    k = np.arange(len(nodes))
-    rep = np.minimum.reduce([k, *images])
-    folded = np.zeros(len(nodes))
-    np.add.at(folded, rep, weights)
-    keep = np.flatnonzero(rep == k)
-    return nodes[keep], folded[keep]
-
-
-@lru_cache(maxsize=64)
-def _prefix_rule(n, order):
-    """Squared coordinates and weights of the folded product rule on S^{n-3}.
-
-    These are the outer nodes left after the last two angles of S^{n-1} are
-    handled by panels and the closed-form indicator resolution.  The kernel
-    sees them only through their squared coordinates, and those depend on
-    each angle only through its cos^2.  So each axis of `build_rule(n-2,
-    order)` keeps one node per mirror orbit and carries the orbit's summed
-    weight; orbits are formed by node index, never by comparing values:
-
-    - Gauss-Jacobi psi axes: node k pairs with node N-1-k (t -> -t); with
-      odd N the middle node is its own orbit.
-    - phi axis, even N: phi -> phi + pi and phi -> pi - phi, which leaves
-      the nodes in (0, pi/2].
-    - phi axis, odd N: phi -> 2 pi - phi only, the one reflection that maps
-      the midpoint nodes onto each other.
-
-    So phi keeps (N+2)//4 nodes for even N and (N+1)//2 for odd N, and each
-    of the n-4 psi axes keeps (N+1)//2: about (N/2)^(n-3)/2 rows instead of
-    N^(n-3).  The kernel does not run on these rows: it runs on at most 209
-    table rows in a = zsq @ coeffs[:-1], which the rows are interpolated
-    from (see `_kernels.indicator_moment_block`).
-    The cost limit is still checked against the unfolded product, so an
-    (n, order) that exceeds MAX_PRODUCT_NODES raises DomainError as before.
-    """
-    if n == 3:
-        return _frozen(np.ones((1, 1))), _frozen(np.ones(1))
-    rule = build_rule(n - 2, order)
-    k = np.arange(order)
-    if order % 2:
-        phi_images = [order - 1 - k]
-    else:
-        half = order // 2
-        phi_images = [(k + half) % order, (half - 1 - k) % order, order - 1 - k]
-    phi, phi_w = _fold_axis(rule.phi_nodes, rule.phi_weights, phi_images)
-    psi = [_fold_axis(x, w, [order - 1 - k]) for x, w in zip(rule.psi_nodes, rule.psi_weights)]
-    # `order` is kept, so nodes() and weights() still check the unfolded size
-    folded = replace(
-        rule,
-        phi_nodes=phi,
-        phi_weights=phi_w,
-        psi_nodes=tuple(x for x, _ in psi),
-        psi_weights=tuple(w for _, w in psi),
-    )
-    pts = folded.cartesian()
-    return _frozen(pts * pts), _frozen(folded.weights())
-
-
-_HALF_T = math.sqrt(0.5)
-
-# Every graded panel of the n = 4 prefix is an image of one unit rule on
-# s in [0, 1], built once (`_unit_graded_rule`): panel k < _GRADE_LEVELS is
-# [2^-(k+1), 2^-k] and the last panel is [0, 2^-_GRADE_LEVELS], each with
-# _GRADE_NODES Gauss-Legendre nodes, (_GRADE_LEVELS + 1) * _GRADE_NODES =
-# 150 nodes in all.  Geometric grading with a fixed rule per panel converges like
-# (3 + 2 sqrt 2)^(-2 N) per panel (Schwab, p- and hp-FEM, 1998), about
-# 5e-16 at N = 10.  Against a 34-level x 24-node, order-128 reference on
-# 159 deltas, 14 x 10 leaves the worst n = 4 error where 20 x 16 had it
-# (9.1e-14 at order 64), while 12 x 10 and 14 x 8 reach 2.6e-13 and 2.9e-13.
-_GRADE_LEVELS = 14
-_GRADE_NODES = 10
+# Read only by perfbench/layertrace.py, which wraps both names and reads their
+# cache_info(); nothing calls them.
+@lru_cache(maxsize=1)
+def _prefix_rule():
+    """Placeholder for the n >= 5 prefix rule that the Gil-Pelaez integral replaced."""
 
 
 @lru_cache(maxsize=1)
-def _unit_graded_rule():
-    """(nodes, weights) of the unit graded rule, read-only because cached.
-
-    Built on first use rather than at import, which an import that never
-    reaches n = 4 need not pay.
-    """
-    x, w = _gauss_legendre(_GRADE_NODES)
-    hi = np.ldexp(1.0, -np.arange(_GRADE_LEVELS + 1))
-    lo = np.append(0.5 * hi[:-1], 0.0)
-    s = lo[:, None] + (hi - lo)[:, None] * (0.5 * (x + 1.0))
-    return _frozen(s.ravel()), _frozen((0.5 * (hi - lo)[:, None] * w).ravel())
-
-
-def _piece_nodes_1d(alpha, beta, order):
-    """Nodes/weights in t on [0, sin(pi/4)] adapted to A(t) = alpha + beta t^2.
-
-    The downstream integrand is analytic in A away from A = 0 with an
-    A*log|A| singularity there, so layers get a sinh map and near-roots
-    beyond the end a sin map, both with `order` Gauss-Legendre nodes, and
-    an interior root or touch gets the unit graded rule
-    (`_unit_graded_rule`) scaled onto each side of it: 150 nodes a side,
-    whatever `order` is.
-    """
-    T = _HALF_T
-    glx, glw = _gauss_legendre(order)
-    gx = 0.5 * (glx + 1.0)
-
-    def plain(lo, hi):
-        return lo + (hi - lo) * gx, 0.5 * (hi - lo) * glw
-
-    def graded(target, far):
-        """Dyadic panels from `far` accumulating at `target` (either side)."""
-        s, w = _unit_graded_rule()
-        return target + (far - target) * s, abs(far - target) * w
-
-    if abs(alpha) < _kernels.SNAP_EPS:
-        alpha = 0.0
-    q_end = alpha + beta * T * T
-    if abs(beta) < 1e-300:
-        return plain(0.0, T)
-    if alpha == 0.0:
-        return graded(0.0, T)
-    if q_end == 0.0 or alpha * q_end < 0.0:
-        t_r = math.sqrt(-alpha / beta) if alpha * beta < 0 else T
-        if t_r >= T:
-            return plain(0.0, T) if 4.0 * abs(q_end) >= abs(alpha) else _sin_map(alpha, beta, order)
-        tl, wl = graded(t_r, 0.0)
-        tr, wr = graded(t_r, T)
-        return np.concatenate([tl, tr]), np.concatenate([wl, wr])
-    if alpha * beta > 0.0:
-        if 4.0 * abs(alpha) >= abs(q_end):
-            return plain(0.0, T)
-        ell = math.sqrt(alpha / beta)
-        v_max = math.asinh(T / ell)
-        v = v_max * gx
-        return ell * np.sinh(v), 0.5 * v_max * glw * ell * np.cosh(v)
-    # alpha*beta < 0 with no root inside (|q_end| shrinking toward the end)
-    if 4.0 * abs(q_end) >= abs(alpha):
-        return plain(0.0, T)
-    return _sin_map(alpha, beta, order)
-
-
-def _sin_map(alpha, beta, order):
-    """t = t_r sin(w) map toward a root at or beyond the piece end."""
-    glx, glw = _gauss_legendre(order)
-    gx = 0.5 * (glx + 1.0)
-    t_r = math.sqrt(-alpha / beta)
-    w_max = math.asin(min(_HALF_T / t_r, 1.0))
-    w = w_max * gx
-    return t_r * np.sin(w), 0.5 * w_max * glw * t_r * np.cos(w)
-
-
-@lru_cache(maxsize=512)
-def _adaptive_circle_prefix(c1, c2, order):
-    """Quadrant circle rule for the n=4 prefix, adapted to A(phi) = c1 cos^2 + c2 sin^2.
-
-    The indicator reduction has A*log|A| transverse singularities across
-    {A = 0}, so each piece of the angle (t = sin phi, t = cos phi) gets
-    `_piece_nodes_1d`'s rule for its A: `order` plain nodes, or 150 graded
-    nodes on each side of a root or touch (214 rows at order 64 for a
-    touch, 364 for an interior root).  The n=4 moments stay within 1e-13
-    (norm-wise) of a 34-level x 24-node, order-128 reference at orders
-    >= 48, and at order 32 unless a delta component sits between the 1e-11
-    touch and about 1e-7.  Returns (squared coordinates, weights) with the
-    4-fold quadrant symmetry folded into the weights, both read-only
-    because they are cached.
-    """
-    pieces = []
-    # left piece: t = sin(phi), A = c1 + (c2 - c1) t^2
-    t, wt = _piece_nodes_1d(c1, c2 - c1, order)
-    zsq = np.stack([1.0 - t * t, t * t], axis=1)
-    pieces.append((zsq, wt / np.sqrt(1.0 - t * t)))
-    # right piece: t = cos(phi), A = c2 + (c1 - c2) t^2
-    t, wt = _piece_nodes_1d(c2, c1 - c2, order)
-    zsq = np.stack([t * t, 1.0 - t * t], axis=1)
-    pieces.append((zsq, wt / np.sqrt(1.0 - t * t)))
-    zsq = np.concatenate([p[0] for p in pieces], axis=0)
-    w = 4.0 * np.concatenate([p[1] for p in pieces])
-    return _frozen(zsq), _frozen(w)
+def _adaptive_circle_prefix():
+    """Placeholder for the n = 4 prefix rule that the Gil-Pelaez integral replaced."""
 
 
 def indicator_moment_columns(n, order, coeffs):
-    """Vector of integrals of chi_{p>0} * {1, x_1^2, .., x_n^2}.
+    """Vector of integrals of chi_{p>0} * {1, x_1^2, .., x_n^2} over S^{n-1}.
 
     `coeffs` are the diagonal coefficients of p on axes 1..n-1 once the
-    axis-n coefficient is normalized to -1.  The last two angles are
-    resolved by the kernel: both in closed form at n = 4; elsewhere the
-    innermost in closed form and the last outer one with min(order, K(n))
-    Gauss-Legendre nodes, where K = 48, 40 at n = 3, >= 5 keeps that rule
-    within 1e-13 of a 256-node one for |delta| < 1/2
-    (`_kernels.last_angle_nodes`; other coefficient vectors get `order`
-    nodes).  So at n = 4, and above K(n), raising `order` refines only the
-    prefix.  The prefix sphere S^{n-3} is one point for n = 3, the graded
-    circle rule for n = 4 (the kernel runs on each of its rows) and the
-    folded order-`order` product rule for n >= 5 (the kernel runs once on a
-    graded table in the scalar it reads from a row, at most 209 rows).
-    Raises DomainError for order < 2, at every n.
+    axis-n coefficient is normalized to -1.  Every n >= 2 takes the one
+    Gil-Pelaez integral of `_kernels.indicator_moment_block` at its fixed
+    step; coefficients under 1e-11 in magnitude are exact touches.  `order`
+    selects nothing, but order < 2 still raises DomainError, and so does a
+    `coeffs` whose length is not n - 1.
     """
-    return _moment_columns(n, order, coeffs, refine=False)
-
-
-def _moment_columns(n, order, coeffs, refine):
-    """`indicator_moment_columns`, or with `refine` its refinement pass.
-
-    The refinement pass doubles both resolutions: the prefix runs at
-    2 * order and the kernel on twice the min(order, K(n)) nodes of the
-    first pass.  Doubling `order` alone would leave the kernel at K(n)
-    nodes, so above K(n) the two passes would share their kernel error.
-    At n = 4 the kernel takes no nodes, and only the prefix refines.
-    """
+    if n < 2:
+        raise DomainError("n must be >= 2")
     if order < 2:
         raise DomainError("order must be >= 2")
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if n == 2:
-        return _closed_form_columns_2d(coeffs[0])
-    nodes = _kernels.last_angle_nodes(n, order, coeffs)
-    if refine:
-        order, nodes = 2 * order, 2 * nodes
-    if n == 4:
-        zsq, wts = _adaptive_circle_prefix(float(coeffs[0]), float(coeffs[1]), order)
-    else:
-        zsq, wts = _prefix_rule(n, order)
-    glx, glw = _gauss_legendre(nodes)
-    return _kernels.indicator_moment_block(zsq, wts, coeffs, n, glx, glw)
-
-
-def _closed_form_columns_2d(c1):
-    """n = 2: the outer sphere is two atoms; everything is closed form."""
-    if c1 <= 0.0:
-        return np.zeros(3)
-    st = 1.0 / math.sqrt(1.0 + c1)
-    ct = math.sqrt(c1) * st
-    psi = math.asin(st)
-    j0 = math.pi - 2.0 * psi
-    j2 = ct * st + 0.5 * j0
-    return 2.0 * np.array([j0, j2, j0 - j2])
+    if coeffs.shape != (n - 1,):
+        raise DomainError(f"coeffs must have length n-1 = {n - 1}, got shape {coeffs.shape}")
+    return _kernels.indicator_moment_block(coeffs, _kernels.STEP)
 
 
 def integrate_indicator_quadratic(rule, p, weight_axis=None, check_rtol=None):
     """Integral of chi_{p>0} times an optional x_i^2 weight over S^{n-1}.
 
-    The quadratic must be diagonal in the rule's coordinates.  The most
-    negative diagonal entry is moved to the last axis (the indicator and
-    the weight are permuted consistently), the innermost angle is resolved
-    in closed form, and the remaining angles use the product rule with the
-    last one split into panels at the exact boundary roots.
+    The quadratic must be diagonal in the rule's coordinates; only the
+    rule's dimension is read.  The most negative diagonal entry is moved to
+    the last axis (the indicator and the weight are permuted consistently)
+    and the columns of `indicator_moment_columns` are evaluated.
 
-    With `check_rtol` set, the value is recomputed with the prefix at twice
-    the order and the kernel's last-angle rule on twice its nodes (see
-    `indicator_moment_columns`; at n = 4 the kernel is closed form, so only
-    the prefix), and a QuadratureConvergenceWarning is raised if the two
-    disagree.  The refined value is returned.
+    With `check_rtol` set, the value is recomputed at half the trapezoid
+    step of `_kernels.indicator_moment_block`, and a
+    QuadratureConvergenceWarning is raised if the two disagree.  The
+    refined value is returned.
     """
     n = rule.n
     if p.n != n:
@@ -517,7 +302,7 @@ def integrate_indicator_quadratic(rule, p, weight_axis=None, check_rtol=None):
 
     value = float(indicator_moment_columns(n, rule.order, coeffs)[col])
     if check_rtol is not None:
-        value2 = float(_moment_columns(n, rule.order, coeffs, refine=True)[col])
+        value2 = float(_kernels.indicator_moment_block(coeffs, 0.5 * _kernels.STEP)[col])
         if abs(value2 - value) > check_rtol * (abs(value2) + 1e-300):
             warnings.warn(
                 f"indicator quadrature changed by {abs(value2 - value):.3e} "

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blowuplab import __version__, _kernels
+from blowuplab import __version__, _kernels, moments
 from blowuplab.cli import main
 
 
@@ -393,6 +394,17 @@ def test_usage_error_names_the_problem(capsys, argv, message):
     assert err.count("error:") == 1 and message in err
 
 
+def _off_by_1e_6(monkeypatch):
+    """Make every moment set's B 1e-6 off, which A2 (tol 1e-8) must report."""
+    compute = moments.compute_moments
+
+    def off(*args, **kwargs):
+        m = compute(*args, **kwargs)
+        return dataclasses.replace(m, B=m.B * (1.0 + 1e-6))
+
+    monkeypatch.setattr(moments, "compute_moments", off)
+
+
 class TestVerify:
     def test_filter_runs_subset(self, capsys):
         code, out = run(capsys, ["verify", "--filter", "fixed point"])
@@ -404,8 +416,9 @@ class TestVerify:
         code, out = run(capsys, ["verify", "--filter", "fourier2d"])
         assert "A3" in out and "A7" not in out
 
-    def test_induced_failure_names_criterion(self, capsys):
-        code, out = run(capsys, ["verify", "--filter", "zero-delta", "--order", "2"])
+    def test_induced_failure_names_criterion(self, capsys, monkeypatch):
+        _off_by_1e_6(monkeypatch)
+        code, out = run(capsys, ["verify", "--filter", "zero-delta"])
         assert code == 1
         assert "FAIL A2" in out
 
@@ -427,10 +440,9 @@ class TestVerify:
         assert entry["passed"] is True
         assert entry["detail"] and entry["seconds"] >= 0.0
 
-    def test_json_keeps_failure_exit_code(self, capsys):
-        code, out = run(
-            capsys, ["verify", "--filter", "zero-delta", "--order", "2", "--json"]
-        )
+    def test_json_keeps_failure_exit_code(self, capsys, monkeypatch):
+        _off_by_1e_6(monkeypatch)
+        code, out = run(capsys, ["verify", "--filter", "zero-delta", "--json"])
         assert code == 1
         (entry,) = json.loads(out)
         assert entry["name"].startswith("A2") and entry["passed"] is False

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from blowuplab import moments, renorm, sphere
+from blowuplab import moments, renorm
 from blowuplab.errors import DegeneracyError, DomainError, EscapeError, EvaluationError
 from blowuplab.quadratic import DeltaState
 
@@ -245,10 +245,10 @@ class TestSweep:
         assert serial == parallel
 
     def test_pool_forks_from_warm_caches(self):
-        # the parent fills the rules and zero-delta columns a cell needs
-        # before the pool opens, and the rows do not depend on it
+        # the parent fills the zero-delta columns a cell needs before the
+        # pool opens, and the rows do not depend on it
         cfg = cfg4(order=32)
-        caches = [sphere._gauss_legendre, sphere._adaptive_circle_prefix, moments._zero_columns]
+        caches = [moments._zero_columns]
         for c in caches:
             c.cache_clear()
         taus = [10.0, 20.0]

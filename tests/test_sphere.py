@@ -206,19 +206,17 @@ class TestIndicatorQuadratic:
         assert abs(v1 - v2) < 1e-12 * abs(v2)
 
     def test_refinement_envelope_n5_mixed(self):
-        # documented limitation: the n>=5 prefix sphere keeps the plain
-        # product rule, so sign-changing delta converges at ~1e-6, not 1e-8
+        # `order` selects nothing since 0.9.0; the bound is the ~1e-6
+        # envelope of the n >= 5 product rule of earlier versions
         p = make_p_delta(5, np.array([1e-2, -5e-3, 2e-3]))
         v1 = sphere.integrate_indicator_quadratic(sphere.build_rule(5, 64), p)
         v2 = sphere.integrate_indicator_quadratic(sphere.build_rule(5, 128), p)
         assert abs(v1 - v2) < 1e-5 * abs(v2)
 
     def test_general_quadratic_keeps_order(self):
-        # a = 0.9 and b = 1e-9 lie outside the range where the last-angle
-        # rules of n = 3, >= 5 were measured, so those keep `order` nodes;
-        # at n = 4 the kernel is closed form and only the prefix refines
-        # (TestClosedFormN4 in test_kernels checks this quadratic against
-        # scipy quad)
+        # a general quadratic is accepted at any order, which selects
+        # nothing (TestClosedFormN4 in test_kernels checks this quadratic
+        # against scipy quad)
         p = HarmonicQuadratic(4, np.diag([0.9, 0.1 - 1e-9, 1e-9, -1.0]))
         axes = [None, 0, 1, 2, 3]
         got = [sphere.integrate_indicator_quadratic(sphere.build_rule(4, 64), p, ax) for ax in axes]
@@ -246,41 +244,31 @@ class TestIndicatorQuadratic:
         v_q = sphere.integrate_indicator_quadratic(rule, q, weight_axis=2)
         assert v_p == pytest.approx(v_q, rel=1e-13)
 
-    def test_convergence_warning(self):
-        # the n=5 mixed-delta case cannot meet 1e-12, so the check fires
+    def test_convergence_warning(self, monkeypatch):
+        # at a step of 1 the trapezoid rule is ~1e-5 off, so the check pass
+        # at half of it cannot confirm 1e-12
         p = make_p_delta(5, np.array([1e-2, -5e-3, 2e-3]))
         rule = sphere.build_rule(5, 32)
+        monkeypatch.setattr(_kernels, "STEP", 1.0)
         with pytest.warns(QuadratureConvergenceWarning):
             sphere.integrate_indicator_quadratic(rule, p, check_rtol=1e-12)
 
-
-    def test_check_pass_doubles_kernel_nodes(self, monkeypatch):
-        # at n = 3 / order 64 the first pass runs K(3) = 48 kernel nodes;
-        # doubling the order alone would run 48 again
+    def test_check_pass_halves_the_step(self, monkeypatch):
+        # the check pass re-evaluates at half the kernel's step; at the
+        # default step the two agree to 1e-12 and nothing warns
         seen = []
         block = _kernels.indicator_moment_block
 
-        def spy(zsq, weights, coeffs, ndim, glx, glw):
-            seen.append(len(glx))
-            return block(zsq, weights, coeffs, ndim, glx, glw)
+        def spy(coeffs, step):
+            seen.append(step)
+            return block(coeffs, step)
 
         monkeypatch.setattr(_kernels, "indicator_moment_block", spy)
-        p = make_p_delta(3, np.array([1e-8]))
-        sphere.integrate_indicator_quadratic(sphere.build_rule(3, 64), p, check_rtol=1e-12)
-        assert seen == [48, 96]
-
-    def test_check_sees_kernel_resolution(self):
-        # n = 3 has a one-point prefix, so only the kernel can change: just
-        # above the 1e-11 snap, 48 and 96 nodes agree to 1e-12 but not to
-        # 1e-15 (a 3e-15 gap), which a check pass that repeated the 48-node
-        # computation could never report
-        p = make_p_delta(3, np.array([3e-11]))
-        rule = sphere.build_rule(3, 64)
+        p = make_p_delta(5, np.array([1e-2, -5e-3, 2e-3]))
         with warnings.catch_warnings():
             warnings.simplefilter("error", QuadratureConvergenceWarning)
-            sphere.integrate_indicator_quadratic(rule, p, check_rtol=1e-12)
-        with pytest.warns(QuadratureConvergenceWarning):
-            sphere.integrate_indicator_quadratic(rule, p, check_rtol=1e-15)
+            sphere.integrate_indicator_quadratic(sphere.build_rule(5, 32), p, check_rtol=1e-12)
+        assert seen == [_kernels.STEP, 0.5 * _kernels.STEP]
 
 
 class TestMonteCarlo:
@@ -338,55 +326,11 @@ class TestMonteCarlo:
             sphere.mc_integrate(3, f, 2000, 0)
 
 
-def _unfolded_prefix(n, order):
-    """Full product rule on S^{n-3}: squared coordinates and weights."""
-    rule = sphere.build_rule(n - 2, order)
-    pts = rule.cartesian()
-    return pts * pts, rule.weights()
-
-
-class TestPrefixFold:
-    # orders are even, odd and even but not a multiple of 4
-    CASES = [
-        (5, 64), (5, 33), (5, 30), (5, 21), (5, 15),
-        (6, 32), (6, 33), (6, 30), (6, 21), (6, 15),
-        (7, 16), (7, 15), (7, 14),
-    ]
-
-    @pytest.mark.parametrize("n,order", CASES)
-    def test_block_matches_unfolded_rule(self, n, order):
-        glx, glw = sphere._gauss_legendre(order)
-        folded = sphere._prefix_rule(n, order)
-        full = _unfolded_prefix(n, order)
-        mixed = np.array([1e-2, -5e-3, 2e-3, -1e-3, 3e-3][: n - 2])
-        for delta in (np.zeros(n - 2), mixed):
-            coeffs = np.concatenate([delta, [1.0 - delta.sum()]])
-            a = _kernels.indicator_moment_block(*folded, coeffs, n, glx, glw)
-            b = _kernels.indicator_moment_block(*full, coeffs, n, glx, glw)
-            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
-
-    @pytest.mark.parametrize("n,order", CASES)
-    def test_weights_and_row_count(self, n, order):
-        zsq, w = sphere._prefix_rule(n, order)
-        assert w.sum() == pytest.approx(sphere.surface_area(n - 2), rel=1e-13)
-        phi_rows = (order + 1) // 2 if order % 2 else (order + 2) // 4
-        psi_rows = (order + 1) // 2
-        assert zsq.shape == (phi_rows * psi_rows ** (n - 4), n - 2)
-        assert w.shape == (zsq.shape[0],)
-        assert np.abs(zsq.sum(axis=1) - 1.0).max() < 1e-14
-
-    def test_cost_limit_unchanged(self):
-        # 30^5 nodes on S^5 exceed MAX_PRODUCT_NODES before folding
-        with pytest.raises(DomainError):
-            sphere._prefix_rule(8, 30)
-
-
-# indicator_moment_columns(4, 128, _coeff_vector(4, delta)) with the unit
-# graded rule rebuilt at 34 levels x 24 Gauss-Legendre nodes (sphere's
-# _GRADE_LEVELS and _GRADE_NODES set to those, the caches of
-# _unit_graded_rule and _adaptive_circle_prefix cleared), printed with repr.
-# The per-call grading loop of 0.2.0, run at 34 x 24 and order 128, agrees
-# with these to 5e-15.
+# indicator_moment_columns(4, 128, _coeff_vector(4, delta)) as 0.2.0-0.8.0
+# computed it, with the graded prefix rule of the circle rebuilt at 34
+# levels x 24 Gauss-Legendre nodes, printed with repr.  The per-call grading
+# loop of 0.2.0, run at 34 x 24 and order 128, agrees with these to 5e-15.
+# The orders are kept as test ids; since 0.9.0 they select nothing.
 _DEEP_N4 = [
     ((0.05, 0.0), [10.361950059935648, 2.83716915664034, 2.590487514983916, 4.0339649452974236, 0.9003284430139615]),
     ((1e-05, 0.0), [9.869968587703758, 2.4676742402330736, 2.4674921469256748, 4.038197426414113, 0.896604774130898]),
@@ -398,22 +342,11 @@ _DEEP_N4 = [
     ((-0.1436, -4.9e-06), [8.978060141087061, 1.7930888323472212, 2.2444856723268023, 4.023391015361117, 0.9170946210519197]),
 ]
 
-# A delta component just above the kernel's 1e-11 snap puts a near-touch
-# layer on its piece, which the sinh map resolves with `order` nodes, not
-# with the graded rule: 1.6e-11 off at order 32, 1.3e-13 at 40.
-_LAYER_XFAIL = pytest.mark.xfail(
-    strict=True, reason="near-touch layer needs order >= 48 for 1e-13"
-)
-
-
 class TestGradedPrefix:
     @pytest.mark.parametrize(
         "delta, order, want",
         [
-            pytest.param(
-                d, order, want, id=f"{d[0]:g},{d[1]:g}-{order}",
-                marks=_LAYER_XFAIL if (d, order) == ((0.05, 1e-10), 32) else (),
-            )
+            pytest.param(d, order, want, id=f"{d[0]:g},{d[1]:g}-{order}")
             for d, want in _DEEP_N4
             for order in (32, 48, 64, 128)
         ],
@@ -424,34 +357,12 @@ class TestGradedPrefix:
         want = np.array(want)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("c1, c2, rows", [(0.05, 0.0, 214), (3e-2, -1e-2, 364)])
-    def test_row_count(self, c1, c2, rows):
-        # one piece gets `order` plain nodes; the other is graded toward its
-        # touch at t = 0 (one side) or its interior root (both sides), with
-        # (L + 1) * N = 150 nodes a side
-        zsq, w = sphere._adaptive_circle_prefix(c1, c2, 64)
-        assert zsq.shape[0] == w.shape[0] == rows
-        per_side = (sphere._GRADE_LEVELS + 1) * sphere._GRADE_NODES
-        assert rows in (64 + per_side, 64 + 2 * per_side)
-
-    def test_unit_rule(self):
-        # panels [2^-(k+1), 2^-k] and [0, 2^-L] tile [0, 1]: each integrates
-        # polynomials of degree < 2N exactly, so their sum does too
-        s, w = sphere._unit_graded_rule()
-        assert s.min() > 0.0 and s.max() < 1.0
-        for k in (0, 1, 7, 2 * sphere._GRADE_NODES - 1):
-            assert w @ s**k == pytest.approx(1.0 / (k + 1), rel=1e-14)
-
 
 class TestCachedArraysReadOnly:
     def _cached(self):
         rule = sphere.build_rule(5, 12)
         return [
             rule.phi_nodes, rule.phi_weights, *rule.psi_nodes, *rule.psi_weights,
-            *sphere._prefix_rule(5, 12),
-            *sphere._adaptive_circle_prefix(0.3, -0.2, 12),
-            *sphere._unit_graded_rule(),
-            *sphere._gauss_legendre(12),
             moments._zero_columns(5, 12),
         ]
 
