@@ -151,7 +151,9 @@ def _hopf_integrand(phi, a, b):
 
 
 def _hopf_quad(a, b):
-    """The phi- and u-integrals of `_hopf_integrand` over phi in [0, 2 pi), by scipy quad.
+    """`_hopf_integrand` times the area element's 1/2 over phi in [0, 2 pi), by scipy quad.
+
+    phi in [0, 2 pi) is four mirror images of [0, pi/2], hence the factor 2.
 
     The integrand is analytic on each side of phi0 = arctan(sqrt b), where
     B changes sign; on the side where the u-set ends at u*, a layer of width
@@ -218,8 +220,8 @@ class TestIndependentReferences:
         got = sphere.indicator_moment_columns(n, 64, moments._coeff_vector(n, np.zeros(n - 2)))
         assert _norm_err(got, -np.concatenate([[b0], bi0])) <= 1e-15
 
-    # quad flags roundoff against its 1e-15 request beside the sqrt kink,
-    # 100x below the tolerance checked here
+    # quad reports roundoff against its 1e-15 absolute request beside the
+    # sqrt kink, well under the 1e-14 relative tolerance checked here
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("delta", _N3_DELTAS)
     def test_n3_matches_quad(self, delta):
@@ -251,8 +253,7 @@ class TestClosedFormN4:
         assert all(np.array_equal(c, cols[0]) for c in cols)
 
     def test_general_quadratic_with_small_b(self):
-        # b = 1e-9 puts a layer of width sqrt(b / a) on the last angle, on
-        # which the 32-node rule of 0.7.0 was 2.9e-11 off
+        # b = 1e-9 puts a layer of width sqrt(b / a) on the Hopf angle
         p = HarmonicQuadratic(4, np.diag([0.9, 0.1 - 1e-9, 1e-9, -1.0]))
         want = _n4_quad(0.9, 0.1 - 1e-9, 1e-9)
         rule = sphere.build_rule(4, 64)
