@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +49,16 @@ class TestBlock:
 
 
 class TestScratch:
-    # the kernel keeps no state between calls, so threads give the serial bits
+    # the kernel keeps no state between calls (0.8.0 kept scratch buffers),
+    # so what it returns is its own and threads give the serial bits
+
+    def test_result_survives_next_call(self):
+        first = _block(4, moments._coeff_vector(4, np.array([3e-2, -1e-2])))
+        kept = first.copy()
+        _block(5, moments._coeff_vector(5, np.array([1e-2, -5e-3, 2e-3])))
+        _block(4, moments._coeff_vector(4, np.array([0.05, 1e-10])))
+        assert np.array_equal(first, kept)
+        assert np.array_equal(_block(4, moments._coeff_vector(4, np.array([3e-2, -1e-2]))), kept)
 
     def test_threads_match_serial(self):
         cases = [
@@ -241,8 +251,107 @@ class TestIndependentReferences:
         assert _norm_err(got, _N4_QUAD[delta]) <= 1e-14
 
 
+def _floor_grid(n):
+    """(a, b) with a log-spaced in +-[1.1e-11, 1/2] and b in 1 +- sqrt(n-2)/2."""
+    mag = np.logspace(math.log10(1.1e-11), math.log10(0.5), 60)
+    half = 0.5 * math.sqrt(n - 2)
+    return np.concatenate([-mag[::-1], mag]), np.linspace(1.0 - half, 1.0 + half, 21)
+
+
+def _far_root_rows():
+    """(b, a rows) around a = -b/2 (b > 0) and a = -2b (b < 0), per b."""
+    rel = np.array([-0.3, -0.05, -1e-3, -1e-9, 0.0, 1e-9, 1e-3, 0.05, 0.3])
+    return [(b, (-0.5 * b if b > 0 else -2.0 * b) * (1.0 + rel)) for b in (0.6, 0.8, 1.0, -0.1, -0.2)]
+
+
+def _hopf_columns(r):
+    """The n = 4 columns of coeffs (a, a, b) from R(a; b) = `_hopf_quad(a, b)`.
+
+    With both prefix coefficients a, p does not depend on the prefix angle,
+    so the circle contributes its length 2 pi to the chi column and pi to
+    each x_1^2, x_2^2 column (the mean of cos^2 is 1/2); R's third entry is
+    the x_3^2 column per unit prefix length.
+    """
+    r0, r1, r2 = r
+    return np.array([2.0 * math.pi * r0, math.pi * r1, math.pi * r1,
+                     2.0 * math.pi * r2, 2.0 * math.pi * (r0 - r1 - r2)])
+
+
+_HALF_SQRT2 = 0.5 * math.sqrt(2.0)
+
+# (a, b, R(a; b)) at n = 4 from mpmath 1.3.0 at 40 digits, printed to 30:
+# mp.quad over phi of `_hopf_integrand`, broken at phi0 and at phi0 +- |a|
+# 10^k on the live side as in `_hopf_quad`; `_hopf_columns` turns each into
+# the columns of coeffs (a, a, b).  Rows: the ends and middle of
+# `_floor_grid(4)`; a = b and |a - b| small; b = 1e-9; b <= 0; a = -1 and
+# a < -1; |a| just above the 1e-11 snap.
+_MP_N4 = [
+    (0.5, 1.0 - _HALF_SQRT2, (2.07159744749642483014339334338, 1.26957928265347524750943202092, 0.603563103135367173155086693451)),
+    (-0.5, 1.0 - _HALF_SQRT2, (0.262161083610481161655907848204, 0.0399703897558437880676493853748, 0.210265141508616643101459873696)),
+    (0.3, 1.0, (2.16008553089011939908456684094, 1.23899287758529200110153314815, 0.686703809831378854639979758568)),
+    (-0.3, 1.0, (0.981507122699673839378076542338, 0.33180344920960461812978854349, 0.551009319923999766272606911596)),
+    (1.1e-11, 1.0, (1.570796327080085622491913064, 0.785398163677137312876252217789, 0.642699081701474154807076403348)),
+    (-1.1e-11, 1.0, (1.57079632650970761597073031928, 0.785398163117759306355069473851, 0.642699081695974154807076402954)),
+    (0.001, 1.0 + _HALF_SQRT2, (1.8410595057945422819417999327, 0.923143615960098847939583429065, 0.700227853917460838675793473604)),
+    (-0.001, 1.0 + _HALF_SQRT2, (1.82906931172364801589057851279, 0.911918785083124562334862369567, 0.699945129494857757522438444767)),
+    (0.45, 0.45, (2.10701500822178566424024980073, 1.26621313811800719024150764405, 0.633106569059003595120753822024)),
+    (0.6, 0.62, (2.29300301854741897543902057377, 1.34656056780713465844672875135, 0.67492302002209403302235521508)),
+    (0.3, 0.36, (1.88572895472319091400375968173, 1.15113978443886451810902779631, 0.587626719172469670163956405635)),
+    (0.4, 0.25, (1.93919730791445983869242341237, 1.20486006112083764007876770276, 0.573091864442301449213147682727)),
+    (0.4, 0.3, (1.97279600953353767726342133418, 1.2142245252011071231962471642, 0.589168923283387137683079262141)),
+    (0.001, 1e-09, (0.0992962965463165521729077108694, 0.0744473983423890138387267338929, 0.0248240989290552905179165303957)),
+    (-0.001, 1e-09, (4.21636683877801315318447313562e-11, 1.68654519347889646483855844654e-17, 4.21636515138954635546632871026e-11)),
+    (0.3, 1e-09, (1.50917229739602130220060750977, 1.04481158924739154257487369014, 0.377293075606543501650028334657)),
+    (0.2, 0.0, (1.2825498301618641252089603529, 0.908472796364653752884269917199, 0.320637457540466031302240088224)),
+    (0.2, -0.2, (0.906899682117108946273308047814, 0.755749735097590786813067629929, 0.113362460264638618284163505977)),
+    (-1.0, 1.0, (0.57079632679489661923132169164, 0.118731496730781642948994179153, 0.39269908169872415480783042291)),
+    (-1.0, 0.5, (0.288150375758711316267136695442, 0.0393186277035708397038136274089, 0.229172434203355056711416254328)),
+    (-0.9, 0.5, (0.310761055794549216032805403786, 0.0455672812789864411943441496086, 0.244030210656520232795880463202)),
+    (-1.5, 0.8, (0.354158294017813415469409505713, 0.0502927909282282446437884723228, 0.271070443803238219069083221471)),
+    (1.2e-11, 1.0, (1.5707963271049677589917276242, 0.785398163701519449376066778095, 0.642699081701724154806936209632)),
+    (-1.2e-11, 0.7, (1.39339672198670504222521518642, 0.696698360816613309123029301649, 0.594425658976788258255084972104)),
+]
+
+# (b, a rows) of the corners where the u-set of `_hopf_integrand` changes shape
+_N4_CORNERS = [
+    (0.45, 0.45 * (1.0 + np.array([0.0, -1e-8, 1e-8, -1e-3, 1e-3, 0.3]))),
+    (0.3, np.array([0.4, 0.3 * (1.0 - 1e-6), 0.36, -0.9, -1.0 + 1e-9])),
+    (1e-9, np.array([-0.3, -1e-3, -1e-6, -1.1e-11, 1.1e-11, 1e-6, 1e-3, 0.3])),
+    (0.0, np.array([-0.2, 1e-6, 0.2, 0.5])),
+    (-0.2, np.array([-0.2, 1e-9, 0.2, 0.9])),
+    (1.0, np.array([-1.5, -1.0 - 1e-9, -1.0, -1.0 + 1e-9, -1.0000001e-11, 1.0000001e-11, 2e-11])),
+    (0.5, np.array([-1.0, -0.9, -1.2e-11, 1.2e-11])),
+]
+
+
+def _n4_quad_cases(case):
+    if case == "floor_grid":
+        a, b = _floor_grid(4)
+        return [(b_cos, a) for b_cos in b[::5]]
+    return _far_root_rows() if case == "far_root" else _N4_CORNERS
+
+
 class TestClosedFormN4:
     # n = 4 checks; `_hopf_quad` is the closed form in u of Hopf coordinates
+
+    def test_matches_mpmath(self):
+        # the formula to the references' digits at half the step, and the
+        # default step's trapezoid error on top, on these O(1) coefficients
+        want = np.array([_hopf_columns(r) for _, _, r in _MP_N4])
+        for step, tol in ((0.5 * _kernels.STEP, 2e-15), (_kernels.STEP, 1e-14)):
+            got = np.array([_kernels.indicator_moment_block(np.array([a, a, b]), step) for a, b, _ in _MP_N4])
+            assert _norm_err(got, want) <= tol
+
+    @pytest.mark.parametrize("case", ["floor_grid", "far_root", "corners"])
+    def test_matches_quad(self, case):
+        # norm-wise per b, coeffs (a, a, b): the floor grid spans prefix
+        # values a normal form with |delta| < 1/2 gives, the far-root rows
+        # put the u-set's end u* near the far side, and the corners are the
+        # shapes that _MP_N4 samples
+        for b, a in _n4_quad_cases(case):
+            got = np.array([_block(4, [x, x, b]) for x in a])
+            want = np.array([_hopf_columns(_hopf_quad(x, b)) for x in a])
+            assert _norm_err(got, want) <= 1e-14
 
     @pytest.mark.parametrize("b", [1.0, 0.3, 1e-9, 0.0, -0.2])
     def test_snap_is_the_touch_bit_for_bit(self, b):
@@ -288,6 +397,164 @@ class TestInputs:
 
         est = sphere.mc_integrate(5, columns, 10**6, 20261019)
         assert all(abs(g - e.value) <= 3.0 * e.std_error for g, e in zip(got, est))
+
+
+def _imhof_quad(coeffs):
+    """The columns of `coeffs` by scipy quad_vec of Imhof's integrals in t on (0, inf).
+
+    The integrands of `_kernels.indicator_moment_block`, divided by t, on
+    decade panels from 100 times below the smallest scale 1/(2 |lambda_j|)
+    to 10^8 times above the largest, then [last, inf): independent of the
+    kernel's substitution s = ln t, its step and its truncation.  A single
+    (last, inf) panel from 10^2 above the largest scale missed 2.5e-12 of
+    the chi column at n = 5, which mpmath confirms the kernel has.
+    """
+    lam = np.append(np.where(np.abs(coeffs) < _kernels.SNAP_EPS, 0.0, coeffs), -1.0)
+
+    def integrands(t):
+        u = 2.0 * lam * t
+        theta = 0.5 * np.arctan(u).sum()
+        rho = np.prod((1.0 + u * u) ** 0.25)
+        sin, cos = math.sin(theta), math.cos(theta)
+        return np.concatenate([[sin], (sin + u * cos) / (1.0 + u * u)]) / (rho * t)
+
+    scale = 0.5 / np.abs(lam[lam != 0.0])
+    decades = np.arange(math.floor(math.log10(scale.min())) - 2, math.ceil(math.log10(scale.max())) + 9)
+    ends = [0.0, *10.0**decades, math.inf]
+    total = sum(
+        quad_vec(integrands, lo, hi, epsabs=1e-17, epsrel=1e-14, limit=400)[0]
+        for lo, hi in zip(ends[:-1], ends[1:])
+    )
+    out = 0.5 + total / math.pi
+    area = sphere.surface_area(lam.size)
+    return out * np.concatenate([[area], np.full(lam.size, area / lam.size)])
+
+
+_TABLE_ORDERS = [(5, 64), (5, 33), (5, 30), (6, 32), (6, 15), (7, 16), (7, 14), (8, 12)]
+_TABLE_DELTAS = {
+    "mixed": [1e-2, -5e-3, 2e-3, -4e-3, 3e-3, -1e-3],
+    "positive": [2e-2, 1e-2, 5e-3, 3e-3, 1e-3, 4e-3],
+    "negative": [-2e-2, -1e-2, -5e-3, -3e-3, -1e-3, -4e-3],
+    "zeros": [1e-2, 0.0, -5e-3, 0.0, 2e-3, 0.0],
+    "tiny": [1e-6, -7e-7, 3e-7, -5e-7, 8e-7, -2e-7],
+    "large": [0.3, 0.0, 0.0, 0.0, 0.0, 0.0],
+}
+
+
+@lru_cache(maxsize=None)
+def _table_reference(n, kind):
+    return _imhof_quad(moments._coeff_vector(n, np.array(_TABLE_DELTAS[kind][: n - 2])))
+
+
+class TestKernelTable:
+    # the (n, order, delta) cases of the n >= 5 table of 0.8.0, which these
+    # ids compared with its per-row kernel, now check the one 1-D integral
+    # against `_imhof_quad`, every column (row of the kernel's output) at once
+
+    @pytest.mark.parametrize(
+        "n, order, kind", [(n, order, kind) for n, order in _TABLE_ORDERS for kind in sorted(_TABLE_DELTAS)]
+    )
+    def test_matches_per_row(self, n, order, kind):
+        coeffs = moments._coeff_vector(n, np.array(_TABLE_DELTAS[kind][: n - 2]))
+        got = sphere.indicator_moment_columns(n, order, coeffs)
+        assert _norm_err(got, _table_reference(n, kind)) <= 1e-14
+
+    def test_low_order_gap_is_the_kernels(self):
+        # at n = 8 / order 12 the kernel of 0.8.0 was 1e-3 off at a prefix
+        # row just above the snap, so the low order cost 8e-6 in the columns;
+        # the integral has no order, and gives the bits of order 96 and the
+        # quarter-step values to its rounding floor
+        n, delta = 8, np.array(_TABLE_DELTAS["tiny"])
+        coeffs = moments._coeff_vector(n, delta)
+        got = sphere.indicator_moment_columns(n, 12, coeffs)
+        assert np.array_equal(got, sphere.indicator_moment_columns(n, 96, coeffs))
+        fine = _kernels.indicator_moment_block(coeffs, 0.25 * _kernels.STEP)
+        assert _norm_err(got, fine) <= 6e-15
+
+    @pytest.mark.parametrize("n, order", _TABLE_ORDERS)
+    def test_zero_delta_is_one_row(self, n, order):
+        # at delta = 0 only the pair (1, -1) is live: the zero coefficients
+        # add exact zeros to theta and to ln(rho), so the integral is that
+        # of n = 2 ("one row"), P(Q > 0) = 1/2 and every zero axis has the
+        # same column to the bit
+        got = sphere.indicator_moment_columns(n, order, moments._coeff_vector(n, np.zeros(n - 2)))
+        pair = _block(2, [1.0])
+        area, pair_area = sphere.surface_area(n), sphere.surface_area(2)
+        assert np.all(got[1 : n - 1] == got[1])
+        assert got[0] / area == pytest.approx(0.5, rel=1e-15)
+        assert np.abs(n * got[n - 1 :] / area - 2.0 * pair[1:] / pair_area).max() <= 1e-15
+        assert got[1] * n / area == pytest.approx(0.5, rel=1e-15)
+
+
+def _floor_deltas(n):
+    """80 normal forms with |delta| log-spaced in [1.1e-11, 0.49], both signs."""
+    mags = np.logspace(math.log10(1.1e-11), math.log10(0.49), 40)
+    dirs = np.random.default_rng(n).standard_normal((mags.size, n - 2))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    return np.concatenate([mags[:, None] * dirs, -mags[:, None] * dirs])
+
+
+class TestLastAngleNodes:
+    # the node count of 0.8.0's last-angle rule is now the trapezoid step
+    # and the node range of the one integral; these ids check both
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 7, 8])
+    def test_rounding_floor(self, n):
+        # STEP reaches the quarter-step values norm-wise to 6e-15 on normal
+        # forms with |delta| < 1/2; a step of 0.3 does not
+        def worst(step):
+            errs = []
+            for delta in _floor_deltas(n):
+                coeffs = moments._coeff_vector(n, delta)
+                ref = _kernels.indicator_moment_block(coeffs, 0.25 * _kernels.STEP)
+                errs.append(_norm_err(_kernels.indicator_moment_block(coeffs, step), ref))
+            return max(errs)
+
+        assert worst(_kernels.STEP) <= 6e-15 < worst(0.3)
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 7, 8])
+    def test_far_root_switch(self, monkeypatch, n):
+        # the node range runs from the largest scale 1/(2 max|lambda|) to the
+        # second largest; as the last coefficient b crosses 1 the -1 axis
+        # hands the largest scale to it, and the range switches ends.  On
+        # both sides the columns reach a quarter step with SPAN + 12 to
+        # 6e-15, and they move smoothly through the switch
+        rel = np.array([-0.3, -0.05, -1e-3, -1e-9, 0.0, 1e-9, 1e-3, 0.05, 0.3])
+        prefix = np.array([1e-2, -5e-3, 2e-3, -4e-3, 3e-3, -1e-3][: n - 2])
+        rows = [np.append(prefix, 1.0 + r) for r in rel]
+        got = np.array([_block(n, c) for c in rows])
+        monkeypatch.setattr(_kernels, "SPAN", _kernels.SPAN + 12.0)
+        ref = np.array([_kernels.indicator_moment_block(c, 0.25 * _kernels.STEP) for c in rows])
+        assert _norm_err(got, ref) <= 6e-15
+        kink = got[3] - 2.0 * got[4] + got[5]  # rel -1e-9, 0, 1e-9
+        assert np.abs(kink).max() <= 1e-14 * np.abs(got).max()
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize(
+        "n, order, delta",
+        [
+            (4, 64, [0.0, 0.0]),
+            (4, 64, [3e-2, -1e-2]),
+            (5, 64, [0.0, 0.0, 0.0]),
+            (5, 64, [1e-2, -5e-3, 2e-3]),
+            (6, 32, [0.0] * 4),
+            (6, 32, [2e-2, -1e-2, 5e-3, -3e-3]),
+            (7, 16, [0.0] * 5),
+            (7, 16, [1e-2, -2e-2, 3e-3, 4e-3, -1e-3]),
+        ],
+    )
+    def test_partition_invariant(self, n, order, delta):
+        # `order` chose the prefix rule and the kernel's row blocks up to
+        # 0.8.0; now it partitions nothing, so every order gives the same
+        # bits, in the columns and in the moment set built from them
+        coeffs = moments._coeff_vector(n, np.array(delta))
+        cols = sphere.indicator_moment_columns(n, order, coeffs)
+        assert np.array_equal(cols, _block(n, coeffs))
+        for other in (2, 3, 4 * order + 1):
+            assert np.array_equal(sphere.indicator_moment_columns(n, other, coeffs), cols)
+        m, m2 = (moments.compute_moments(np.array(delta), n, k) for k in (order, 2))
+        assert m.B == m2.B and np.array_equal(m.B_i, m2.B_i) and np.array_equal(m.C_i, m2.C_i)
 
 
 def _fresh_interpreter(code):

@@ -253,9 +253,10 @@ class TestIndicatorQuadratic:
         with pytest.warns(QuadratureConvergenceWarning):
             sphere.integrate_indicator_quadratic(rule, p, check_rtol=1e-12)
 
-    def test_check_pass_halves_the_step(self, monkeypatch):
-        # the check pass re-evaluates at half the kernel's step; at the
-        # default step the two agree to 1e-12 and nothing warns
+    def test_check_pass_doubles_kernel_nodes(self, monkeypatch):
+        # the check pass re-evaluates at half the kernel's step, which
+        # doubles its nodes in s = ln t; at the default step the two agree
+        # to 1e-12 and nothing warns
         seen = []
         block = _kernels.indicator_moment_block
 
@@ -269,6 +270,18 @@ class TestIndicatorQuadratic:
             warnings.simplefilter("error", QuadratureConvergenceWarning)
             sphere.integrate_indicator_quadratic(sphere.build_rule(5, 32), p, check_rtol=1e-12)
         assert seen == [_kernels.STEP, 0.5 * _kernels.STEP]
+
+    def test_check_sees_kernel_resolution(self):
+        # just above the 1e-11 snap, the x_3^2 column at the step and at half
+        # of it agree to 1e-12 but not to 1e-15 (a 3.9e-15 gap), which a
+        # check pass that repeated the same step could never report
+        p = make_p_delta(3, np.array([3e-11]))
+        rule = sphere.build_rule(3, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", QuadratureConvergenceWarning)
+            sphere.integrate_indicator_quadratic(rule, p, weight_axis=2, check_rtol=1e-12)
+        with pytest.warns(QuadratureConvergenceWarning):
+            sphere.integrate_indicator_quadratic(rule, p, weight_axis=2, check_rtol=1e-15)
 
 
 class TestMonteCarlo:

@@ -3,7 +3,7 @@
 `perfbench/layertrace.py` wraps package attributes by name from outside the
 package, so renaming a traced name, or no longer calling through it, breaks
 traced benchmark runs.  These tests install the tracer on the package, run
-a Monte Carlo moment check and a moment set, and check the counts and the
+a Monte Carlo moment check and moment sets, and check the counts and the
 cache statistics the tracer reads.
 """
 
@@ -11,6 +11,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import blowuplab as bl
 
@@ -45,3 +46,22 @@ def test_tracer_reaches_wrapped_layers_and_restores():
     for module, attrs in zip(_MODULES, before):
         assert vars(module).keys() == attrs.keys()
         assert all(vars(module)[k] is v for k, v in attrs.items())
+
+
+@pytest.mark.parametrize("n, delta", [(4, [3e-2, -1e-2]), (5, [1e-2, -5e-3, 2e-3])])
+def test_kernel_counts_read_rows_and_nodes(n, delta):
+    # the tracer counts rows and row nodes on `row_reductions`, a placeholder
+    # that nothing calls since 0.9.0, so traced runs report no rows and the
+    # whole kernel layer is one `indicator_moment_block` call per moment set
+    order = 64
+    bl.moments._zero_columns(n, order)  # cached, so only the delta set is traced
+    tracer = _load_layertrace().Tracer(bl).install()
+    try:
+        bl.moments.compute_moments(np.array(delta), n, order)
+    finally:
+        tracer.restore()
+    counts = tracer.counts
+    assert counts["kernels.indicator_moment_block.calls"] == 1
+    assert counts["sphere.indicator_moment_columns.calls"] == 1
+    for name in ("calls", "rows", "row_nodes", "distinct_rows"):
+        assert counts["kernels.row_reductions." + name] == 0
