@@ -3,7 +3,7 @@ free-boundary singular points: sphere moments of indicator sources, the
 correction's scale projections, and trajectory classification of the
 induced map on normal-form quadratics."""
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .correction import (
     CorrectionDecomposition,

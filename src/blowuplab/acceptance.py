@@ -48,13 +48,13 @@ def a1_surface_measure(order=16):
     )
 
 
-def a2_zero_delta_moments(order=48):
+def a2_zero_delta_moments():
     """B(0) = -omega/2, B_i(0) = -omega/(2n) for i <= n-2, and the n^2 B_i - n B = 0 claim."""
     t0 = time.time()
     worst_b = worst_bi = worst_claim = 0.0
     for n in range(2, 7):
         omega = sphere.surface_area(n)
-        m = moments.compute_moments(np.zeros(n - 2), n, order)
+        m = moments.compute_moments(np.zeros(n - 2), n)
         worst_b = max(worst_b, abs(m.B / (-omega / 2.0) - 1.0))
         for i in range(n - 2):
             worst_bi = max(worst_bi, abs(m.B_i[i] / (-omega / (2.0 * n)) - 1.0))
@@ -89,7 +89,7 @@ def a3_two_dimensional_oracle(max_degree=40, n_points=100):
     proj = correction.scale_projection(dec, 0.5)
     err_rot = abs(proj.coeff[0, 1] - LN2_OVER_2PI) + abs(proj.coeff[0, 0])
 
-    m0 = moments.compute_moments(np.zeros(0), 2, 48)
+    m0 = moments.compute_moments(np.zeros(0), 2)
     dec_axis = correction.from_fourier_block(moments.fourier_block2(m0))
     proj_axis = correction.scale_projection(dec_axis, 0.5)
     err_axis = abs(proj_axis.coeff[0, 0] - LN2_OVER_2PI) + abs(proj_axis.coeff[0, 1])
@@ -107,7 +107,7 @@ def a3_two_dimensional_oracle(max_degree=40, n_points=100):
 SCALING_BRACKET = (1.0, 6.0)
 
 
-def a4_increment_scaling(order=64):
+def a4_increment_scaling():
     """C_i scaling bracket and drift, plus ordering monotonicity on random delta."""
     t0 = time.time()
     ratios = {}
@@ -115,7 +115,7 @@ def a4_increment_scaling(order=64):
         for s in (1e-3, 1e-4, 1e-5):
             d = np.zeros(n - 2)
             d[0] = s
-            m = moments.compute_moments(d, n, order)
+            m = moments.compute_moments(d, n)
             ratios[(n, s)] = float(np.abs(m.C_i).sum() / (s * abs(math.log(s))))
     in_bracket = all(SCALING_BRACKET[0] <= r <= SCALING_BRACKET[1] for r in ratios.values())
     drift_ok = True
@@ -130,7 +130,7 @@ def a4_increment_scaling(order=64):
     for _ in range(100):
         d = rng.uniform(-1.0, 1.0, n - 2)
         d *= rng.uniform(0.2, 1.0) * 1e-2 / np.linalg.norm(d)
-        m = moments.compute_moments(d, n, order)
+        m = moments.compute_moments(d, n)
         for i in range(n - 2):
             for j in range(n - 2):
                 if d[i] > d[j] and not (m.C_i[i] < m.C_i[j]):
@@ -193,12 +193,12 @@ def a6_inner_slab(mu=0.1):
     )
 
 
-def a7_fixed_point(order=64):
+def a7_fixed_point():
     """delta = 0 invariance and the per-step tau increment ln2/(2 pi) for n = 2..5."""
     t0 = time.time()
     worst_incr = worst_delta = 0.0
     for n in (2, 3, 4, 5):
-        cfg = renorm.MapConfig(n=n, order=order, C_gamma=0.0)
+        cfg = renorm.MapConfig(n=n, C_gamma=0.0)
         for tau in (10.0, 100.0):
             state = DeltaState(n=n, tau=tau, delta=np.zeros(n - 2))
             new = renorm.half_step(state, cfg)
@@ -215,11 +215,11 @@ def a7_fixed_point(order=64):
     )
 
 
-def a8_dichotomy(order=96, gamma=0.1, max_steps=200):
+def a8_dichotomy(gamma=0.1, max_steps=200):
     """Convergence below the calibrated threshold, escape with growing ratio above."""
     t0 = time.time()
     n = 4
-    cfg = renorm.MapConfig(n=n, order=order, gamma=gamma)
+    cfg = renorm.MapConfig(n=n, gamma=gamma)
     c_gamma = cfg.effective_C_gamma()
 
     delta0 = np.zeros(n - 2)
@@ -284,7 +284,7 @@ def a9_grid_consistency():
     )
 
 
-def a10_oracle_agreement(samples=10**6, order=64):
+def a10_oracle_agreement(samples=10**6):
     """Every quadrature moment used in A2/A4/A7 vs Monte Carlo within 3 sigma."""
     t0 = time.time()
     configs = [(n, np.zeros(n - 2)) for n in range(2, 7)]
@@ -295,7 +295,7 @@ def a10_oracle_agreement(samples=10**6, order=64):
             configs.append((n, d))
     worst_z = 0.0
     for n, d in configs:
-        m = moments.compute_moments(d, n, order)
+        m = moments.compute_moments(d, n)
         label = f"a10-{n}-{d.tobytes().hex()}"
         b_est, bi_est = moments.mc_moment_check(d, n, samples, _seed(label))
         worst_z = max(worst_z, abs(m.B - b_est.value) / b_est.std_error)
@@ -326,9 +326,6 @@ CRITERIA = {
     "A10": a10_oracle_agreement,
 }
 
-# criteria that take a quadrature order override from the CLI
-_ORDER_AWARE = {"A1", "A2", "A4", "A7", "A8", "A10"}
-
 # extra searchable keywords for --filter
 _TAGS = {
     "A1": "surface measure weights",
@@ -343,15 +340,12 @@ _TAGS = {
     "A10": "monte carlo oracle agreement",
 }
 
-def run_all(name_filter=None, order=None):
+def run_all(name_filter=None):
     results = []
     for key, fn in CRITERIA.items():
         doc = fn.__doc__.splitlines()[0] if fn.__doc__ else ""
         label = f"{key} {_TAGS.get(key, '')} {doc}"
         if name_filter and name_filter.lower() not in label.lower():
             continue
-        if order is not None and key in _ORDER_AWARE:
-            results.append(fn(order=order))
-        else:
-            results.append(fn())
+        results.append(fn())
     return results

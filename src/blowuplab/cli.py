@@ -130,7 +130,7 @@ def _cmd_moments(args, parser):
         if np.linalg.norm(d) >= 0.5:
             parser.error("|delta| must be < 1/2")
         deltas.append(d)
-    sets = [moments.compute_moments(d, args.n, args.order) for d in deltas]
+    sets = [moments.compute_moments(d, args.n) for d in deltas]
     csv_text = moments.momentsets_to_csv(sets)
 
     mc_report = []
@@ -158,7 +158,6 @@ def _cmd_moments(args, parser):
         config = {
             "n": args.n,
             "delta": [list(d) for d in deltas],
-            "order": args.order,
             "mc_check": args.mc_check,
             "seed": args.seed,
         }
@@ -234,7 +233,14 @@ def _cmd_iterate(args, parser):
         loaded = json.loads(Path(args.manifest).read_text())
         config = _iterate_config(loaded, args.manifest, parser)
         _warn_environment(loaded, args.manifest)
-        cfg = renorm.MapConfig(**config["map"])
+        map_config = dict(config["map"])
+        if map_config.pop("order", None) is not None:
+            # written before 0.10.0, when moments still took a node count
+            sys.stderr.write(
+                f"warning: manifest {args.manifest} sets 'order', which no longer "
+                "selects anything; it is ignored\n"
+            )
+        cfg = renorm.MapConfig(**map_config)
         tau0 = config["tau0"]
         delta0 = np.array(config["delta0"])
         steps = config["steps"]
@@ -392,7 +398,7 @@ def _cmd_project_grid(args, parser):
 
 
 def _cmd_verify(args, parser):
-    results = acceptance.run_all(name_filter=args.filter, order=args.order)
+    results = acceptance.run_all(name_filter=args.filter)
     if not results:
         parser.error(f"no criteria match filter {args.filter!r}")
     failed = sum(not res.passed for res in results)
@@ -417,7 +423,6 @@ def build_parser():
 
     def add_map_args(p, with_tol=False):
         default = _MAP_DEFAULTS
-        p.add_argument("--order", type=int, default=default["order"])
         p.add_argument("--gamma", type=float, default=default["gamma"])
         p.add_argument("--alpha", type=float, default=default["alpha"])
         p.add_argument("--noise", choices=renorm.NOISE_MODES, default=default["noise"])
@@ -433,7 +438,6 @@ def build_parser():
     p = sub.add_parser("moments", help="moment sets for one or more delta")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", action="append", default=None)
-    p.add_argument("--order", type=int, default=moments.DEFAULT_ORDER)
     p.add_argument("--mc-check", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", "-o", default=None)
@@ -482,7 +486,6 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the acceptance criteria suite")
     p.add_argument("--filter", default=None)
-    p.add_argument("--order", type=int, default=None)
     p.add_argument(
         "--json", action="store_true",
         help="print one JSON list of {name, passed, detail, seconds}",

@@ -24,8 +24,6 @@ from .sphere import (
     surface_area,
 )
 
-DEFAULT_ORDER = 64
-
 
 @dataclass
 class MomentSet:
@@ -33,7 +31,6 @@ class MomentSet:
 
     n: int
     delta: np.ndarray
-    order: int
     B: float
     B_i: np.ndarray
     C: float
@@ -63,9 +60,9 @@ def _coeff_vector(n, delta):
 
 
 @lru_cache(maxsize=64)
-def _zero_columns(n, order):
-    """The delta = 0 columns; `order` is only part of the cache key."""
-    cols = indicator_moment_columns(n, order, _coeff_vector(n, np.zeros(n - 2)))
+def _zero_columns(n):
+    """The delta = 0 columns."""
+    cols = indicator_moment_columns(n, _coeff_vector(n, np.zeros(n - 2)))
     cols.setflags(write=False)  # cached and shared
     return cols
 
@@ -85,13 +82,13 @@ def analytic_baseline(n):
     return b0, bi0
 
 
-def compute_moments(delta, n, order=DEFAULT_ORDER):
+# `order` is accepted and ignored for perfbench/, the only caller that passes it.
+def compute_moments(delta, n, order=None):
     """Moment set at delta, with increments against the delta = 0 baseline.
 
     B and B_i are one Gil-Pelaez integral (`sphere.indicator_moment_columns`)
-    in every dimension; `order` is validated (>= 2), recorded in the set
-    and otherwise selects nothing.  The baseline uses the analytic B_i(0)
-    for i <= n-2 and the same integral's values at delta = 0 for
+    at its fixed step in every dimension.  The baseline uses the analytic
+    B_i(0) for i <= n-2 and the same integral's values at delta = 0 for
     i in {n-1, n}; C is stored as sum(C_i), which the baseline mix
     preserves to ~1e-12.
     """
@@ -101,11 +98,11 @@ def compute_moments(delta, n, order=DEFAULT_ORDER):
     if np.linalg.norm(delta) >= 0.5:
         raise DomainError("compute_moments requires |delta| < 1/2")
 
-    cols = indicator_moment_columns(n, order, _coeff_vector(n, delta))
+    cols = indicator_moment_columns(n, _coeff_vector(n, delta))
     b = -cols[0]
     b_i = -cols[1:]
 
-    zero_cols = _zero_columns(n, order)
+    zero_cols = _zero_columns(n)
     _, bi0_exact = analytic_baseline(n)
     baseline = bi0_exact.copy()
     baseline[n - 2] = -zero_cols[n - 1]
@@ -115,7 +112,6 @@ def compute_moments(delta, n, order=DEFAULT_ORDER):
     return MomentSet(
         n=n,
         delta=delta,
-        order=order,
         B=float(b),
         B_i=b_i,
         C=float(c_i.sum()),
@@ -281,7 +277,6 @@ def momentsets_to_csv(sets):
         + [f"B_{i+1}" for i in range(n)]
         + ["C"]
         + [f"C_{i+1}" for i in range(n)]
-        + ["order"]
     )
     writer.writerow(header)
     for m in sets:
@@ -292,7 +287,6 @@ def momentsets_to_csv(sets):
             + [f"{v:.17g}" for v in m.B_i]
             + [f"{m.C:.17g}"]
             + [f"{v:.17g}" for v in m.C_i]
-            + [m.order]
         )
         writer.writerow(row)
     return buf.getvalue()

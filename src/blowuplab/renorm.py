@@ -13,14 +13,14 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .correction import from_fourier_block, scale_projection
 from .errors import DegeneracyError, DomainError, EscapeError
-from .moments import DEFAULT_ORDER, compute_moments, fourier_block2
+from .moments import compute_moments, fourier_block2
 from .quadratic import (
     DEFAULT_KAPPA0,
     DeltaState,
@@ -37,7 +37,6 @@ class MapConfig:
     """Configuration of the half-scale map."""
 
     n: int
-    order: int = DEFAULT_ORDER
     gamma: float = 0.1
     alpha: float = 0.2
     c_noise: float = 0.0
@@ -46,12 +45,13 @@ class MapConfig:
     C_gamma: float = None
     kappa0: float = DEFAULT_KAPPA0
     tol_conv: float = 1e-9
+    # accepted and ignored for perfbench/, the only caller that passes it;
+    # an InitVar is not a field, so to_dict() and equality never see it
+    order: InitVar[int] = None
 
-    def __post_init__(self):
+    def __post_init__(self, order):
         if self.n < 2:
             raise DomainError("n must be >= 2")
-        if self.order < 2:
-            raise DomainError("order must be >= 2")
         if not (0.0 < self.gamma < 0.125):
             raise DomainError("gamma must lie in (0, 1/8)")
         if not (0.0 < self.alpha < 0.25):
@@ -64,7 +64,7 @@ class MapConfig:
     def effective_C_gamma(self):
         if self.C_gamma is not None:
             return self.C_gamma
-        return calibrate_threshold_constant(self.n, self.gamma, self.order)
+        return calibrate_threshold_constant(self.n, self.gamma)
 
     def to_dict(self):
         return asdict(self)
@@ -107,7 +107,7 @@ def _step_detail(state, cfg, rng=None):
     if state.tau <= 1.0:
         raise DomainError("half_step requires tau > 1")
 
-    m = compute_moments(state.delta, cfg.n, cfg.order)
+    m = compute_moments(state.delta, cfg.n)
     z_half = scale_projection(from_fourier_block(fourier_block2(m)), 0.5)
     if rng is None and cfg.noise == "random":
         rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
@@ -161,7 +161,7 @@ def check_monotonicity(state, next_state, cfg, moments_at_state=None):
     a negative minimal entry's ratio strictly decreases; the mirrored
     regime reverses the inequalities.
     """
-    m = moments_at_state or compute_moments(state.delta, cfg.n, cfg.order)
+    m = moments_at_state or compute_moments(state.delta, cfg.n)
     sum_ci = m.C
     threshold = cfg.effective_C_gamma() * state.tau ** (-cfg.gamma)
     d0, d1 = state.delta, next_state.delta
@@ -197,7 +197,7 @@ def check_monotonicity(state, next_state, cfg, moments_at_state=None):
 
 
 @lru_cache(maxsize=32)
-def calibrate_threshold_constant(n, gamma, order, tau=10.0):
+def calibrate_threshold_constant(n, gamma, tau=10.0):
     """Smallest constant making the threshold implication pass on a canned sweep.
 
     Evaluates the regime-appropriate ratio claim for one half-step at
@@ -209,7 +209,7 @@ def calibrate_threshold_constant(n, gamma, order, tau=10.0):
         return 0.0
     # C_gamma pinned to 0 here: the threshold is only read by the report,
     # not by the claims the calibration scans for.
-    cfg = MapConfig(n=n, order=order, gamma=gamma, C_gamma=0.0)
+    cfg = MapConfig(n=n, gamma=gamma, C_gamma=0.0)
     worst = 0.0
     magnitudes = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 5e-2, 1e-1, 1.5e-1)
     patterns = [1.0, -1.0, 0.5]
@@ -432,11 +432,10 @@ def sweep(tau0_values, delta0_values, cfg, max_steps, workers=None):
 
     Cells run in parallel across processes; results are keyed by index so
     the table is independent of the worker count.  Before the pool opens,
-    the parent computes the delta = 0 moment set once.  That builds the
-    Gauss-Legendre rules, the zero-delta columns and the kernel's scratch
-    buffers that every cell needs, so workers forked from the parent
-    inherit them.  This helps only where the pool forks (the default on
-    Linux).
+    the parent computes the delta = 0 moment set once.  That caches the
+    zero-delta columns every cell's increments need, so workers forked
+    from the parent inherit them.  This helps only where the pool forks
+    (the default on Linux).
     `workers` defaults to `default_workers()`; below 1 is a ValueError.
     """
     workers = default_workers() if workers is None else workers
@@ -454,7 +453,7 @@ def sweep(tau0_values, delta0_values, cfg, max_steps, workers=None):
             i, row = _sweep_cell(t)
             results[i] = row
     else:
-        compute_moments(np.zeros(cfg.n - 2), cfg.n, cfg.order)
+        compute_moments(np.zeros(cfg.n - 2), cfg.n)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for i, row in pool.map(_sweep_cell, tasks, chunksize=4):
                 results[i] = row

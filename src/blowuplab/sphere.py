@@ -244,44 +244,40 @@ def _adaptive_circle_prefix():
     """Placeholder for the n = 4 prefix rule that the Gil-Pelaez integral replaced."""
 
 
-def indicator_moment_columns(n, order, coeffs):
+def indicator_moment_columns(n, coeffs):
     """Vector of integrals of chi_{p>0} * {1, x_1^2, .., x_n^2} over S^{n-1}.
 
     `coeffs` are the diagonal coefficients of p on axes 1..n-1 once the
     axis-n coefficient is normalized to -1.  Every n >= 2 takes the one
     Gil-Pelaez integral of `_kernels.indicator_moment_block` at its fixed
-    step; coefficients under 1e-11 in magnitude are exact touches.  `order`
-    selects nothing, but order < 2 still raises DomainError, and so does a
-    `coeffs` whose length is not n - 1.
+    step, which no argument changes; coefficients under 1e-11 in magnitude
+    are exact touches.  A `coeffs` whose length is not n - 1 raises
+    DomainError.
     """
     if n < 2:
         raise DomainError("n must be >= 2")
-    if order < 2:
-        raise DomainError("order must be >= 2")
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.shape != (n - 1,):
         raise DomainError(f"coeffs must have length n-1 = {n - 1}, got shape {coeffs.shape}")
     return _kernels.indicator_moment_block(coeffs, _kernels.STEP)
 
 
-def integrate_indicator_quadratic(rule, p, weight_axis=None, check_rtol=None):
-    """Integral of chi_{p>0} times an optional x_i^2 weight over S^{n-1}.
+def integrate_indicator_quadratic(p, weight_axis=None, check_rtol=None):
+    """Integral of chi_{p>0} times an optional x_i^2 weight over S^{n-1}, n = p.n.
 
-    The quadratic must be diagonal in the rule's coordinates; only the
-    rule's dimension is read.  The most negative diagonal entry is moved to
-    the last axis (the indicator and the weight are permuted consistently)
-    and the columns of `indicator_moment_columns` are evaluated.
+    The quadratic must be diagonal.  The most negative diagonal entry is
+    moved to the last axis (the indicator and the weight are permuted
+    consistently) and the columns of `indicator_moment_columns` are
+    evaluated.
 
     With `check_rtol` set, the value is recomputed at half the trapezoid
     step of `_kernels.indicator_moment_block`, and a
     QuadratureConvergenceWarning is raised if the two disagree.  The
     refined value is returned.
     """
-    n = rule.n
-    if p.n != n:
-        raise DomainError("rule and quadratic dimensions differ")
+    n = p.n
     if not p.is_diagonal():
-        raise DomainError("quadratic must be diagonal in the rule's coordinates")
+        raise DomainError("quadratic must be diagonal")
     if weight_axis is not None and not (0 <= weight_axis < n):
         raise DomainError("weight axis out of range")
 
@@ -300,7 +296,7 @@ def integrate_indicator_quadratic(rule, p, weight_axis=None, check_rtol=None):
     if weight_axis is not None:
         col = perm.index(weight_axis) + 1
 
-    value = float(indicator_moment_columns(n, rule.order, coeffs)[col])
+    value = float(indicator_moment_columns(n, coeffs)[col])
     if check_rtol is not None:
         value2 = float(_kernels.indicator_moment_block(coeffs, 0.5 * _kernels.STEP)[col])
         if abs(value2 - value) > check_rtol * (abs(value2) + 1e-300):

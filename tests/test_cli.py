@@ -17,7 +17,7 @@ def run(capsys, argv):
 
 class TestMoments:
     def test_zero_delta_row(self, capsys):
-        code, out = run(capsys, ["moments", "--n", "3", "--delta", "0", "--order", "64"])
+        code, out = run(capsys, ["moments", "--n", "3", "--delta", "0"])
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0].startswith("n,delta_1,B,")
@@ -33,8 +33,6 @@ class TestMoments:
                 "4",
                 "--delta",
                 "1e-3,0",
-                "--order",
-                "64",
                 "--mc-check",
                 "100000",
                 "--seed",
@@ -52,10 +50,11 @@ class TestMoments:
 
     @pytest.mark.parametrize("n, delta", [(3, "1e-2"), (4, "1e-2,0"), (5, "1e-2,0,0")])
     def test_order_below_two_exit_2(self, capsys, n, delta):
+        # moments take no node count since 0.10.0, so --order is unknown
         with pytest.raises(SystemExit) as exc:
             main(["moments", "--n", str(n), "--delta", delta, "--order", "1"])
         assert exc.value.code == 2
-        assert "order must be >= 2" in capsys.readouterr().err
+        assert "unrecognized arguments: --order 1" in capsys.readouterr().err
 
     def test_writes_csv_and_manifest(self, capsys, tmp_path):
         out_path = tmp_path / "mom.csv"
@@ -75,7 +74,7 @@ class TestIterate:
             capsys,
             [
                 "iterate", "--n", "3", "--tau0", "10", "--delta0", "0",
-                "--steps", "50", "--order", "32", "--c-gamma", "0",
+                "--steps", "50", "--c-gamma", "0",
             ],
         )
         assert code == 0
@@ -86,7 +85,7 @@ class TestIterate:
     def test_deterministic_outputs(self, capsys, tmp_path):
         argv = [
             "iterate", "--n", "4", "--tau0", "10", "--delta0", "1e-3,0",
-            "--steps", "10", "--order", "32", "--c-gamma", "0", "--seed", "5",
+            "--steps", "10", "--c-gamma", "0", "--seed", "5",
         ]
         code1, _ = run(capsys, argv + ["-o", str(tmp_path / "a")])
         code2, _ = run(capsys, argv + ["-o", str(tmp_path / "b")])
@@ -96,7 +95,7 @@ class TestIterate:
     def test_manifest_replay_byte_identical(self, capsys, tmp_path):
         argv = [
             "iterate", "--n", "3", "--tau0", "10", "--delta0", "0",
-            "--steps", "15", "--order", "32", "--c-gamma", "0",
+            "--steps", "15", "--c-gamma", "0",
             "-o", str(tmp_path / "orig"),
         ]
         run(capsys, argv)
@@ -119,7 +118,7 @@ class TestIterate:
         """Iterate, edit the written manifest, replay it; (stderr, csv pair)."""
         argv = [
             "iterate", "--n", "3", "--tau0", "10", "--delta0", "0",
-            "--steps", "5", "--order", "16", "--c-gamma", "0",
+            "--steps", "5", "--c-gamma", "0",
             "-o", str(tmp_path / "orig"),
         ]
         run(capsys, argv)
@@ -133,7 +132,7 @@ class TestIterate:
         return err, (tmp_path / "orig.csv").read_bytes(), (tmp_path / "replay.csv").read_bytes()
 
     def test_manifest_records_environment(self, capsys, tmp_path):
-        run(capsys, ["iterate", "--n", "3", "--steps", "2", "--order", "16",
+        run(capsys, ["iterate", "--n", "3", "--steps", "2",
                      "-o", str(tmp_path / "r")])
         env = json.loads((tmp_path / "r.manifest.json").read_text())["environment"]
         assert env["backend"] == _kernels.backend_name()
@@ -166,7 +165,7 @@ class TestIterate:
         assert orig == replay
 
     def test_replay_without_output_prints_and_keeps_manifest(self, capsys, tmp_path):
-        run(capsys, ["iterate", "--n", "3", "--steps", "5", "--order", "16",
+        run(capsys, ["iterate", "--n", "3", "--steps", "5",
                      "--c-gamma", "0", "-o", str(tmp_path / "orig")])
         path = tmp_path / "orig.manifest.json"
         manifest = json.loads(path.read_text())
@@ -184,12 +183,31 @@ class TestIterate:
         assert "no environment stamp" in err and "byte-identical" in err
         assert orig == replay
 
+    @pytest.mark.parametrize("version", [None, "0.9.0"])
+    def test_replay_of_order_warns_once(self, capsys, tmp_path, version):
+        # iterate manifests written before 0.10.0 carry the map's `order`,
+        # which no longer selects anything: the replay drops it with one
+        # warning, and a 0.9.0 stamp adds only its version line
+        def edit(m):
+            m["config"]["map"]["order"] = 64
+            if version:
+                m["environment"]["package"] = m["package_version"] = version
+
+        err, orig, replay = self._replay_with(capsys, tmp_path, edit)
+        lines = err.splitlines()
+        assert len(lines) == (2 if version else 1)
+        assert sum("'order'" in line for line in lines) == 1
+        assert "sets 'order', which no longer selects anything" in lines[-1]
+        if version:
+            assert f"package '{version}' != '{__version__}'" in lines[0]
+        assert orig == replay
+
     def test_order_below_two_exit_2(self, capsys):
-        # fails before any step, not as an "exhausted" run
+        # --order is unknown since 0.10.0: a usage error before any step
         with pytest.raises(SystemExit) as exc:
             main(["iterate", "--n", "4", "--tau0", "10", "--delta0", "1e-3,0", "--order", "1"])
         assert exc.value.code == 2
-        assert "order must be >= 2" in capsys.readouterr().err
+        assert "unrecognized arguments: --order 1" in capsys.readouterr().err
 
     def test_missing_manifest_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -214,10 +232,10 @@ class TestIterate:
         # key the replay reads, ends in one line and exit 2, not a KeyError
         if edit is None:
             run(capsys, ["sweep", "--n", "3", "--tau0-range", "10:10:1", "--delta0-range",
-                         "0:0:1", "--steps", "2", "--order", "16", "--workers", "1",
+                         "0:0:1", "--steps", "2", "--workers", "1",
                          "-o", str(tmp_path / "orig")])
         else:
-            run(capsys, ["iterate", "--n", "3", "--steps", "2", "--order", "16",
+            run(capsys, ["iterate", "--n", "3", "--steps", "2",
                          "-o", str(tmp_path / "orig")])
         path = tmp_path / "orig.manifest.json"
         if edit is not None:
@@ -234,7 +252,7 @@ class TestIterate:
             capsys,
             [
                 "iterate", "--n", "4", "--tau0", "10", "--delta0", "0.05,0",
-                "--steps", "250", "--order", "48", "--gamma", "0.1", "--c-gamma", "0",
+                "--steps", "250", "--gamma", "0.1", "--c-gamma", "0",
             ],
         )
         assert code == 0
@@ -248,7 +266,7 @@ class TestMap:
         assert code == 0
         assert json.loads(out)["escaped"] is True
         code, out = run(capsys, ["map", "--n", "4", "--tau", "10", "--delta", "0.05,0",
-                                 "--order", "32", "--c-gamma", "0"])
+                                 "--c-gamma", "0"])
         assert code == 0
         assert json.loads(out)["escaped"] is False
 
@@ -259,7 +277,7 @@ class TestSweep:
             capsys,
             [
                 "sweep", "--n", "3", "--tau0-range", "10:20:2",
-                "--delta0-range", "0:0.05:2", "--steps", "10", "--order", "32",
+                "--delta0-range", "0:0.05:2", "--steps", "10",
                 "--c-gamma", "0", "--workers", "1", "-o", str(tmp_path / "sw"),
             ],
         )
@@ -384,6 +402,10 @@ class TestProjectGrid:
          "range must be lo:hi:count, got '5:50:x': count 'x' is not an integer"),
         (["sweep", "--n", "4", "--tau0-range", "0:1:2", "--delta0-range", "0:x:3"],
          "range must be lo:hi:count, got '0:x:3': hi 'x' is not a number"),
+        (["map", "--n", "4", "--tau", "10", "--order", "64"], "unrecognized arguments: --order"),
+        (["sweep", "--n", "4", "--tau0-range", "10:10:1", "--delta0-range", "0:0:1",
+          "--order", "64"], "unrecognized arguments: --order"),
+        (["verify", "--filter", "A5", "--order", "64"], "unrecognized arguments: --order"),
     ],
 )
 def test_usage_error_names_the_problem(capsys, argv, message):

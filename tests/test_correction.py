@@ -135,7 +135,7 @@ class TestFromFourierBlock:
         assert dec.phi_terms == ()
 
     def test_linearity(self):
-        m = moments.compute_moments(np.array([2e-3]), 3, 48)
+        m = moments.compute_moments(np.array([2e-3]), 3)
         block = moments.fourier_block2(m)
         dec = correction.from_fourier_block(block)
         scaled = moments.FourierBlock2(3, 2.5 * block.a2sigma2)
@@ -143,13 +143,13 @@ class TestFromFourierBlock:
         assert np.allclose(dec2.q.coeff, 2.5 * dec.q.coeff)
 
     def test_q_trace_free(self):
-        m = moments.compute_moments(np.array([5e-3, 0.0]), 4, 48)
+        m = moments.compute_moments(np.array([5e-3, 0.0]), 4)
         dec = correction.from_fourier_block(moments.fourier_block2(m))
         assert abs(np.trace(dec.q.coeff)) < 1e-14
 
     def test_end_to_end_degree2_agreement(self):
         # moments path and the full 2-D series agree on the half-scale block
-        m0 = moments.compute_moments(np.zeros(0), 2, 48)
+        m0 = moments.compute_moments(np.zeros(0), 2)
         dec_m = correction.from_fourier_block(moments.fourier_block2(m0))
         dec_s = correction.fourier_series_2d(make_p_delta(2, np.zeros(0)), 20)
         pm = correction.scale_projection(dec_m, 0.5)

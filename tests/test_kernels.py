@@ -72,7 +72,7 @@ class TestScratch:
         coeffs = [moments._coeff_vector(n, np.array(d)) for n, d in cases]
 
         def columns(k):
-            return sphere.indicator_moment_columns(cases[k][0], 32, coeffs[k])
+            return sphere.indicator_moment_columns(cases[k][0], coeffs[k])
 
         serial = [columns(k) for k in range(len(cases))]
         jobs = [k for _ in range(8) for k in range(len(cases))]
@@ -221,13 +221,13 @@ class TestIndependentReferences:
         # the closed form that n = 2 took before it joined the one path;
         # 1e-12 is below the snap, so it is the empty indicator
         want = _n2_closed_form(0.0 if abs(c1) < _kernels.SNAP_EPS else c1)
-        got = sphere.indicator_moment_columns(2, 64, np.array([c1]))
+        got = sphere.indicator_moment_columns(2, np.array([c1]))
         assert np.abs(got - want).max() <= 1e-15 * 2 * math.pi
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 12])
     def test_zero_delta_matches_analytic(self, n):
         b0, bi0 = moments.analytic_baseline(n)
-        got = sphere.indicator_moment_columns(n, 64, moments._coeff_vector(n, np.zeros(n - 2)))
+        got = sphere.indicator_moment_columns(n, moments._coeff_vector(n, np.zeros(n - 2)))
         assert _norm_err(got, -np.concatenate([[b0], bi0])) <= 1e-15
 
     # quad reports roundoff against its 1e-15 absolute request beside the
@@ -236,18 +236,18 @@ class TestIndependentReferences:
     @pytest.mark.parametrize("delta", _N3_DELTAS)
     def test_n3_matches_quad(self, delta):
         c1, c2 = moments._coeff_vector(3, np.array([delta]))
-        got = sphere.indicator_moment_columns(3, 64, np.array([c1, c2]))
+        got = sphere.indicator_moment_columns(3, np.array([c1, c2]))
         assert _norm_err(got, _n3_quad(c1, c2)) <= 1e-14
 
     @pytest.mark.parametrize("delta", _N4_DELTAS)
     def test_n4_matches_quad(self, delta):
         coeffs = moments._coeff_vector(4, np.array(delta))
-        got = sphere.indicator_moment_columns(4, 64, coeffs)
+        got = sphere.indicator_moment_columns(4, coeffs)
         assert _norm_err(got, _n4_quad(*coeffs)) <= 1e-14
 
     @pytest.mark.parametrize("delta", sorted(_N4_QUAD))
     def test_n4_matches_stored_quad(self, delta):
-        got = sphere.indicator_moment_columns(4, 64, moments._coeff_vector(4, np.array(delta)))
+        got = sphere.indicator_moment_columns(4, moments._coeff_vector(4, np.array(delta)))
         assert _norm_err(got, _N4_QUAD[delta]) <= 1e-14
 
 
@@ -365,8 +365,7 @@ class TestClosedFormN4:
         # b = 1e-9 puts a layer of width sqrt(b / a) on the Hopf angle
         p = HarmonicQuadratic(4, np.diag([0.9, 0.1 - 1e-9, 1e-9, -1.0]))
         want = _n4_quad(0.9, 0.1 - 1e-9, 1e-9)
-        rule = sphere.build_rule(4, 64)
-        got = [sphere.integrate_indicator_quadratic(rule, p, ax) for ax in (None, 0, 1, 2, 3)]
+        got = [sphere.integrate_indicator_quadratic(p, ax) for ax in (None, 0, 1, 2, 3)]
         assert np.abs(np.subtract(got, want)).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -374,12 +373,12 @@ class TestInputs:
     @pytest.mark.parametrize("n, length", [(4, 2), (4, 4), (3, 1), (5, 3)])
     def test_wrong_coeff_length_is_domain_error(self, n, length):
         with pytest.raises(DomainError, match="coeffs must have length"):
-            sphere.indicator_moment_columns(n, 64, np.full(length, 0.1))
+            sphere.indicator_moment_columns(n, np.full(length, 0.1))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_only_the_negative_axis_left_is_zero(self, n):
         # every coefficient but the -1 snaps to 0, so p > 0 nowhere
-        got = sphere.indicator_moment_columns(n, 64, np.full(n - 1, 5e-12) * (-1) ** np.arange(n - 1))
+        got = sphere.indicator_moment_columns(n, np.full(n - 1, 5e-12) * (-1) ** np.arange(n - 1))
         assert np.array_equal(got, np.zeros(n + 1))
 
     @pytest.mark.parametrize("tiny", [1e-9, -1e-9])
@@ -387,8 +386,7 @@ class TestInputs:
         # a coefficient of +-1e-9 beside O(1) ones; every column within 3 sigma
         diag = np.array([0.6, -0.3, 0.7, tiny, -1.0 - tiny])
         p = HarmonicQuadratic(5, np.diag(diag))
-        rule = sphere.build_rule(5, 16)
-        got = [sphere.integrate_indicator_quadratic(rule, p, ax) for ax in (None, 0, 1, 2, 3, 4)]
+        got = [sphere.integrate_indicator_quadratic(p, ax) for ax in (None, 0, 1, 2, 3, 4)]
 
         def columns(x):
             sq = x * x
@@ -449,25 +447,25 @@ def _table_reference(n, kind):
 class TestKernelTable:
     # the (n, order, delta) cases of the n >= 5 table of 0.8.0, which these
     # ids compared with its per-row kernel, now check the one 1-D integral
-    # against `_imhof_quad`, every column (row of the kernel's output) at once
+    # against `_imhof_quad`, every column (row of the kernel's output) at
+    # once; the orders remain as labels only
 
     @pytest.mark.parametrize(
         "n, order, kind", [(n, order, kind) for n, order in _TABLE_ORDERS for kind in sorted(_TABLE_DELTAS)]
     )
     def test_matches_per_row(self, n, order, kind):
         coeffs = moments._coeff_vector(n, np.array(_TABLE_DELTAS[kind][: n - 2]))
-        got = sphere.indicator_moment_columns(n, order, coeffs)
+        got = sphere.indicator_moment_columns(n, coeffs)
         assert _norm_err(got, _table_reference(n, kind)) <= 1e-14
 
     def test_low_order_gap_is_the_kernels(self):
         # at n = 8 / order 12 the kernel of 0.8.0 was 1e-3 off at a prefix
         # row just above the snap, so the low order cost 8e-6 in the columns;
-        # the integral has no order, and gives the bits of order 96 and the
-        # quarter-step values to its rounding floor
+        # the integral has no order, and gives the quarter-step values to
+        # its rounding floor
         n, delta = 8, np.array(_TABLE_DELTAS["tiny"])
         coeffs = moments._coeff_vector(n, delta)
-        got = sphere.indicator_moment_columns(n, 12, coeffs)
-        assert np.array_equal(got, sphere.indicator_moment_columns(n, 96, coeffs))
+        got = sphere.indicator_moment_columns(n, coeffs)
         fine = _kernels.indicator_moment_block(coeffs, 0.25 * _kernels.STEP)
         assert _norm_err(got, fine) <= 6e-15
 
@@ -477,7 +475,7 @@ class TestKernelTable:
         # add exact zeros to theta and to ln(rho), so the integral is that
         # of n = 2 ("one row"), P(Q > 0) = 1/2 and every zero axis has the
         # same column to the bit
-        got = sphere.indicator_moment_columns(n, order, moments._coeff_vector(n, np.zeros(n - 2)))
+        got = sphere.indicator_moment_columns(n, moments._coeff_vector(n, np.zeros(n - 2)))
         pair = _block(2, [1.0])
         area, pair_area = sphere.surface_area(n), sphere.surface_area(2)
         assert np.all(got[1 : n - 1] == got[1])
@@ -546,15 +544,13 @@ class TestRowBlocks:
     )
     def test_partition_invariant(self, n, order, delta):
         # `order` chose the prefix rule and the kernel's row blocks up to
-        # 0.8.0; now it partitions nothing, so every order gives the same
-        # bits, in the columns and in the moment set built from them
+        # 0.8.0 and is a label only since 0.10.0: the columns are one kernel
+        # block, and the moment set carries their bits
         coeffs = moments._coeff_vector(n, np.array(delta))
-        cols = sphere.indicator_moment_columns(n, order, coeffs)
+        cols = sphere.indicator_moment_columns(n, coeffs)
         assert np.array_equal(cols, _block(n, coeffs))
-        for other in (2, 3, 4 * order + 1):
-            assert np.array_equal(sphere.indicator_moment_columns(n, other, coeffs), cols)
-        m, m2 = (moments.compute_moments(np.array(delta), n, k) for k in (order, 2))
-        assert m.B == m2.B and np.array_equal(m.B_i, m2.B_i) and np.array_equal(m.C_i, m2.C_i)
+        m = moments.compute_moments(np.array(delta), n)
+        assert m.B == -cols[0] and np.array_equal(m.B_i, -cols[1:])
 
 
 def _fresh_interpreter(code):
@@ -583,7 +579,7 @@ class TestProcessFootprint:
         out = _fresh_interpreter(_N4_START + """
 import sys
 renorm.half_step(start, cfg)
-moments.compute_moments(np.array([1e-2, -5e-3, 2e-3]), 5, 32)
+moments.compute_moments(np.array([1e-2, -5e-3, 2e-3]), 5)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """)
         assert out == "[]"

@@ -74,34 +74,34 @@ MC_PINS = {
 
 class TestComputeMoments:
     def test_zero_delta_3d(self):
-        m = moments.compute_moments(np.zeros(1), 3, 48)
+        m = moments.compute_moments(np.zeros(1), 3)
         assert m.B == pytest.approx(-2 * math.pi, rel=1e-12)
         assert m.B_i[0] == pytest.approx(-2 * math.pi / 3, rel=1e-12)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_zero_delta_claim(self, n):
         # n^2 B_i(0) - n B(0) = 0 for the first n-2 axes
-        m = moments.compute_moments(np.zeros(n - 2), n, 48)
+        m = moments.compute_moments(np.zeros(n - 2), n)
         omega = sphere.surface_area(n)
         for i in range(n - 2):
             assert abs(n * n * m.B_i[i] - n * m.B) < 1e-8 * omega
 
     def test_increment_sign_and_scale(self):
         s = 1e-3
-        m = moments.compute_moments(np.array([s, 0.0]), 4, 64)
+        m = moments.compute_moments(np.array([s, 0.0]), 4)
         assert m.C_i[0] < 0.0
         ratio = np.abs(m.C_i).sum() / (s * abs(math.log(s)))
         assert 1.0 < ratio < 6.0
 
     def test_consistency_invariants(self):
-        m = moments.compute_moments(np.array([5e-3, -2e-3]), 4, 48)
+        m = moments.compute_moments(np.array([5e-3, -2e-3]), 4)
         assert m.B_i.sum() == pytest.approx(m.B, rel=1e-12)
         assert m.C_i.sum() == pytest.approx(m.C, abs=1e-15)
         assert m.B < 0 and np.all(m.B_i < 0)
 
     def test_delta_permutation_symmetry(self):
-        a = moments.compute_moments(np.array([4e-3, -1e-3]), 4, 48)
-        b = moments.compute_moments(np.array([-1e-3, 4e-3]), 4, 48)
+        a = moments.compute_moments(np.array([4e-3, -1e-3]), 4)
+        b = moments.compute_moments(np.array([-1e-3, 4e-3]), 4)
         assert a.B_i[0] == pytest.approx(b.B_i[1], rel=1e-12)
         assert a.B_i[1] == pytest.approx(b.B_i[0], rel=1e-12)
         assert a.B_i[2] == pytest.approx(b.B_i[2], rel=1e-12)
@@ -117,17 +117,21 @@ class TestComputeMoments:
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("order", [0, 1])
     def test_rejects_order_below_two(self, n, order):
-        with pytest.raises(DomainError, match="order must be >= 2"):
-            moments.compute_moments(np.full(n - 2, 1e-2), n, order)
+        # since 0.10.0 `order` is only accepted, for the benchmark's call
+        # form, and ignored: any value gives the bits of omitting it
+        delta = np.full(n - 2, 1e-2)
+        got, want = moments.compute_moments(delta, n, order), moments.compute_moments(delta, n)
+        assert got.B == want.B and np.array_equal(got.B_i, want.B_i)
+        assert np.array_equal(got.C_i, want.C_i) and got.C == want.C
 
     def test_csv_export(self):
         sets = [
-            moments.compute_moments(np.array([0.0]), 3, 32),
-            moments.compute_moments(np.array([1e-3]), 3, 32),
+            moments.compute_moments(np.array([0.0]), 3),
+            moments.compute_moments(np.array([1e-3]), 3),
         ]
         text = moments.momentsets_to_csv(sets)
         lines = text.strip().splitlines()
-        assert lines[0] == "n,delta_1,B,B_1,B_2,B_3,C,C_1,C_2,C_3,order"
+        assert lines[0] == "n,delta_1,B,B_1,B_2,B_3,C,C_1,C_2,C_3"
         assert len(lines) == 3
         with pytest.raises(DomainError):
             moments.momentsets_to_csv([])
@@ -137,7 +141,7 @@ class TestFourierBlock:
     def test_zero_delta_structure(self):
         # only the x_{n-1}^2 - x_n^2 component survives at delta = 0
         for n in (3, 4, 5):
-            m = moments.compute_moments(np.zeros(n - 2), n, 48)
+            m = moments.compute_moments(np.zeros(n - 2), n)
             block = moments.fourier_block2(m)
             diag = np.diag(block.a2sigma2.coeff)
             assert np.abs(diag[: n - 2]).max() < 1e-8
@@ -152,7 +156,7 @@ class TestFourierBlock:
             lambda t: -chi(t) * math.cos(2 * t), 0, 2 * math.pi, points=breaks, limit=200
         )
         c0_oracle = num / math.pi
-        m = moments.compute_moments(np.zeros(0), 2, 48)
+        m = moments.compute_moments(np.zeros(0), 2)
         block = moments.fourier_block2(m)
         assert block.a2sigma2.coeff[0, 0] == pytest.approx(c0_oracle, abs=1e-10)
         assert c0_oracle == pytest.approx(-2.0 / math.pi, abs=1e-10)
@@ -161,7 +165,7 @@ class TestFourierBlock:
         # project the indicator onto diagonal quadratics by a Gram solve of
         # Monte Carlo inner products, independently of the quadrature path
         n, delta = 3, np.array([0.04])
-        m = moments.compute_moments(delta, n, 64)
+        m = moments.compute_moments(delta, n)
         block_diag = np.diag(moments.fourier_block2(m).a2sigma2.coeff)
         p = make_p_delta(n, delta)
         omega = sphere.surface_area(n)

@@ -12,7 +12,7 @@ ETA = math.log(2.0) / (2.0 * math.pi)
 
 
 def cfg4(**kw):
-    base = dict(n=4, order=48, C_gamma=0.0)
+    base = dict(n=4, C_gamma=0.0)
     base.update(kw)
     return renorm.MapConfig(**base)
 
@@ -30,20 +30,23 @@ class TestMapConfig:
 
     @pytest.mark.parametrize("order", [0, 1])
     def test_validates_order(self, order):
-        with pytest.raises(DomainError, match="order must be >= 2"):
-            renorm.MapConfig(n=4, order=order)
+        # since 0.10.0 `order` is only accepted, for the benchmark's call
+        # form, and ignored: the config equals one without it
+        cfg = renorm.MapConfig(n=4, order=order)
+        assert cfg == renorm.MapConfig(n=4)
+        assert "order" not in cfg.to_dict()
 
     def test_calibrated_constant_is_zero_for_clean_map(self):
         # the clean map amplifies every nonzero delta, so the smallest
         # constant making the threshold implication pass is zero
-        assert renorm.calibrate_threshold_constant(4, 0.1, 32) == 0.0
-        assert renorm.calibrate_threshold_constant(3, 0.1, 32) == 0.0
+        assert renorm.calibrate_threshold_constant(4, 0.1) == 0.0
+        assert renorm.calibrate_threshold_constant(3, 0.1) == 0.0
 
 
 class TestHalfStep:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_fixed_point(self, n):
-        cfg = renorm.MapConfig(n=n, order=48, C_gamma=0.0)
+        cfg = renorm.MapConfig(n=n, C_gamma=0.0)
         state = DeltaState(n=n, tau=10.0, delta=np.zeros(n - 2))
         new = renorm.half_step(state, cfg)
         assert new.tau - 10.0 == pytest.approx(ETA, abs=1e-10)
@@ -80,7 +83,7 @@ class TestHalfStep:
         # recompute the same step with Monte Carlo moments; the correction
         # coefficients are linear in (B, B_i) so 3 sigma propagates directly
         n, delta, tau = 4, np.array([0.05, -0.03]), 10.0
-        cfg = cfg4(order=64)
+        cfg = cfg4()
         state = DeltaState(n=n, tau=tau, delta=delta)
         _, m, z_half, _ = renorm._step_detail(state, cfg)
         z_quad = np.diag(z_half.coeff)
@@ -151,7 +154,7 @@ class TestCheckMonotonicity:
 
 class TestIterate:
     def test_fixed_point_converges(self):
-        cfg = renorm.MapConfig(n=3, order=48, C_gamma=0.0)
+        cfg = renorm.MapConfig(n=3, C_gamma=0.0)
         rec = renorm.iterate(DeltaState(n=3, tau=10.0, delta=np.zeros(1)), cfg, 100)
         assert rec.classification.kind == "converged"
         assert np.abs(rec.classification.delta_inf).max() < 1e-12
@@ -183,7 +186,7 @@ class TestIterate:
         monkeypatch.setattr(renorm, "compute_moments", counted)
         rec = renorm.iterate(
             DeltaState(n=4, tau=10.0, delta=np.array([0.05, 0.0])),
-            cfg4(order=32),
+            cfg4(),
             250,
             record_monotonicity=True,
         )
@@ -199,7 +202,7 @@ class TestIterate:
         assert rec.classification.step == 0
 
     def test_noise_off_bitwise_deterministic(self):
-        cfg = cfg4(order=32)
+        cfg = cfg4()
         runs = [
             renorm.iterate(DeltaState(n=4, tau=10.0, delta=np.array([1e-3, 0.0])), cfg, 15)
             for _ in range(2)
@@ -209,20 +212,20 @@ class TestIterate:
         assert runs[0].to_csv() == runs[1].to_csv()
 
     def test_random_noise_deterministic_per_seed(self):
-        cfg = cfg4(order=32, noise="random", c_noise=1.0, seed=9)
+        cfg = cfg4(noise="random", c_noise=1.0, seed=9)
         a = renorm.iterate(DeltaState(n=4, tau=10.0, delta=np.array([1e-3, 0.0])), cfg, 10)
         b = renorm.iterate(DeltaState(n=4, tau=10.0, delta=np.array([1e-3, 0.0])), cfg, 10)
         assert np.array_equal(a.deltas(), b.deltas())
 
     def test_csv_columns(self):
-        cfg = cfg4(order=32)
+        cfg = cfg4()
         rec = renorm.iterate(DeltaState(n=4, tau=10.0, delta=np.zeros(2)), cfg, 3)
         lines = rec.to_csv().splitlines()
         assert lines[0] == "k,tau,delta_1,delta_2,ratio,sum_abs_ddelta,defect"
         assert len(lines) == 5
 
     def test_manifest_shape(self):
-        cfg = cfg4(order=32)
+        cfg = cfg4()
         rec = renorm.iterate(DeltaState(n=4, tau=10.0, delta=np.zeros(2)), cfg, 3)
         man = rec.manifest()
         assert man["config"]["n"] == 4
@@ -232,12 +235,12 @@ class TestIterate:
 
 class TestSweep:
     def test_single_cell(self):
-        cfg = cfg4(order=32)
+        cfg = cfg4()
         rows = renorm.sweep([10.0], [np.zeros(2)], cfg, 20, workers=1)
         assert rows[0]["classification"] == "converged"
 
     def test_parallel_matches_serial(self):
-        cfg = cfg4(order=32)
+        cfg = cfg4()
         taus = [10.0, 20.0]
         deltas = [np.zeros(2), np.array([0.05, 0.0]), np.array([0.0, 0.05])]
         serial = renorm.sweep(taus, deltas, cfg, 15, workers=1)
@@ -247,7 +250,7 @@ class TestSweep:
     def test_pool_forks_from_warm_caches(self):
         # the parent fills the zero-delta columns a cell needs before the
         # pool opens, and the rows do not depend on it
-        cfg = cfg4(order=32)
+        cfg = cfg4()
         caches = [moments._zero_columns]
         for c in caches:
             c.cache_clear()
@@ -258,7 +261,7 @@ class TestSweep:
         assert parallel == renorm.sweep(taus, deltas, cfg, 10, workers=1)
 
     def test_permutation_symmetric_classifications(self):
-        cfg = cfg4(order=32)
+        cfg = cfg4()
         rows = renorm.sweep(
             [10.0], [np.array([0.05, 0.0]), np.array([0.0, 0.05])], cfg, 15, workers=1
         )
@@ -266,7 +269,7 @@ class TestSweep:
         assert rows[0]["final_tau"] == pytest.approx(rows[1]["final_tau"], rel=1e-13)
 
     def test_csv(self):
-        cfg = cfg4(order=32)
+        cfg = cfg4()
         rows = renorm.sweep([10.0], [np.zeros(2)], cfg, 5, workers=1)
         text = renorm.sweep_to_csv(rows, 4)
         header = text.splitlines()[0]

@@ -166,21 +166,18 @@ class TestIntegrate:
 class TestIndicatorQuadratic:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_half_measure(self, n):
-        rule = sphere.build_rule(n, 32)
         p0 = make_p_delta(n, np.zeros(n - 2))
-        val = sphere.integrate_indicator_quadratic(rule, p0)
+        val = sphere.integrate_indicator_quadratic(p0)
         assert val == pytest.approx(sphere.surface_area(n) / 2, rel=1e-12)
 
     def test_weighted_half_measure(self):
-        rule = sphere.build_rule(4, 32)
         p0 = make_p_delta(4, np.zeros(2))
-        val = sphere.integrate_indicator_quadratic(rule, p0, weight_axis=0)
+        val = sphere.integrate_indicator_quadratic(p0, weight_axis=0)
         assert val == pytest.approx(math.pi**2 / 4, rel=1e-12)
 
     def test_small_delta_against_monte_carlo(self):
         p = make_p_delta(4, np.array([1e-3, 0.0]))
-        rule = sphere.build_rule(4, 64)
-        quad = sphere.integrate_indicator_quadratic(rule, p)
+        quad = sphere.integrate_indicator_quadratic(p)
         est = sphere.mc_integrate(4, chi_indicator(p), 10**7, 20240801)
         assert abs(quad - est.value) <= 3 * est.std_error
 
@@ -194,64 +191,61 @@ class TestIndicatorQuadratic:
         ],
     )
     def test_refinement_stability(self, n, delta):
+        # refinement is the check pass at half the step, which it returns
         p = make_p_delta(n, np.array(delta))
-        v1 = sphere.integrate_indicator_quadratic(sphere.build_rule(n, 48), p)
-        v2 = sphere.integrate_indicator_quadratic(sphere.build_rule(n, 96), p)
+        v1 = sphere.integrate_indicator_quadratic(p)
+        v2 = sphere.integrate_indicator_quadratic(p, check_rtol=1e-8)
         assert abs(v1 - v2) < 1e-8 * abs(v2)
 
     def test_refinement_stability_n5_zero_delta(self):
         p = make_p_delta(5, np.zeros(3))
-        v1 = sphere.integrate_indicator_quadratic(sphere.build_rule(5, 32), p)
-        v2 = sphere.integrate_indicator_quadratic(sphere.build_rule(5, 64), p)
+        v1 = sphere.integrate_indicator_quadratic(p)
+        v2 = sphere.integrate_indicator_quadratic(p, check_rtol=1e-12)
         assert abs(v1 - v2) < 1e-12 * abs(v2)
 
     def test_refinement_envelope_n5_mixed(self):
-        # `order` selects nothing since 0.9.0; the bound is the ~1e-6
-        # envelope of the n >= 5 product rule of earlier versions
+        # the bound is the ~1e-6 envelope of the n >= 5 product rule of
+        # versions before 0.9.0
         p = make_p_delta(5, np.array([1e-2, -5e-3, 2e-3]))
-        v1 = sphere.integrate_indicator_quadratic(sphere.build_rule(5, 64), p)
-        v2 = sphere.integrate_indicator_quadratic(sphere.build_rule(5, 128), p)
+        v1 = sphere.integrate_indicator_quadratic(p)
+        v2 = sphere.integrate_indicator_quadratic(p, check_rtol=1e-5)
         assert abs(v1 - v2) < 1e-5 * abs(v2)
 
     def test_general_quadratic_keeps_order(self):
-        # a general quadratic is accepted at any order, which selects
-        # nothing (TestClosedFormN4 in test_kernels checks this quadratic
-        # against scipy quad)
+        # a general quadratic, not only a normal form, holds its columns
+        # under the check pass at half the step (TestClosedFormN4 in
+        # test_kernels checks this quadratic against scipy quad)
         p = HarmonicQuadratic(4, np.diag([0.9, 0.1 - 1e-9, 1e-9, -1.0]))
         axes = [None, 0, 1, 2, 3]
-        got = [sphere.integrate_indicator_quadratic(sphere.build_rule(4, 64), p, ax) for ax in axes]
-        ref = [sphere.integrate_indicator_quadratic(sphere.build_rule(4, 256), p, ax) for ax in axes]
+        got = [sphere.integrate_indicator_quadratic(p, ax) for ax in axes]
+        ref = [sphere.integrate_indicator_quadratic(p, ax, check_rtol=1e-12) for ax in axes]
         assert np.abs(np.subtract(got, ref)).max() <= 1e-12 * np.abs(ref).max()
 
     def test_rejects_non_diagonal(self):
-        rule = sphere.build_rule(3, 8)
         q = HarmonicQuadratic.from_matrix(
             np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         )
         with pytest.raises(DomainError):
-            sphere.integrate_indicator_quadratic(rule, q)
+            sphere.integrate_indicator_quadratic(q)
 
     def test_zero_form_contributes_nothing(self):
-        rule = sphere.build_rule(3, 8)
-        assert sphere.integrate_indicator_quadratic(rule, HarmonicQuadratic.zero(3)) == 0.0
+        assert sphere.integrate_indicator_quadratic(HarmonicQuadratic.zero(3)) == 0.0
 
     def test_permuted_axes_match(self):
         # most-negative axis is moved internally; values match the direct case
-        rule = sphere.build_rule(3, 32)
         p = HarmonicQuadratic(3, np.diag([-1.0, 0.2, 0.8]))
         q = HarmonicQuadratic(3, np.diag([0.2, 0.8, -1.0]))
-        v_p = sphere.integrate_indicator_quadratic(rule, p, weight_axis=0)
-        v_q = sphere.integrate_indicator_quadratic(rule, q, weight_axis=2)
+        v_p = sphere.integrate_indicator_quadratic(p, weight_axis=0)
+        v_q = sphere.integrate_indicator_quadratic(q, weight_axis=2)
         assert v_p == pytest.approx(v_q, rel=1e-13)
 
     def test_convergence_warning(self, monkeypatch):
         # at a step of 1 the trapezoid rule is ~1e-5 off, so the check pass
         # at half of it cannot confirm 1e-12
         p = make_p_delta(5, np.array([1e-2, -5e-3, 2e-3]))
-        rule = sphere.build_rule(5, 32)
         monkeypatch.setattr(_kernels, "STEP", 1.0)
         with pytest.warns(QuadratureConvergenceWarning):
-            sphere.integrate_indicator_quadratic(rule, p, check_rtol=1e-12)
+            sphere.integrate_indicator_quadratic(p, check_rtol=1e-12)
 
     def test_check_pass_doubles_kernel_nodes(self, monkeypatch):
         # the check pass re-evaluates at half the kernel's step, which
@@ -268,7 +262,7 @@ class TestIndicatorQuadratic:
         p = make_p_delta(5, np.array([1e-2, -5e-3, 2e-3]))
         with warnings.catch_warnings():
             warnings.simplefilter("error", QuadratureConvergenceWarning)
-            sphere.integrate_indicator_quadratic(sphere.build_rule(5, 32), p, check_rtol=1e-12)
+            sphere.integrate_indicator_quadratic(p, check_rtol=1e-12)
         assert seen == [_kernels.STEP, 0.5 * _kernels.STEP]
 
     def test_check_sees_kernel_resolution(self):
@@ -276,12 +270,11 @@ class TestIndicatorQuadratic:
         # of it agree to 1e-12 but not to 1e-15 (a 3.9e-15 gap), which a
         # check pass that repeated the same step could never report
         p = make_p_delta(3, np.array([3e-11]))
-        rule = sphere.build_rule(3, 64)
         with warnings.catch_warnings():
             warnings.simplefilter("error", QuadratureConvergenceWarning)
-            sphere.integrate_indicator_quadratic(rule, p, weight_axis=2, check_rtol=1e-12)
+            sphere.integrate_indicator_quadratic(p, weight_axis=2, check_rtol=1e-12)
         with pytest.warns(QuadratureConvergenceWarning):
-            sphere.integrate_indicator_quadratic(rule, p, weight_axis=2, check_rtol=1e-15)
+            sphere.integrate_indicator_quadratic(p, weight_axis=2, check_rtol=1e-15)
 
 
 class TestMonteCarlo:
@@ -339,11 +332,11 @@ class TestMonteCarlo:
             sphere.mc_integrate(3, f, 2000, 0)
 
 
-# indicator_moment_columns(4, 128, _coeff_vector(4, delta)) as 0.2.0-0.8.0
+# The order-128 indicator_moment_columns of _coeff_vector(4, delta) as 0.2.0-0.8.0
 # computed it, with the graded prefix rule of the circle rebuilt at 34
 # levels x 24 Gauss-Legendre nodes, printed with repr.  The per-call grading
 # loop of 0.2.0, run at 34 x 24 and order 128, agrees with these to 5e-15.
-# The orders are kept as test ids; since 0.9.0 they select nothing.
+# The orders are kept as test ids only.
 _DEEP_N4 = [
     ((0.05, 0.0), [10.361950059935648, 2.83716915664034, 2.590487514983916, 4.0339649452974236, 0.9003284430139615]),
     ((1e-05, 0.0), [9.869968587703758, 2.4676742402330736, 2.4674921469256748, 4.038197426414113, 0.896604774130898]),
@@ -366,7 +359,7 @@ class TestGradedPrefix:
     )
     def test_against_deep_reference(self, delta, order, want):
         coeffs = moments._coeff_vector(4, np.array(delta))
-        got = sphere.indicator_moment_columns(4, order, coeffs)
+        got = sphere.indicator_moment_columns(4, coeffs)
         want = np.array(want)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -376,7 +369,7 @@ class TestCachedArraysReadOnly:
         rule = sphere.build_rule(5, 12)
         return [
             rule.phi_nodes, rule.phi_weights, *rule.psi_nodes, *rule.psi_weights,
-            moments._zero_columns(5, 12),
+            moments._zero_columns(5),
         ]
 
     def test_in_place_write_raises(self):

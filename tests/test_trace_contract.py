@@ -4,7 +4,9 @@
 package, so renaming a traced name, or no longer calling through it, breaks
 traced benchmark runs.  These tests install the tracer on the package, run
 a Monte Carlo moment check and moment sets, and check the counts and the
-cache statistics the tracer reads.
+cache statistics the tracer reads.  The benchmark's workloads also still
+pass a node count to `compute_moments` and `MapConfig`, which both accept
+and ignore; the last test pins that.
 """
 
 import importlib.util
@@ -31,7 +33,7 @@ def test_tracer_reaches_wrapped_layers_and_restores():
     tracer = _load_layertrace().Tracer(bl).install()
     try:
         bl.moments.mc_moment_check(np.array([0.01]), 3, 2000, 5)
-        bl.moments.compute_moments(np.array([1e-2, -5e-3, 2e-3]), 5, order=16)
+        bl.moments.compute_moments(np.array([1e-2, -5e-3, 2e-3]), 5)
         # run.py --trace 1 reads the lru caches it names through the wrappers
         caches = tracer.cache_info()
     finally:
@@ -53,11 +55,10 @@ def test_kernel_counts_read_rows_and_nodes(n, delta):
     # the tracer counts rows and row nodes on `row_reductions`, a placeholder
     # that nothing calls since 0.9.0, so traced runs report no rows and the
     # whole kernel layer is one `indicator_moment_block` call per moment set
-    order = 64
-    bl.moments._zero_columns(n, order)  # cached, so only the delta set is traced
+    bl.moments._zero_columns(n)  # cached, so only the delta set is traced
     tracer = _load_layertrace().Tracer(bl).install()
     try:
-        bl.moments.compute_moments(np.array(delta), n, order)
+        bl.moments.compute_moments(np.array(delta), n)
     finally:
         tracer.restore()
     counts = tracer.counts
@@ -65,3 +66,16 @@ def test_kernel_counts_read_rows_and_nodes(n, delta):
     assert counts["sphere.indicator_moment_columns.calls"] == 1
     for name in ("calls", "rows", "row_nodes", "distinct_rows"):
         assert counts["kernels.row_reductions." + name] == 0
+
+
+@pytest.mark.parametrize("k", [2, 16, 64])
+def test_benchmark_call_forms_ignore_order(k):
+    # perfbench/workloads.py calls compute_moments(delta, n, case["order"])
+    # and builds MapConfig(n=..., order=...)
+    delta, n = np.array([1e-2, -5e-3, 2e-3]), 5
+    got, want = bl.moments.compute_moments(delta, n, k), bl.moments.compute_moments(delta, n)
+    assert got.B == want.B and np.array_equal(got.B_i, want.B_i)
+    assert got.C == want.C and np.array_equal(got.C_i, want.C_i)
+    cfg = bl.renorm.MapConfig(n=4, order=k)
+    assert cfg == bl.renorm.MapConfig(n=4)
+    assert "order" not in cfg.to_dict()
