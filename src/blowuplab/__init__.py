@@ -3,7 +3,7 @@ free-boundary singular points: sphere moments of indicator sources, the
 correction's scale projections, and trajectory classification of the
 induced map on normal-form quadratics."""
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .correction import (
     CorrectionDecomposition,
@@ -25,7 +25,6 @@ from .errors import (
 )
 from .gridproj import ProjectionResult, SampledField, half_step_empirical, project
 from .moments import (
-    FourierBlock2,
     InnerSlabResult,
     MomentSet,
     compute_moments,

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .moments import FourierBlock2
 from .quadratic import HarmonicQuadratic
 
 
@@ -74,12 +73,9 @@ class CorrectionDecomposition:
         )
 
 
-def from_fourier_block(block, n=None):
+def from_fourier_block(block):
     """Decomposition driven by the degree-2 block alone: q = block/(n+2)."""
-    n = block.n if n is None else n
-    if n != block.n:
-        raise DomainError("dimension mismatch with the Fourier block")
-    return CorrectionDecomposition(n=n, q=(1.0 / (n + 2)) * block.a2sigma2)
+    return CorrectionDecomposition(n=block.n, q=(1.0 / (block.n + 2)) * block)
 
 
 def scale_projection(dec, r):

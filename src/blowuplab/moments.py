@@ -47,14 +47,6 @@ class MomentSet:
         return self
 
 
-@dataclass(frozen=True)
-class FourierBlock2:
-    """Degree-2 component of -chi_{p_delta>0} on the sphere (trace-free)."""
-
-    n: int
-    a2sigma2: HarmonicQuadratic
-
-
 def _coeff_vector(n, delta):
     return normal_form_diagonal(delta)[:-1]
 
@@ -87,10 +79,9 @@ def compute_moments(delta, n, order=None):
     """Moment set at delta, with increments against the delta = 0 baseline.
 
     B and B_i are one Gil-Pelaez integral (`sphere.indicator_moment_columns`)
-    at its fixed step in every dimension.  The baseline uses the analytic
-    B_i(0) for i <= n-2 and the same integral's values at delta = 0 for
-    i in {n-1, n}; C is stored as sum(C_i), which the baseline mix
-    preserves to ~1e-12.
+    at its fixed step in every dimension, and the baseline is the same
+    integral at delta = 0, so delta = 0 gives C_i = 0 exactly.  C is stored
+    as sum(C_i).
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=np.float64))
     if delta.shape != (n - 2,):
@@ -102,13 +93,7 @@ def compute_moments(delta, n, order=None):
     b = -cols[0]
     b_i = -cols[1:]
 
-    zero_cols = _zero_columns(n)
-    _, bi0_exact = analytic_baseline(n)
-    baseline = bi0_exact.copy()
-    baseline[n - 2] = -zero_cols[n - 1]
-    baseline[n - 1] = -zero_cols[n]
-
-    c_i = b_i - baseline
+    c_i = b_i + _zero_columns(n)[1:]
     return MomentSet(
         n=n,
         delta=delta,
@@ -130,7 +115,7 @@ def fourier_block2(moments):
     omega = surface_area(n)
     diag = (n + 2) / (2.0 * omega) * (n * moments.B_i - moments.B)
     diag = diag - diag.mean()
-    return FourierBlock2(n=n, a2sigma2=HarmonicQuadratic(n, np.diag(diag)))
+    return HarmonicQuadratic(n, np.diag(diag))
 
 
 # z_i^2 z_j^2 is a quartic, which the order-8 product rule integrates exactly

@@ -21,6 +21,7 @@ DEFAULT_KAPPA0 = 0.2
 
 _TRACE_TOL = 1e-12
 _SYM_TOL = 1e-12
+_ORTHO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,11 @@ class DeltaState:
         if self.Q is None:
             self.Q = np.eye(self.n)
         self.Q = np.asarray(self.Q, dtype=np.float64)
+        if self.Q.shape != (self.n, self.n):
+            raise DomainError(f"Q must be {self.n}x{self.n}")
+        # the step reads Q's columns as an orthonormal frame; NaN fails too
+        if not np.abs(self.Q @ self.Q.T - np.eye(self.n)).max() <= _ORTHO_TOL:
+            raise DomainError("Q must be orthogonal")
         if self.tau <= 0.0:
             raise DomainError("tau must be positive")
 
@@ -159,11 +165,13 @@ class DeltaState:
     def from_json(cls, text):
         obj = json.loads(text)
         n = int(obj["n"])
+        q_mat = np.array(obj["Q"], dtype=np.float64)
         return cls(
             n=n,
             tau=float(obj["tau"]),
             delta=np.array(obj["delta"], dtype=np.float64),
-            Q=np.array(obj["Q"], dtype=np.float64).reshape(n, n),
+            # a wrong entry count is left unshaped for the shape check
+            Q=q_mat.reshape(n, n) if q_mat.size == n * n else q_mat,
         )
 
 
@@ -214,41 +222,53 @@ def _order_ties(eigvals, eigvecs):
     return eigvals[order], vecs
 
 
-def diagonalize(q, kappa0=DEFAULT_KAPPA0):
-    """Bring a trace-free form to the normal form tau * p_delta in a rotated frame.
+def normal_form(eigvals, eigvecs, kappa0=DEFAULT_KAPPA0):
+    """The state tau * p_delta of the form with values `eigvals` on the
+    orthonormal columns of `eigvecs`.
 
-    Eigenvalues are assigned: most negative to axis n, largest to axis n-1,
-    the remaining ones ascending on axes 1..n-2.  Raises DegeneracyError when
-    there is no strictly negative eigenvalue to scale to -1.
+    `eigvals` must be ascending and is not re-sorted, so the caller's order
+    within ties stands.  Values are assigned: most negative to axis n,
+    largest to axis n-1, the remaining ones in the given order on axes
+    1..n-2; the last column's sign makes the frame a rotation.  Raises
+    DegeneracyError when there is no strictly negative value to scale to -1.
     """
-    a = q.coeff
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        raise DegeneracyError("cannot normalize the zero form")
-    eigvals, eigvecs = np.linalg.eigh(a)
-    eigvals, eigvecs = _order_ties(eigvals, eigvecs)
+    n = eigvals.shape[0]
     if eigvals[0] >= 0.0:
         raise DegeneracyError("no strictly negative eigenvalue; p_delta needs -1 on x_n")
 
     tau = -eigvals[0]
     # axis order: middle ascending, then largest, then most negative
-    perm = list(range(1, q.n - 1)) + [q.n - 1, 0]
+    perm = list(range(1, n - 1)) + [n - 1, 0]
     vals = eigvals[perm]
     vecs = eigvecs[:, perm]
     if np.linalg.det(vecs) < 0:
         vecs[:, -1] = -vecs[:, -1]
 
-    delta = vals[: q.n - 2] / tau
+    delta = vals[: n - 2] / tau
     delta_tilde = delta.sum()
-    defect = abs(vals[q.n - 2] / tau - (1.0 - delta_tilde))
+    defect = abs(vals[n - 2] / tau - (1.0 - delta_tilde))
     return DeltaState(
-        n=q.n,
+        n=n,
         tau=float(tau),
         delta=delta,
         Q=vecs,
         consistency_defect=float(defect),
         kappa0=kappa0,
     )
+
+
+def diagonalize(q, kappa0=DEFAULT_KAPPA0):
+    """Bring a trace-free form to the normal form tau * p_delta in a rotated frame.
+
+    The eigendecomposition, with `_order_ties` fixing the basis within
+    equal eigenvalues, feeds `normal_form`, which sets the axis convention.
+    Raises DegeneracyError for the zero form and when there is no strictly
+    negative eigenvalue to scale to -1.
+    """
+    if np.abs(q.coeff).max() == 0.0:
+        raise DegeneracyError("cannot normalize the zero form")
+    eigvals, eigvecs = _order_ties(*np.linalg.eigh(q.coeff))
+    return normal_form(eigvals, eigvecs, kappa0)
 
 
 def random_rotation(n, rng):

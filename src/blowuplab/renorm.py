@@ -2,9 +2,12 @@
 
 One step: compute the moments of the current normal form, project the
 indicator's correction to scale 1/2, add it (and an optional perturbation
-modeling the neglected lower-order terms) to the scaled form, and
-re-diagonalize.  Iteration classifies trajectories into converged /
-escaped / exhausted; the escape criterion is leaving the small-delta ball.
+modeling the neglected lower-order terms) to the scaled form, and bring
+the sum back to normal form.  All three terms are diagonal in the state's
+frame, so that is a sort of the new diagonal and a permutation of the
+frame's columns, with no eigendecomposition.  Iteration classifies
+trajectories into converged / escaped / exhausted; the escape criterion is
+leaving the small-delta ball.
 """
 
 import csv
@@ -21,13 +24,9 @@ import numpy as np
 from .correction import from_fourier_block, scale_projection
 from .errors import DegeneracyError, DomainError, EscapeError
 from .moments import compute_moments, fourier_block2
-from .quadratic import (
-    DEFAULT_KAPPA0,
-    DeltaState,
-    HarmonicQuadratic,
-    diagonalize,
-    normal_form_diagonal,
-)
+from .quadratic import DEFAULT_KAPPA0, DeltaState, normal_form, normal_form_diagonal
+# Its only reader is perfbench/layertrace.py, which wraps this name; nothing calls it.
+from .quadratic import diagonalize
 
 NOISE_MODES = ("off", "random", "adversarial")
 
@@ -116,10 +115,9 @@ def _step_detail(state, cfg, rng=None):
     diag_new = (
         state.tau * normal_form_diagonal(state.delta) + np.diag(z_half.coeff) + xi
     )
-    ambient = HarmonicQuadratic.from_matrix(
-        state.Q @ np.diag(diag_new) @ state.Q.T
-    )
-    new_state = diagonalize(ambient, kappa0=cfg.kappa0)
+    diag_new -= diag_new.mean()  # the rounding-level trace of the sum
+    order = np.argsort(diag_new, kind="stable")
+    new_state = normal_form(diag_new[order], state.Q[:, order], cfg.kappa0)
     return new_state, m, z_half, xi
 
 
@@ -431,11 +429,7 @@ def sweep(tau0_values, delta0_values, cfg, max_steps, workers=None):
     """Classify a grid of initial conditions; rows ordered by cell index.
 
     Cells run in parallel across processes; results are keyed by index so
-    the table is independent of the worker count.  Before the pool opens,
-    the parent computes the delta = 0 moment set once.  That caches the
-    zero-delta columns every cell's increments need, so workers forked
-    from the parent inherit them.  This helps only where the pool forks
-    (the default on Linux).
+    the table is independent of the worker count.
     `workers` defaults to `default_workers()`; below 1 is a ValueError.
     """
     workers = default_workers() if workers is None else workers
@@ -453,7 +447,6 @@ def sweep(tau0_values, delta0_values, cfg, max_steps, workers=None):
             i, row = _sweep_cell(t)
             results[i] = row
     else:
-        compute_moments(np.zeros(cfg.n - 2), cfg.n)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for i, row in pool.map(_sweep_cell, tasks, chunksize=4):
                 results[i] = row

@@ -129,8 +129,7 @@ class TestScaleProjection:
 
 class TestFromFourierBlock:
     def test_zero_block(self):
-        block = moments.FourierBlock2(3, HarmonicQuadratic.zero(3))
-        dec = correction.from_fourier_block(block)
+        dec = correction.from_fourier_block(HarmonicQuadratic.zero(3))
         assert np.abs(dec.q.coeff).max() == 0.0
         assert dec.phi_terms == ()
 
@@ -138,8 +137,7 @@ class TestFromFourierBlock:
         m = moments.compute_moments(np.array([2e-3]), 3)
         block = moments.fourier_block2(m)
         dec = correction.from_fourier_block(block)
-        scaled = moments.FourierBlock2(3, 2.5 * block.a2sigma2)
-        dec2 = correction.from_fourier_block(scaled)
+        dec2 = correction.from_fourier_block(2.5 * block)
         assert np.allclose(dec2.q.coeff, 2.5 * dec.q.coeff)
 
     def test_q_trace_free(self):

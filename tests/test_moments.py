@@ -143,10 +143,10 @@ class TestFourierBlock:
         for n in (3, 4, 5):
             m = moments.compute_moments(np.zeros(n - 2), n)
             block = moments.fourier_block2(m)
-            diag = np.diag(block.a2sigma2.coeff)
+            diag = np.diag(block.coeff)
             assert np.abs(diag[: n - 2]).max() < 1e-8
             assert diag[n - 2] == pytest.approx(-diag[n - 1], rel=1e-12)
-            assert abs(np.trace(block.a2sigma2.coeff)) < 1e-14
+            assert abs(np.trace(block.coeff)) < 1e-14
 
     def test_n2_coefficient_against_arc_oracle(self):
         # independent 1-D oracle: project -chi_{cos(2t)>0} onto cos(2t)
@@ -158,7 +158,7 @@ class TestFourierBlock:
         c0_oracle = num / math.pi
         m = moments.compute_moments(np.zeros(0), 2)
         block = moments.fourier_block2(m)
-        assert block.a2sigma2.coeff[0, 0] == pytest.approx(c0_oracle, abs=1e-10)
+        assert block.coeff[0, 0] == pytest.approx(c0_oracle, abs=1e-10)
         assert c0_oracle == pytest.approx(-2.0 / math.pi, abs=1e-10)
 
     def test_small_delta_against_mc_projection(self):
@@ -166,7 +166,7 @@ class TestFourierBlock:
         # Monte Carlo inner products, independently of the quadrature path
         n, delta = 3, np.array([0.04])
         m = moments.compute_moments(delta, n)
-        block_diag = np.diag(moments.fourier_block2(m).a2sigma2.coeff)
+        block_diag = np.diag(moments.fourier_block2(m).coeff)
         p = make_p_delta(n, delta)
         omega = sphere.surface_area(n)
         _, bi_est = moments.mc_moment_check(delta, n, 4 * 10**6, 314159)

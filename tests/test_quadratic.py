@@ -157,6 +157,31 @@ class TestDeltaState:
         with pytest.raises(DomainError):
             DeltaState(n=3, tau=0.0, delta=np.array([0.0]))
 
+    @pytest.mark.parametrize(
+        "q_mat",
+        [
+            np.eye(3),
+            (1.0 + 1e-9) * np.eye(4),
+            np.eye(4) + 1e-6 * np.eye(4, k=1),
+            np.full((4, 4), np.nan),
+        ],
+        ids=["shape", "scaled", "sheared", "nan"],
+    )
+    def test_rejects_frame_that_is_not_orthogonal(self, q_mat):
+        # the step reads Q's columns as an orthonormal frame
+        with pytest.raises(DomainError):
+            DeltaState(n=4, tau=2.0, delta=np.zeros(2), Q=q_mat)
+        text = json.dumps(
+            {"n": 4, "tau": 2.0, "delta": [0.0, 0.0], "Q": q_mat.ravel().tolist()}
+        )
+        with pytest.raises(DomainError):
+            DeltaState.from_json(text)
+
+    def test_accepts_rotation_frame(self):
+        q_mat = random_rotation(4, np.random.default_rng(5))
+        state = DeltaState(n=4, tau=2.0, delta=np.zeros(2), Q=q_mat)
+        assert np.array_equal(DeltaState.from_json(state.to_json()).Q, q_mat)
+
     def test_ratio(self):
         state = DeltaState(n=4, tau=2.0, delta=np.array([0.0, 0.05]))
         assert state.ratio() == pytest.approx(0.05 / 0.95)

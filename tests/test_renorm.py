@@ -6,7 +6,14 @@ import pytest
 
 from blowuplab import moments, renorm
 from blowuplab.errors import DegeneracyError, DomainError, EscapeError, EvaluationError
-from blowuplab.quadratic import DeltaState
+from blowuplab.quadratic import (
+    DeltaState,
+    HarmonicQuadratic,
+    diagonalize,
+    make_p_delta,
+    normal_form_diagonal,
+    random_rotation,
+)
 
 ETA = math.log(2.0) / (2.0 * math.pi)
 
@@ -113,6 +120,93 @@ class TestHalfStep:
         _, _, _, xi = renorm._step_detail(state, cfg_a)
         assert np.abs(xi).max() <= 1.0 * 10.0 ** (-0.2) + 1e-15
         assert abs(xi.sum()) < 1e-15
+
+
+def _ambient_step_detail(step):
+    """Reference step: rotate the new diagonal out to the ambient matrix
+    Q diag Q^T, symmetrize it and re-diagonalize it from scratch."""
+
+    def detail(state, cfg, rng=None):
+        _, m, z_half, xi = step(state, cfg, rng)
+        diag_new = (
+            state.tau * normal_form_diagonal(state.delta) + np.diag(z_half.coeff) + xi
+        )
+        ambient = HarmonicQuadratic.from_matrix(state.Q @ np.diag(diag_new) @ state.Q.T)
+        return diagonalize(ambient, kappa0=cfg.kappa0), m, z_half, xi
+
+    return detail
+
+
+def _frame_states(n, seed):
+    """States with delta = 0 (ties at n >= 5), equal components, mixed signs
+    and one near the ball's edge, each in the axes' frame and in a general
+    rotated frame."""
+    rng = np.random.default_rng(seed)
+    edge = np.zeros(n - 2)
+    edge[:1] = 0.19
+    deltas = [
+        np.zeros(n - 2),
+        np.full(n - 2, 0.02),
+        rng.uniform(-0.05, 0.05, n - 2),
+        edge,
+    ]
+    for delta in deltas:
+        yield "axes", DeltaState(n=n, tau=10.0, delta=delta)
+        q = (10.0 * make_p_delta(n, delta)).rotated(random_rotation(n, rng))
+        yield "rotated", diagonalize(q)
+
+
+def _noisy_cfg(n, noise):
+    return renorm.MapConfig(
+        n=n, C_gamma=0.0, noise=noise, c_noise=0.0 if noise == "off" else 0.05, seed=7
+    )
+
+
+class TestNormalFrameStep:
+    """The step sorts the diagonal in the state's frame; it must agree with
+    the ambient round trip through `diagonalize`."""
+
+    @pytest.mark.parametrize("noise", renorm.NOISE_MODES)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_ambient_round_trip(self, n, noise):
+        cfg = _noisy_cfg(n, noise)
+        reference = _ambient_step_detail(renorm._step_detail)
+        for frame, state in _frame_states(n, seed=n):
+            new, _, _, _ = renorm._step_detail(state, cfg)
+            ref, _, _, _ = reference(state, cfg)
+            # eigh of a rotated ambient matrix is itself only good to about
+            # n ulps of tau; in the axes' frame the two agree to 1e-15 tau
+            tol = 1e-15 * state.tau * (1 if frame == "axes" else n)
+            assert abs(new.tau - ref.tau) <= tol
+            assert np.abs(new.delta - ref.delta).max(initial=0.0) <= tol
+            assert np.abs(new.polynomial().coeff - ref.polynomial().coeff).max() <= 1e-12
+            assert new.in_small_ball == ref.in_small_ball
+
+    @pytest.mark.parametrize("noise", renorm.NOISE_MODES)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_classification_matches_ambient_round_trip(self, n, noise, monkeypatch):
+        cfg = _noisy_cfg(n, noise)
+        for _, state in _frame_states(n, seed=n):
+            rec = renorm.iterate(state, cfg, 30)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    renorm, "_step_detail", _ambient_step_detail(renorm._step_detail)
+                )
+                ref = renorm.iterate(state, cfg, 30)
+            assert rec.classification.kind == ref.classification.kind
+            assert rec.classification.step == ref.classification.step
+            assert rec.steps[-1].tau == pytest.approx(ref.steps[-1].tau, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_no_eigendecomposition(self, n, monkeypatch):
+        _, state = list(_frame_states(n, seed=1))[5]  # rotated, mixed signs
+
+        def eigh(*args, **kwargs):
+            raise AssertionError("the step called np.linalg.eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        new = renorm.half_step(state, _noisy_cfg(n, "random"))
+        assert new.tau > state.tau
 
 
 class TestCheckMonotonicity:
@@ -248,16 +342,14 @@ class TestSweep:
         assert serial == parallel
 
     def test_pool_forks_from_warm_caches(self):
-        # the parent fills the zero-delta columns a cell needs before the
-        # pool opens, and the rows do not depend on it
+        # workers forked from a parent with cold caches fill their own
+        # zero-delta columns, and the rows match a serial run
         cfg = cfg4()
-        caches = [moments._zero_columns]
-        for c in caches:
-            c.cache_clear()
+        moments._zero_columns.cache_clear()
         taus = [10.0, 20.0]
         deltas = [np.array([0.05, 0.0]), np.array([0.02, -0.01])]
         parallel = renorm.sweep(taus, deltas, cfg, 10, workers=2)
-        assert all(c.cache_info().currsize > 0 for c in caches)
+        assert moments._zero_columns.cache_info().currsize == 0
         assert parallel == renorm.sweep(taus, deltas, cfg, 10, workers=1)
 
     def test_permutation_symmetric_classifications(self):
