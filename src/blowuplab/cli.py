@@ -284,6 +284,10 @@ def _cmd_sweep(args, parser):
     cfg = _map_config(args)
     tau0s = _parse_range(args.tau0_range)
     mags = _parse_range(args.delta0_range)
+    if tau0s.min() <= 1.0:
+        parser.error(
+            f"tau0 must be > 1; --tau0-range {args.tau0_range} reaches {tau0s.min():g}"
+        )
     if args.n == 2 and len(mags) != 1:
         parser.error(
             f"--delta0-range count must be 1 at n=2, where delta has no entries; got {len(mags)}"

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .quadratic import HarmonicQuadratic, normal_form_diagonal
+from .quadratic import HarmonicQuadratic, delta_norms, normal_form_diagonal
 from .sphere import (
     build_rule,
     indicator_moment_columns,
@@ -38,17 +38,24 @@ class MomentSet:
 
     def validate(self):
         """Internal consistency required of any computed moment set."""
-        if abs(self.B_i.sum() - self.B) > 1e-9 * abs(self.B):
-            raise AssertionError("sum of B_i must equal B (sum x_i^2 = 1)")
-        if abs(self.C_i.sum() - self.C) > 1e-9 * (abs(self.C) + 1e-30):
-            raise AssertionError("sum of C_i must equal C")
-        if self.B > 0 or np.any(self.B_i > 0):
-            raise AssertionError("B moments are integrals of -chi * nonneg")
+        _check_moments(np.float64(self.B), self.B_i, np.float64(self.C), self.C_i)
         return self
 
 
+def _check_moments(b, b_i, c, c_i):
+    """`MomentSet.validate` for b, c (...,) and b_i, c_i (..., n), numpy values: one set or a stack."""
+    checks = (
+        (abs(b_i.sum(axis=-1) - b) > 1e-9 * abs(b), "sum of B_i must equal B (sum x_i^2 = 1)"),
+        (abs(c_i.sum(axis=-1) - c) > 1e-9 * (abs(c) + 1e-30), "sum of C_i must equal C"),
+        ((b > 0) | (b_i.max(axis=-1, initial=0.0) > 0), "B moments are integrals of -chi * nonneg"),
+    )
+    # one reduction when all pass, which is every call outside a defect
+    if (checks[0][0] | checks[1][0] | checks[2][0]).any():
+        raise AssertionError(next(message for bad, message in checks if bad.any()))
+
+
 def _coeff_vector(n, delta):
-    return normal_form_diagonal(delta)[:-1]
+    return normal_form_diagonal(delta)[..., :-1]
 
 
 @lru_cache(maxsize=64)
@@ -74,6 +81,17 @@ def analytic_baseline(n):
     return b0, bi0
 
 
+_OUTSIDE = "compute_moments requires |delta| < 1/2"
+
+
+def _moments(cols, n):
+    """B, B_i, C and C_i from kernel columns (..., n+1): one set or a stack."""
+    b = -cols[..., 0]
+    b_i = -cols[..., 1:]
+    c_i = b_i + _zero_columns(n)[1:]
+    return b, b_i, c_i.sum(axis=-1), c_i
+
+
 # `order` is accepted and ignored for perfbench/, the only caller that passes it.
 def compute_moments(delta, n, order=None):
     """Moment set at delta, with increments against the delta = 0 baseline.
@@ -86,22 +104,40 @@ def compute_moments(delta, n, order=None):
     delta = np.atleast_1d(np.asarray(delta, dtype=np.float64))
     if delta.shape != (n - 2,):
         raise DomainError(f"delta must have length n-2 = {n - 2}")
-    if np.linalg.norm(delta) >= 0.5:
-        raise DomainError("compute_moments requires |delta| < 1/2")
+    if np.linalg.norm(delta) >= 0.5:  # the `delta_norms` of one delta
+        raise DomainError(_OUTSIDE)
+    b, b_i, c, c_i = _moments(indicator_moment_columns(n, _coeff_vector(n, delta)), n)
+    return MomentSet(n=n, delta=delta, B=float(b), B_i=b_i, C=float(c), C_i=c_i).validate()
 
-    cols = indicator_moment_columns(n, _coeff_vector(n, delta))
-    b = -cols[0]
-    b_i = -cols[1:]
 
-    c_i = b_i + _zero_columns(n)[1:]
-    return MomentSet(
-        n=n,
-        delta=delta,
-        B=float(b),
-        B_i=b_i,
-        C=float(c_i.sum()),
-        C_i=c_i,
-    ).validate()
+def moment_block(delta, n):
+    """Moments of a stack of deltas (B, n-2), from one kernel call.
+
+    Returns b (B,), b_i (B, n), c (B,), c_i (B, n) and a dict mapping each
+    row with |delta| >= 1/2 to the DomainError `compute_moments` raises for
+    it; such rows are left at 0.  Every other row is bit for bit its own
+    `compute_moments`, and the stack passes `MomentSet.validate`'s checks
+    or raises AssertionError.
+    """
+    outside = delta_norms(delta) >= 0.5
+    failed = {}
+    coeffs = _coeff_vector(n, delta)
+    if outside.any():
+        failed = {j: DomainError(_OUTSIDE) for j in np.flatnonzero(outside).tolist()}
+        cols = np.zeros((delta.shape[0], n + 1))
+        cols[~outside] = indicator_moment_columns(n, coeffs[~outside])
+    else:
+        cols = indicator_moment_columns(n, coeffs)
+    b, b_i, c, c_i = _moments(cols, n)
+    _check_moments(b, b_i, c, c_i)
+    return b, b_i, c, c_i, failed
+
+
+def fourier_diagonal(b, b_i, n):
+    """Diagonal of `fourier_block2` from B (...,) and B_i (..., n), for one set or a stack."""
+    omega = surface_area(n)
+    diag = (n + 2) / (2.0 * omega) * (n * b_i - np.asarray(b)[..., None])
+    return diag - diag.sum(axis=-1, keepdims=True) / n  # the mean, bit for bit
 
 
 def fourier_block2(moments):
@@ -112,10 +148,7 @@ def fourier_block2(moments):
     projection (inner product over squared norm) convention.
     """
     n = moments.n
-    omega = surface_area(n)
-    diag = (n + 2) / (2.0 * omega) * (n * moments.B_i - moments.B)
-    diag = diag - diag.mean()
-    return HarmonicQuadratic(n, np.diag(diag))
+    return HarmonicQuadratic(n, np.diag(fourier_diagonal(moments.B, moments.B_i, n)))
 
 
 # z_i^2 z_j^2 is a quartic, which the order-8 product rule integrates exactly

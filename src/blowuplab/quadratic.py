@@ -12,6 +12,7 @@ scaling the most negative coefficient to -1.
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,8 +127,8 @@ class DeltaState:
         if self.Q.shape != (self.n, self.n):
             raise DomainError(f"Q must be {self.n}x{self.n}")
         # the step reads Q's columns as an orthonormal frame; NaN fails too
-        if not np.abs(self.Q @ self.Q.T - np.eye(self.n)).max() <= _ORTHO_TOL:
-            raise DomainError("Q must be orthogonal")
+        if not _orthogonal(self.Q):
+            raise DomainError(_NOT_ORTHOGONAL)
         if self.tau <= 0.0:
             raise DomainError("tau must be positive")
 
@@ -139,13 +140,11 @@ class DeltaState:
     @property
     def in_small_ball(self):
         """Whether |delta| < kappa0; out-of-range states are flagged, not rejected."""
-        return bool(np.linalg.norm(self.delta) < self.kappa0)
+        return bool(delta_norms(self.delta) < self.kappa0)
 
     def ratio(self):
         """max(delta) / (1 - delta_tilde); 0 for n = 2."""
-        if self.n == 2:
-            return 0.0
-        return float(self.delta.max() / (1.0 - self.delta_tilde))
+        return float(delta_ratios(self.delta[None])[0])
 
     def polynomial(self):
         base = np.diag(self.tau * normal_form_diagonal(self.delta))
@@ -176,8 +175,57 @@ class DeltaState:
 
 
 def normal_form_diagonal(delta):
-    """The diagonal (delta_1..delta_{n-2}, 1 - sum(delta), -1) of p_delta."""
-    return np.concatenate([delta, [1.0 - delta.sum(), -1.0]])
+    """The diagonal (delta_1..delta_{n-2}, 1 - sum(delta), -1) of p_delta.
+
+    `delta` may be a stack (..., n-2); the result is then (..., n).
+    """
+    out = np.empty(delta.shape[:-1] + (delta.shape[-1] + 2,))
+    out[..., :-2] = delta
+    out[..., -2] = 1.0 - delta.sum(axis=-1)
+    out[..., -1] = -1.0
+    return out
+
+
+def delta_norms(delta):
+    """|delta| of one delta (n-2,) or of each row of a stack (..., n-2).
+
+    The dot product is BLAS's, the one np.linalg.norm takes for a single
+    vector, so a row's norm is bit for bit that of its own
+    `np.linalg.norm`; a sum of squares can differ from it in the last bit.
+    """
+    delta = np.asarray(delta, dtype=np.float64)
+    return np.sqrt((delta[..., None, :] @ delta[..., :, None])[..., 0, 0])
+
+
+def delta_ratios(delta):
+    """max(delta) / (1 - sum(delta)) of each row of a stack (B, n-2); 0 for n = 2."""
+    if delta.shape[1] == 0:
+        return np.zeros(delta.shape[0])
+    return delta.max(axis=1) / (1.0 - delta.sum(axis=1))
+
+
+_NOT_ORTHOGONAL = "Q must be orthogonal"
+
+
+def _orthogonal(q):
+    """Whether Q, or each matrix of a stack (..., n, n), is orthogonal to _ORTHO_TOL."""
+    gap = abs(q @ np.swapaxes(q, -1, -2) - _identity(q.shape[-1]))
+    return gap.reshape(gap.shape[:-2] + (-1,)).max(axis=-1) <= _ORTHO_TOL
+
+
+@lru_cache(maxsize=64)
+def _identity(n):
+    eye = np.eye(n)
+    eye.setflags(write=False)  # cached and shared
+    return eye
+
+
+@lru_cache(maxsize=64)
+def _axis_order(n):
+    """Normal-form axes of ascending values: the middle ones, then the largest, then the most negative."""
+    order = np.array(list(range(1, n - 1)) + [n - 1, 0])
+    order.setflags(write=False)  # cached and shared
+    return order
 
 
 def make_p_delta(n, delta):
@@ -222,37 +270,63 @@ def _order_ties(eigvals, eigvecs):
     return eigvals[order], vecs
 
 
+def normal_forms(eigvals, eigvecs):
+    """Normal forms tau * p_delta of a stack of diagonal forms in their frames.
+
+    `eigvals` (B, n) holds each form's values, ascending, and `eigvecs`
+    (B, n, n) their orthonormal columns.  Values are not re-sorted, so the
+    caller's order within ties stands.  Values are assigned: most negative to
+    axis n, largest to axis n-1, the remaining ones in the given order on
+    axes 1..n-2; the last column's sign makes the frame a rotation.
+
+    Returns tau (B,), delta (B, n-2), Q (B, n, n), the consistency defect
+    (B,) and a dict mapping each row with no normal form to the error
+    `normal_form` raises for it: DegeneracyError when there is no strictly
+    negative value to scale to -1, DomainError when the frame is not
+    orthogonal.  Such a row's entries are meaningless.
+    """
+    n = eigvals.shape[1]
+    tau = -eigvals[:, 0]
+    failed = {}
+    degenerate = eigvals[:, 0] >= 0.0
+    if degenerate.any():
+        failed = {
+            j: DegeneracyError("no strictly negative eigenvalue; p_delta needs -1 on x_n")
+            for j in np.flatnonzero(degenerate).tolist()
+        }
+        tau = np.where(degenerate, 1.0, tau)  # keeps the division below quiet
+    perm = _axis_order(n)
+    vals = eigvals[:, perm]
+    vecs = eigvecs[:, :, perm]
+    flip = np.linalg.det(vecs) < 0
+    if flip.any():
+        vecs[flip, :, -1] = -vecs[flip, :, -1]
+    orthogonal = _orthogonal(vecs)
+    if not orthogonal.all():
+        for j in np.flatnonzero(~orthogonal).tolist():
+            failed.setdefault(j, DomainError(_NOT_ORTHOGONAL))
+
+    delta = vals[:, : n - 2] / tau[:, None]
+    defect = np.abs(vals[:, n - 2] / tau - (1.0 - delta.sum(axis=1)))
+    return tau, delta, vecs, defect, failed
+
+
 def normal_form(eigvals, eigvecs, kappa0=DEFAULT_KAPPA0):
     """The state tau * p_delta of the form with values `eigvals` on the
-    orthonormal columns of `eigvecs`.
+    orthonormal columns of `eigvecs`: `normal_forms` for one form.
 
-    `eigvals` must be ascending and is not re-sorted, so the caller's order
-    within ties stands.  Values are assigned: most negative to axis n,
-    largest to axis n-1, the remaining ones in the given order on axes
-    1..n-2; the last column's sign makes the frame a rotation.  Raises
-    DegeneracyError when there is no strictly negative value to scale to -1.
+    Raises DegeneracyError when there is no strictly negative value to
+    scale to -1.
     """
-    n = eigvals.shape[0]
-    if eigvals[0] >= 0.0:
-        raise DegeneracyError("no strictly negative eigenvalue; p_delta needs -1 on x_n")
-
-    tau = -eigvals[0]
-    # axis order: middle ascending, then largest, then most negative
-    perm = list(range(1, n - 1)) + [n - 1, 0]
-    vals = eigvals[perm]
-    vecs = eigvecs[:, perm]
-    if np.linalg.det(vecs) < 0:
-        vecs[:, -1] = -vecs[:, -1]
-
-    delta = vals[: n - 2] / tau
-    delta_tilde = delta.sum()
-    defect = abs(vals[n - 2] / tau - (1.0 - delta_tilde))
+    tau, delta, vecs, defect, failed = normal_forms(eigvals[None], eigvecs[None])
+    if failed:
+        raise failed[0]
     return DeltaState(
-        n=n,
-        tau=float(tau),
-        delta=delta,
-        Q=vecs,
-        consistency_defect=float(defect),
+        n=eigvals.shape[0],
+        tau=float(tau[0]),
+        delta=delta[0],
+        Q=vecs[0],
+        consistency_defect=float(defect[0]),
         kappa0=kappa0,
     )
 

@@ -5,9 +5,16 @@ indicator's correction to scale 1/2, add it (and an optional perturbation
 modeling the neglected lower-order terms) to the scaled form, and bring
 the sum back to normal form.  All three terms are diagonal in the state's
 frame, so that is a sort of the new diagonal and a permutation of the
-frame's columns, with no eigendecomposition.  Iteration classifies
-trajectories into converged / escaped / exhausted; the escape criterion is
-leaving the small-delta ball.
+frame's columns, with no eigendecomposition.
+
+Cells advance in lock-step: `_advance` takes one step for a whole block of
+states held as arrays, tau (B,), delta (B, n-2) and Q (B, n, n), with one
+kernel call for all their moments, and `_Block` runs a block step by step
+and classifies each cell as converged / escaped / exhausted, the escape
+criterion being leaving the small-delta ball.  `iterate` is a block of one
+that records every step, `sweep` one block per worker, and `half_step`,
+`_step_detail` and the `map` command one step of a block of one.  Each
+cell's numbers are bit for bit the same whatever cells share its block.
 """
 
 import csv
@@ -21,10 +28,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .correction import from_fourier_block, scale_projection
 from .errors import DegeneracyError, DomainError, EscapeError
-from .moments import compute_moments, fourier_block2
-from .quadratic import DEFAULT_KAPPA0, DeltaState, normal_form, normal_form_diagonal
+from .moments import MomentSet, compute_moments, fourier_diagonal, moment_block
+from .quadratic import (
+    DEFAULT_KAPPA0,
+    DeltaState,
+    HarmonicQuadratic,
+    delta_norms,
+    delta_ratios,
+    normal_form_diagonal,
+    normal_forms,
+)
 # Its only reader is perfbench/layertrace.py, which wraps this name; nothing calls it.
 from .quadratic import diagonalize
 
@@ -59,6 +73,9 @@ class MapConfig:
             raise DomainError("noise amplitude must be >= 0")
         if self.noise not in NOISE_MODES:
             raise DomainError(f"noise mode must be one of {NOISE_MODES}")
+        # the moments the step takes are defined for |delta| < 1/2
+        if not (0.0 < self.kappa0 <= 0.5):
+            raise DomainError("kappa0 must lie in (0, 1/2]")
 
     def effective_C_gamma(self):
         if self.C_gamma is not None:
@@ -69,56 +86,159 @@ class MapConfig:
         return asdict(self)
 
 
-def _noise_diagonal(state, cfg, rng):
-    """Trace-free diagonal perturbation with sup-norm c_noise * tau^-alpha."""
+def _noise_diagonal(tau, delta, cfg, rng):
+    """Trace-free diagonal perturbations, one row per cell, of sup-norm c_noise * tau^-alpha.
+
+    Random noise draws one vector from `rng` for the whole block: the cells
+    of one configuration share its seed and draw once a step, so the row of
+    every cell is what a generator of its own would give it.
+    """
     n = cfg.n
+    xi = np.zeros((tau.shape[0], n))
     if cfg.noise == "off" or cfg.c_noise == 0.0:
-        return np.zeros(n)
-    bound = cfg.c_noise * state.tau ** (-cfg.alpha)
+        return xi
+    # Python's float power, cell by cell: numpy's SIMD power differs from it
+    # in the last bit
+    bound = np.array([cfg.c_noise * t ** (-cfg.alpha) for t in tau.tolist()])
     if cfg.noise == "adversarial":
         # push the largest delta up and the x_{n-1} coefficient down
-        xi = np.zeros(n)
         if n == 2:
-            xi[0], xi[1] = bound, -bound
+            xi[:, 0], xi[:, 1] = bound, -bound
         else:
-            j = int(np.argmax(state.delta))
-            xi[j] = bound
-            xi[n - 2] = -bound
+            xi[np.arange(tau.shape[0]), np.argmax(delta, axis=1)] = bound
+            xi[:, n - 2] = -bound
         return xi
     raw = rng.standard_normal(n)
     raw -= raw.mean()
     peak = np.abs(raw).max()
     if peak == 0.0:
-        return np.zeros(n)
-    return bound * raw / peak
+        return xi
+    return bound[:, None] * raw / peak
+
+
+@dataclass
+class _Step:
+    """One half-scale step of a block of cells; row j belongs to cell j.
+
+    `tau`, `delta`, `q` and `defect` are the new normal forms; `b`, `b_i`,
+    `c` and `c_i` the moments at the old ones; `z` the correction's
+    projection at scale 1/2 and `xi` the noise, both as diagonals in the old
+    frames.  `failed` maps each cell the step cannot take to the error that
+    says why; that cell's rows are meaningless.
+    """
+
+    tau: np.ndarray
+    delta: np.ndarray
+    q: np.ndarray
+    defect: np.ndarray
+    b: np.ndarray
+    b_i: np.ndarray
+    c: np.ndarray
+    c_i: np.ndarray
+    z: np.ndarray
+    xi: np.ndarray
+    failed: dict
+
+    def state(self, j, kappa0):
+        """Cell j's new state."""
+        return DeltaState(
+            n=self.q.shape[1],
+            tau=float(self.tau[j]),
+            delta=self.delta[j],
+            Q=self.q[j],
+            consistency_defect=float(self.defect[j]),
+            kappa0=kappa0,
+        )
+
+    def take(self, rows):
+        """The step of the cells `rows` selects."""
+        return _Step(
+            **{
+                name: value if name == "failed" else value[rows]
+                for name, value in vars(self).items()
+            }
+        )
+
+    def moment_set(self, j, delta):
+        """The moment set at cell j's old state, whose delta is `delta`."""
+        return MomentSet(
+            n=self.b_i.shape[1],
+            delta=delta,
+            B=float(self.b[j]),
+            B_i=self.b_i[j],
+            C=float(self.c[j]),
+            C_i=self.c_i[j],
+        )
+
+
+def _advance(tau, delta, q, cfg, rng=None):
+    """One half-scale step for a block of cells: tau (B,), delta (B, n-2), Q (B, n, n).
+
+    All cells' moments come from one kernel call and the rest is array
+    arithmetic on the block; no object is built per cell.  The step's checks
+    are per cell: tau <= 1 and |delta| >= 1/2 are DomainErrors, a new
+    diagonal with no negative value a DegeneracyError and a frame that is not
+    orthogonal a DomainError, each reported in `failed` for its cell alone,
+    in that order of precedence.  A moment set that fails
+    `MomentSet.validate` raises AssertionError for the block.  `rng` is the
+    block's random-noise generator, drawn once.
+    """
+    n = cfg.n
+    b, b_i, c, c_i, failed = moment_block(delta, n)
+    low = tau <= 1.0
+    if low.any():
+        for j in np.flatnonzero(low).tolist():
+            failed[j] = DomainError("half_step requires tau > 1")
+    # the correction q = block / (n+2) (`correction.from_fourier_block`) at
+    # scale 1/2 is q ln(1/2) (`correction.scale_projection`)
+    z = fourier_diagonal(b, b_i, n) * (1.0 / (n + 2)) * math.log(0.5)
+    xi = _noise_diagonal(tau, delta, cfg, rng)
+
+    diag = tau[:, None] * normal_form_diagonal(delta) + z + xi
+    diag -= diag.sum(axis=1, keepdims=True) / n  # the rounding-level trace of the sum
+    order = np.argsort(diag, axis=1, kind="stable")
+    rows = np.arange(tau.shape[0])[:, None]
+    tau_new, delta_new, q_new, defect, unnormal = normal_forms(
+        diag[rows, order],
+        q[rows[:, :, None], np.arange(n)[:, None], order[:, None, :]],  # Q's columns in that order
+    )
+    for j, exc in unnormal.items():
+        failed.setdefault(j, exc)
+    return _Step(tau_new, delta_new, q_new, defect, b, b_i, c, c_i, z, xi, failed)
+
+
+def _stack(states, cfg):
+    """tau (B,), delta (B, n-2) and Q (B, n, n) of `states`, copied."""
+    if any(state.n != cfg.n for state in states):
+        raise DomainError("state and config dimensions differ")
+    count, n = len(states), cfg.n
+    return (
+        np.array([state.tau for state in states], dtype=np.float64),
+        np.array([state.delta for state in states], dtype=np.float64).reshape(count, n - 2),
+        np.array([state.Q for state in states], dtype=np.float64).reshape(count, n, n),
+    )
 
 
 def _step_detail(state, cfg, rng=None):
-    """One half-scale step, returning the new state and its ingredients.
+    """One half-scale step of one state (`_advance` on a block of one).
 
+    Returns the new state, the moment set at `state`, the correction's
+    projection at scale 1/2 as a HarmonicQuadratic and the noise diagonal.
     The new state is returned whether or not it is inside the kappa0 ball;
     callers decide what leaving it means from `new_state.in_small_ball`.
+    Raises the error `_advance` reports for the state.
     """
     if state.n != cfg.n:
         raise DomainError("state and config dimensions differ")
     if not state.in_small_ball:
         raise DomainError("half_step requires the state inside the kappa0 ball")
-    if state.tau <= 1.0:
-        raise DomainError("half_step requires tau > 1")
-
-    m = compute_moments(state.delta, cfg.n)
-    z_half = scale_projection(from_fourier_block(fourier_block2(m)), 0.5)
     if rng is None and cfg.noise == "random":
         rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
-    xi = _noise_diagonal(state, cfg, rng)
-
-    diag_new = (
-        state.tau * normal_form_diagonal(state.delta) + np.diag(z_half.coeff) + xi
-    )
-    diag_new -= diag_new.mean()  # the rounding-level trace of the sum
-    order = np.argsort(diag_new, kind="stable")
-    new_state = normal_form(diag_new[order], state.Q[:, order], cfg.kappa0)
-    return new_state, m, z_half, xi
+    step = _advance(*_stack([state], cfg), cfg, rng)
+    if step.failed:
+        raise step.failed[0]
+    z_half = HarmonicQuadratic(cfg.n, np.diag(step.z[0]))
+    return step.state(0, cfg.kappa0), step.moment_set(0, state.delta), z_half, step.xi[0]
 
 
 def half_step(state, cfg, rng=None):
@@ -135,6 +255,101 @@ def half_step(state, cfg, rng=None):
             state=new_state,
         )
     return new_state
+
+
+class _Block:
+    """Cells of one configuration run in lock-step, one `_advance` a step.
+
+    After `run`, `tau` (B,) and `delta` (B, n-2) hold each cell's last
+    recorded state: its start, or the state after the last step it took,
+    the one that left the ball included; `kind`, `step` and `error` say how
+    its run ended and `tau_monotone` whether its tau rose on every step.
+    """
+
+    def __init__(self, states, cfg):
+        self.cfg = cfg
+        self.tau, self.delta, self.q = _stack(states, cfg)
+        # a start outside the ball is an escape at step 0
+        self.kind = [None if state.in_small_ball else "escaped" for state in states]
+        self.step = [0] * len(states)
+        self.error = [None] * len(states)
+        self.tau_monotone = np.ones(len(states), dtype=bool)
+
+    def run(self, max_steps, on_step=None):
+        """Step every live cell until it leaves the ball, fails a step or has taken max_steps.
+
+        The classification rule: leaving the ball is "escaped" at that step;
+        a step error (see `_advance`) is "exhausted" at that step, with its
+        message in `error`; a cell that takes every step is "converged" when
+        its delta movement summed over the last quarter of the run stays
+        below tol_conv, "exhausted" otherwise.  `on_step(k, cells, step,
+        inc, cum)` is called after each step with the cells that took it,
+        the `_Step` whose rows are theirs, and their delta movements and
+        running sums.
+        """
+        if max_steps < 1:
+            raise DomainError("max_steps must be >= 1")
+        cfg = self.cfg
+        rng = (
+            np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
+            if cfg.noise == "random"
+            else None
+        )
+        width = max(max_steps // 4, 1)  # the last quarter of the run
+        live = np.array([i for i, kind in enumerate(self.kind) if kind is None], dtype=np.intp)
+        # the live cells' states, row j for cell live[j]; a cell's row leaves
+        # these arrays, for the block's, when its run ends
+        rows = {
+            "tau": self.tau[live],
+            "delta": self.delta[live],
+            "q": self.q[live],
+            "cum": np.zeros(live.size),
+            "tau_monotone": np.ones(live.size, dtype=bool),
+            "tail": np.zeros((live.size, width)),
+        }
+
+        def end(done):
+            """Move the rows of the cells whose runs ended out; the rest stay live."""
+            nonlocal live
+            cells = live[done]
+            for name in ("tau", "delta", "tau_monotone"):
+                getattr(self, name)[cells] = rows[name][done]
+            for name in rows:
+                rows[name] = rows[name][~done]
+            live = live[~done]
+
+        for k in range(1, max_steps + 1):
+            if not live.size:
+                return
+            step = _advance(rows["tau"], rows["delta"], rows["q"], cfg, rng)
+            if step.failed:
+                failed = np.zeros(live.size, dtype=bool)
+                for j, exc in step.failed.items():
+                    failed[j] = True
+                    self.kind[live[j]], self.step[live[j]] = "exhausted", k
+                    self.error[live[j]] = str(exc)
+                end(failed)
+                if not live.size:
+                    return
+                step = step.take(~failed)
+            inc = delta_norms(step.delta - rows["delta"])
+            rows["tau_monotone"] &= ~(step.tau <= rows["tau"])
+            rows["cum"] += inc
+            if k > max_steps - width:
+                rows["tail"][:, k - 1 - (max_steps - width)] = inc
+            rows.update(tau=step.tau, delta=step.delta, q=step.q)
+            if on_step is not None:
+                on_step(k, live, step, inc, rows["cum"])
+            outside = ~(delta_norms(step.delta) < cfg.kappa0)
+            if outside.any():
+                for cell in live[outside].tolist():
+                    self.kind[cell], self.step[cell] = "escaped", k
+                end(outside)
+        converged = rows["tail"].sum(axis=1) < cfg.tol_conv
+        for cell, conv in zip(live.tolist(), converged.tolist()):
+            self.kind[cell] = "converged" if conv else "exhausted"
+            self.step[cell] = max_steps
+        end(np.ones(live.size, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -208,9 +423,9 @@ def calibrate_threshold_constant(n, gamma, tau=10.0):
     # C_gamma pinned to 0 here: the threshold is only read by the report,
     # not by the claims the calibration scans for.
     cfg = MapConfig(n=n, gamma=gamma, C_gamma=0.0)
-    worst = 0.0
     magnitudes = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 5e-2, 1e-1, 1.5e-1)
     patterns = [1.0, -1.0, 0.5]
+    states = []
     for s in magnitudes:
         for pat in patterns:
             delta = np.zeros(n - 2)
@@ -218,19 +433,25 @@ def calibrate_threshold_constant(n, gamma, tau=10.0):
             if pat == 0.5 and n > 3:
                 delta[1] = -0.5 * s
             state = DeltaState(n=n, tau=tau, delta=delta, kappa0=cfg.kappa0)
-            if not state.in_small_ball:
-                continue
-            try:
-                new_state, m, _, _ = _step_detail(state, cfg)
-            except DegeneracyError:
-                continue
-            if not new_state.in_small_ball:
-                continue
-            report = check_monotonicity(state, new_state, cfg, moments_at_state=m)
-            if report.regime == "negative" and not report.deltajclaim_holds:
-                worst = max(worst, state.delta.max() * tau**gamma)
-            if report.regime == "positive" and not report.deltajclaim_holds:
-                worst = max(worst, -state.delta.min() * tau**gamma)
+            if state.in_small_ball:
+                states.append(state)
+    # the canned states take their one step together, as a block
+    step = _advance(*_stack(states, cfg), cfg)
+    worst = 0.0
+    for j, state in enumerate(states):
+        if isinstance(step.failed.get(j), DegeneracyError):
+            continue
+        if j in step.failed:
+            raise step.failed[j]
+        new_state = step.state(j, cfg.kappa0)
+        if not new_state.in_small_ball:
+            continue
+        m = step.moment_set(j, state.delta)
+        report = check_monotonicity(state, new_state, cfg, moments_at_state=m)
+        if report.regime == "negative" and not report.deltajclaim_holds:
+            worst = max(worst, state.delta.max() * tau**gamma)
+        if report.regime == "positive" and not report.deltajclaim_holds:
+            worst = max(worst, -state.delta.min() * tau**gamma)
     return worst
 
 
@@ -311,111 +532,98 @@ class TrajectoryRecord:
 def iterate(state0, cfg, max_steps, record_monotonicity=False):
     """Iterate the half-scale map, recording and classifying the trajectory.
 
-    Classification: "escaped" when a step leaves the kappa0 ball;
-    "converged" when the per-step delta movement summed over the last
-    quarter of the run stays below tol_conv (with the partial sums'
-    domination constant against sum tau_k^(-1-gamma) fitted and recorded);
-    "exhausted" otherwise.
+    The run is a block of one (see `_Block.run` for the classification
+    rule), recorded step by step.  Classification: "escaped" when a step
+    leaves the kappa0 ball; "converged" when the per-step delta movement
+    summed over the last quarter of the run stays below tol_conv (with the
+    partial sums' domination constant against sum tau_k^(-1-gamma) fitted
+    and recorded); "exhausted" otherwise.
 
     The step that leaves the ball is recorded like every other step, with
     its row and, when asked for, its monotonicity report from the moments
-    the step computed; the run then ends as "escaped".  Two errors from a
-    step are absorbed into the record: DegeneracyError or DomainError end
-    the run as "exhausted" with the message in `rec.error`.  Any other
-    exception, such as EvaluationError, numpy's LinAlgError or an
-    EscapeError raised inside a step, propagates to the caller.
+    the step computed; the run then ends as "escaped".  The errors a step
+    reports for its cell (tau <= 1, |delta| >= 1/2, no negative value, a
+    frame that is not orthogonal) end the run as "exhausted" with the
+    message in `rec.error`.  Exceptions, such as EvaluationError, numpy's
+    LinAlgError or the AssertionError of a moment set that fails its
+    checks, propagate to the caller, and so does the DomainError of a state
+    whose dimension is not cfg.n.
     """
-    if max_steps < 1:
-        raise DomainError("max_steps must be >= 1")
-    rng = (
-        np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
-        if cfg.noise == "random"
-        else None
-    )
     rec = TrajectoryRecord(config=cfg, monotonicity=[] if record_monotonicity else None)
+    rec.steps.append(
+        StepRow(
+            k=0,
+            tau=state0.tau,
+            delta=state0.delta.copy(),
+            ratio=state0.ratio(),
+            cum_abs_ddelta=0.0,
+            defect=state0.consistency_defect,
+        )
+    )
+    block = _Block([state0], cfg)
+    increments = []
+    before = state0
 
-    def push(k, state, cum):
+    def record(k, cells, step, inc, cum):
+        nonlocal before
         rec.steps.append(
             StepRow(
                 k=k,
-                tau=state.tau,
-                delta=state.delta.copy(),
-                ratio=state.ratio(),
-                cum_abs_ddelta=cum,
-                defect=state.consistency_defect,
+                tau=float(step.tau[0]),
+                delta=step.delta[0].copy(),
+                ratio=float(delta_ratios(step.delta)[0]),
+                cum_abs_ddelta=float(cum[0]),
+                defect=float(step.defect[0]),
             )
         )
-
-    state = state0
-    cum = 0.0
-    push(0, state, cum)
-    if not state0.in_small_ball:
-        rec.classification = Classification(kind="escaped", step=0)
-        return rec
-
-    increments = []
-    for k in range(1, max_steps + 1):
-        try:
-            new_state, m, _, _ = _step_detail(state, cfg, rng)
-        except (DegeneracyError, DomainError) as exc:
-            rec.error = str(exc)
-            rec.classification = Classification(kind="exhausted", step=k)
-            return rec
+        increments.append(float(inc[0]))
         if record_monotonicity:
-            rec.monotonicity.append(
-                check_monotonicity(state, new_state, cfg, moments_at_state=m)
-            )
-        if new_state.tau <= state.tau:
-            rec.tau_monotone = False
-        inc = float(np.linalg.norm(new_state.delta - state.delta))
-        increments.append(inc)
-        cum += inc
-        push(k, new_state, cum)
-        if not new_state.in_small_ball:
-            rec.classification = Classification(kind="escaped", step=k)
-            return rec
-        state = new_state
+            after = step.state(0, cfg.kappa0)
+            m = step.moment_set(0, before.delta)
+            rec.monotonicity.append(check_monotonicity(before, after, cfg, moments_at_state=m))
+            before = after
+
+    block.run(max_steps, record)
+    kind, step = block.kind[0], block.step[0]
+    rec.error = block.error[0]
+    rec.tau_monotone = bool(block.tau_monotone[0])
+    if kind == "escaped" or rec.error is not None:
+        rec.classification = Classification(kind=kind, step=step)
+        return rec
 
     taus = rec.taus()[:-1]
     bounds = np.cumsum(taus ** (-1.0 - cfg.gamma))
     partials = np.cumsum(increments)
     with np.errstate(divide="ignore", invalid="ignore"):
         fitted = float(np.max(partials / bounds)) if len(partials) else 0.0
-    tail_start = max(len(increments) - max(len(increments) // 4, 1), 0)
-    tail = float(np.sum(increments[tail_start:]))
-    if tail < cfg.tol_conv:
-        rec.classification = Classification(
-            kind="converged",
-            step=len(rec.steps) - 1,
-            delta_inf=state.delta.copy(),
-            fitted_C=fitted,
-        )
-    else:
-        rec.classification = Classification(
-            kind="exhausted", step=len(rec.steps) - 1, fitted_C=fitted
-        )
+    delta_inf = block.delta[0].copy() if kind == "converged" else None
+    rec.classification = Classification(
+        kind=kind, step=step, delta_inf=delta_inf, fitted_C=fitted
+    )
     return rec
 
 
-def _sweep_cell(args):
-    idx, tau0, delta0, cfg, max_steps = args
-    state = DeltaState(
-        n=cfg.n, tau=tau0, delta=np.asarray(delta0), kappa0=cfg.kappa0
+def _sweep_block(args):
+    """Sweep rows of a block of cells, run in lock-step."""
+    cells, cfg, max_steps = args
+    block = _Block(
+        [DeltaState(n=cfg.n, tau=tau0, delta=delta0, kappa0=cfg.kappa0) for tau0, delta0 in cells],
+        cfg,
     )
-    rec = iterate(state, cfg, max_steps)
-    last = rec.steps[-1]
-    cls = rec.classification
-    return (
-        idx,
+    block.run(max_steps)
+    return [
         {
             "tau0": tau0,
-            "delta0": list(np.atleast_1d(delta0)),
-            "classification": cls.kind,
-            "step": cls.step,
-            "final_tau": last.tau,
-            "final_ratio": last.ratio,
-        },
-    )
+            "delta0": list(delta0),
+            "classification": kind,
+            "step": step,
+            "final_tau": tau,
+            "final_ratio": ratio,
+        }
+        for (tau0, delta0), kind, step, tau, ratio in zip(
+            cells, block.kind, block.step, block.tau.tolist(), delta_ratios(block.delta).tolist()
+        )
+    ]
 
 
 def default_workers():
@@ -428,29 +636,26 @@ def default_workers():
 def sweep(tau0_values, delta0_values, cfg, max_steps, workers=None):
     """Classify a grid of initial conditions; rows ordered by cell index.
 
-    Cells run in parallel across processes; results are keyed by index so
-    the table is independent of the worker count.
-    `workers` defaults to `default_workers()`; below 1 is a ValueError.
+    The cells are cut into `workers` contiguous blocks, one task per
+    worker process, and each block runs in lock-step (`_Block`); with one
+    worker the whole grid is one block in this process.  Every row is bit
+    for bit the cell's own `iterate`, so the table is independent of the
+    worker count.  `workers` defaults to `default_workers()`; below 1 is a
+    ValueError.
     """
     workers = default_workers() if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = []
-    idx = 0
-    for tau0 in tau0_values:
-        for d0 in delta0_values:
-            tasks.append((idx, float(tau0), np.atleast_1d(d0), cfg, max_steps))
-            idx += 1
-    results = [None] * len(tasks)
-    if workers == 1 or len(tasks) == 1:
-        for t in tasks:
-            i, row = _sweep_cell(t)
-            results[i] = row
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, row in pool.map(_sweep_cell, tasks, chunksize=4):
-                results[i] = row
-    return results
+    cells = [
+        (float(tau0), np.atleast_1d(d0)) for tau0 in tau0_values for d0 in delta0_values
+    ]
+    parts = min(workers, len(cells))
+    if parts <= 1:
+        return _sweep_block((cells, cfg, max_steps))
+    cuts = [len(cells) * i // parts for i in range(parts + 1)]
+    tasks = [(cells[lo:hi], cfg, max_steps) for lo, hi in zip(cuts, cuts[1:])]
+    with ProcessPoolExecutor(max_workers=parts) as pool:
+        return [row for rows in pool.map(_sweep_block, tasks) for row in rows]
 
 
 def sweep_to_csv(rows, n):

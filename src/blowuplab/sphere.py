@@ -248,16 +248,17 @@ def indicator_moment_columns(n, coeffs):
     """Vector of integrals of chi_{p>0} * {1, x_1^2, .., x_n^2} over S^{n-1}.
 
     `coeffs` are the diagonal coefficients of p on axes 1..n-1 once the
-    axis-n coefficient is normalized to -1.  Every n >= 2 takes the one
-    Gil-Pelaez integral of `_kernels.indicator_moment_block` at its fixed
-    step, which no argument changes; coefficients under 1e-11 in magnitude
-    are exact touches.  A `coeffs` whose length is not n - 1 raises
-    DomainError.
+    axis-n coefficient is normalized to -1, shape (n-1,), or (..., n-1) for
+    a stack of forms, which gives (..., n+1) columns in one kernel call.
+    Every n >= 2 takes the one Gil-Pelaez integral of
+    `_kernels.indicator_moment_block` at its fixed step, which no argument
+    changes; coefficients under 1e-11 in magnitude are exact touches.  A
+    `coeffs` whose last axis is not n - 1 long raises DomainError.
     """
     if n < 2:
         raise DomainError("n must be >= 2")
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (n - 1,):
+    if coeffs.shape[-1:] != (n - 1,):
         raise DomainError(f"coeffs must have length n-1 = {n - 1}, got shape {coeffs.shape}")
     return _kernels.indicator_moment_block(coeffs, _kernels.STEP)
 

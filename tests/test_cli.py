@@ -406,6 +406,18 @@ class TestProjectGrid:
         (["sweep", "--n", "4", "--tau0-range", "10:10:1", "--delta0-range", "0:0:1",
           "--order", "64"], "unrecognized arguments: --order"),
         (["verify", "--filter", "A5", "--order", "64"], "unrecognized arguments: --order"),
+        # a sweep cell with tau0 <= 1 can take no step; iterate rejects it too
+        (["sweep", "--n", "4", "--tau0-range", "0.5:10:2", "--delta0-range", "0:0.1:2"],
+         "tau0 must be > 1; --tau0-range 0.5:10:2 reaches 0.5"),
+        (["sweep", "--n", "3", "--tau0-range", "10:1:3", "--delta0-range", "0:0:1"],
+         "tau0 must be > 1; --tau0-range 10:1:3 reaches 1"),
+        # the step's moments need |delta| < 1/2, so the ball may not be wider
+        (["iterate", "--n", "4", "--kappa0", "0.9", "--delta0", "0.6,0"],
+         "kappa0 must lie in (0, 1/2]"),
+        (["iterate", "--n", "4", "--kappa0", "-1"], "kappa0 must lie in (0, 1/2]"),
+        (["sweep", "--n", "4", "--tau0-range", "5:50:2", "--delta0-range", "0:0.1:2",
+          "--kappa0", "0.6"], "kappa0 must lie in (0, 1/2]"),
+        (["map", "--n", "4", "--tau", "10", "--kappa0", "0"], "kappa0 must lie in (0, 1/2]"),
     ],
 )
 def test_usage_error_names_the_problem(capsys, argv, message):

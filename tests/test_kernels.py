@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from pathlib import Path
@@ -46,6 +47,70 @@ class TestBlock:
         base = _block(3, np.array([0.0, 1.0]))
         tiny = _block(3, np.array([1e-13, 1.0]))
         assert np.array_equal(base, tiny)
+
+
+def _mixed_rows(n, rng):
+    """60 coefficient rows at n: general ones of magnitudes 1e-14..10, so
+    node counts differ and some entries snap to exact touches, and rows
+    with no positive entry, whose indicator is empty."""
+    mags = 10.0 ** rng.uniform(-14.0, 1.0, (60, n - 1))
+    rows = np.where(rng.random((60, n - 1)) < 0.5, -mags, mags)
+    rows[::7] = -np.abs(rows[::7])
+    return rows
+
+
+class TestBatch:
+    """A stack of rows is one kernel call, each row bit for bit its own 1-D call."""
+
+    @pytest.mark.parametrize("step", [_kernels.STEP, 0.5 * _kernels.STEP])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_rows_equal_one_dimensional_calls(self, n, step):
+        rows = _mixed_rows(n, np.random.default_rng(n))
+        got = _kernels.indicator_moment_block(rows.reshape(3, 20, n - 1), step).reshape(60, n + 1)
+        for row, out in zip(rows, got):
+            assert np.array_equal(out, _kernels.indicator_moment_block(row, step))
+        live = [row for row in rows if (row > 0.0).any()]
+        counts = {_kernels._node_range([*row, -1.0], step)[1] for row in live}
+        assert len(counts) > 10  # many slices of equal node count
+        assert (np.abs(rows) < _kernels.SNAP_EPS).any()
+        assert not got[::7].any()  # the rows with no positive entry
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_normal_form_rows_equal_moment_sets(self, n):
+        # a sweep step's rows, counts 283-285 at n = 4, mixed in one block
+        deltas = np.random.default_rng(1).uniform(-0.1, 0.1, (40, n - 2))
+        deltas[:3] = 0.0
+        deltas[3, 0] = 4e-12  # snaps to the touch
+        b, b_i, c, c_i, failed = moments.moment_block(deltas, n)
+        assert not failed
+        for j, delta in enumerate(deltas):
+            m = moments.compute_moments(delta, n)
+            assert m.B == b[j] and m.C == c[j]
+            assert np.array_equal(m.B_i, b_i[j]) and np.array_equal(m.C_i, c_i[j])
+
+    def test_all_empty_rows(self):
+        rows = -np.abs(np.random.default_rng(3).uniform(0.0, 1.0, (9, 4)))
+        assert np.array_equal(_kernels.indicator_moment_block(rows, _kernels.STEP), np.zeros((9, 6)))
+
+    def test_working_set_is_bounded(self):
+        # unsliced, 4,000 n = 4 rows of ~285 nodes make 36 MB temporaries;
+        # in slices of BLOCK_ELEMS the peak grows by well under 1 KB a row
+        # (the output and per-row bookkeeping) beyond a few slices
+        rng = np.random.default_rng(2)
+
+        def peak(count):
+            rows = moments._coeff_vector(4, rng.uniform(-0.1, 0.1, (count, 2)))
+            tracemalloc.start()
+            try:
+                _kernels.indicator_moment_block(rows, _kernels.STEP)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2000), peak(4000)
+        per_row = (large - small) / 2000
+        assert per_row < 1024
+        assert small - 2000 * per_row < 16 * 8 * _kernels.BLOCK_ELEMS
 
 
 class TestScratch:
@@ -595,5 +660,21 @@ renorm.iterate(start, cfg, 24)  # caches are built
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 steps = sum(len(renorm.iterate(start, cfg, 24).steps) for _ in range(3))
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps)
+""")
+        assert float(out) < 1.0
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor faults as Linux counts them")
+    def test_steady_block_steps_fault_nothing_in(self):
+        # a 32-cell sweep block evaluates its moments in slices of
+        # BLOCK_ELEMS, small enough that steady steps fault nothing in; one
+        # slice of all 32 rows faulted in about 275 pages a step
+        out = _fresh_interpreter(_N4_START + """
+import resource
+cells = [(t, np.array([d, 0.0])) for t in np.linspace(5, 50, 4) for d in np.linspace(0, 0.1, 8)]
+renorm._sweep_block((cells, cfg, 24))  # caches are built
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    renorm._sweep_block((cells, cfg, 24))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 72)
 """)
         assert float(out) < 1.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -42,6 +43,16 @@ class TestMapConfig:
         cfg = renorm.MapConfig(n=4, order=order)
         assert cfg == renorm.MapConfig(n=4)
         assert "order" not in cfg.to_dict()
+
+    @pytest.mark.parametrize("kappa0", [0.9, 0.5000001, 0.0, -1.0])
+    def test_validates_kappa0(self, kappa0):
+        # the step's moments need |delta| < 1/2, so a wider ball would end
+        # runs in a DomainError, and kappa0 <= 0 holds no state at all
+        with pytest.raises(DomainError, match="kappa0"):
+            renorm.MapConfig(n=4, kappa0=kappa0)
+
+    def test_accepts_half_ball(self):
+        assert renorm.MapConfig(n=4, kappa0=0.5).kappa0 == 0.5
 
     def test_calibrated_constant_is_zero_for_clean_map(self):
         # the clean map amplifies every nonzero delta, so the smallest
@@ -122,19 +133,26 @@ class TestHalfStep:
         assert abs(xi.sum()) < 1e-15
 
 
-def _ambient_step_detail(step):
-    """Reference step: rotate the new diagonal out to the ambient matrix
-    Q diag Q^T, symmetrize it and re-diagonalize it from scratch."""
+def _ambient_advance(advance):
+    """Reference step: rotate each cell's new diagonal out to the ambient
+    matrix Q diag Q^T, symmetrize it and re-diagonalize it from scratch."""
 
-    def detail(state, cfg, rng=None):
-        _, m, z_half, xi = step(state, cfg, rng)
-        diag_new = (
-            state.tau * normal_form_diagonal(state.delta) + np.diag(z_half.coeff) + xi
+    def ambient(tau, delta, q, cfg, rng=None):
+        step = advance(tau, delta, q, cfg, rng)
+        states = []
+        for j in range(tau.shape[0]):
+            diag_new = tau[j] * normal_form_diagonal(delta[j]) + step.z[j] + step.xi[j]
+            matrix = HarmonicQuadratic.from_matrix(q[j] @ np.diag(diag_new) @ q[j].T)
+            states.append(diagonalize(matrix, kappa0=cfg.kappa0))
+        return dataclasses.replace(
+            step,
+            tau=np.array([s.tau for s in states]),
+            delta=np.array([s.delta for s in states]).reshape(tau.shape[0], cfg.n - 2),
+            q=np.array([s.Q for s in states]),
+            defect=np.array([s.consistency_defect for s in states]),
         )
-        ambient = HarmonicQuadratic.from_matrix(state.Q @ np.diag(diag_new) @ state.Q.T)
-        return diagonalize(ambient, kappa0=cfg.kappa0), m, z_half, xi
 
-    return detail
+    return ambient
 
 
 def _frame_states(n, seed):
@@ -168,12 +186,13 @@ class TestNormalFrameStep:
 
     @pytest.mark.parametrize("noise", renorm.NOISE_MODES)
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_matches_ambient_round_trip(self, n, noise):
+    def test_matches_ambient_round_trip(self, n, noise, monkeypatch):
         cfg = _noisy_cfg(n, noise)
-        reference = _ambient_step_detail(renorm._step_detail)
         for frame, state in _frame_states(n, seed=n):
             new, _, _, _ = renorm._step_detail(state, cfg)
-            ref, _, _, _ = reference(state, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(renorm, "_advance", _ambient_advance(renorm._advance))
+                ref, _, _, _ = renorm._step_detail(state, cfg)
             # eigh of a rotated ambient matrix is itself only good to about
             # n ulps of tau; in the axes' frame the two agree to 1e-15 tau
             tol = 1e-15 * state.tau * (1 if frame == "axes" else n)
@@ -189,9 +208,7 @@ class TestNormalFrameStep:
         for _, state in _frame_states(n, seed=n):
             rec = renorm.iterate(state, cfg, 30)
             with monkeypatch.context() as patch:
-                patch.setattr(
-                    renorm, "_step_detail", _ambient_step_detail(renorm._step_detail)
-                )
+                patch.setattr(renorm, "_advance", _ambient_advance(renorm._advance))
                 ref = renorm.iterate(state, cfg, 30)
             assert rec.classification.kind == ref.classification.kind
             assert rec.classification.step == ref.classification.step
@@ -275,9 +292,9 @@ class TestIterate:
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return moments.compute_moments(*args, **kwargs)
+            return moments.moment_block(*args, **kwargs)
 
-        monkeypatch.setattr(renorm, "compute_moments", counted)
+        monkeypatch.setattr(renorm, "moment_block", counted)
         rec = renorm.iterate(
             DeltaState(n=4, tau=10.0, delta=np.array([0.05, 0.0])),
             cfg4(),
@@ -368,6 +385,91 @@ class TestSweep:
         assert header == "tau0,delta0_1,delta0_2,classification,step,final_tau,final_ratio"
 
 
+def _lockstep_grid(n):
+    """tau0s and delta0s of a block with every way a cell's run can end:
+    tau0 = 0.5 fails its first step, |delta0| = 0.25 starts outside the
+    ball, 0.12 and 0.185 leave it mid-run, and delta0 = 0 stays in."""
+    deltas = []
+    for mag in (0.0, 0.12, 0.185, 0.25) if n > 2 else (0.0,):
+        delta = np.zeros(n - 2)
+        delta[:1] = mag
+        deltas.append(delta)
+    return [0.5, 2.0, 10.0], deltas
+
+
+class TestLockstep:
+    """A sweep block advances its cells together; each row is the cell's own
+    `iterate` bit for bit, whatever else shares the block."""
+
+    @pytest.mark.parametrize("noise", renorm.NOISE_MODES)
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_rows_equal_per_cell_iterate(self, n, noise):
+        cfg = renorm.MapConfig(
+            n=n, gamma=0.1, noise=noise, c_noise=0.0 if noise == "off" else 0.5, seed=7
+        )
+        taus, deltas = _lockstep_grid(n)
+        rows = renorm.sweep(taus, deltas, cfg, 40, workers=1)
+        ends = set()
+        for row in rows:
+            state = DeltaState(n=n, tau=row["tau0"], delta=np.array(row["delta0"]), kappa0=cfg.kappa0)
+            rec = renorm.iterate(state, cfg, 40)
+            assert row["classification"] == rec.classification.kind
+            assert row["step"] == rec.classification.step
+            assert row["final_tau"] == rec.steps[-1].tau
+            assert row["final_ratio"] == rec.steps[-1].ratio
+            ends.add((row["classification"], min(row["step"], 2)))
+        assert ("exhausted", 1) in ends  # tau0 = 0.5
+        if n > 2:
+            assert {("escaped", 0), ("escaped", 2)} <= ends  # at the start and mid-run
+
+    @pytest.mark.parametrize("noise", renorm.NOISE_MODES)
+    def test_rows_independent_of_workers(self, noise):
+        # 12 cells in 1, 2 or 3 contiguous blocks, each with its own noise
+        # generator, give the same rows in the same order
+        cfg = renorm.MapConfig(n=4, gamma=0.1, noise=noise, c_noise=0.3, seed=11)
+        taus, deltas = _lockstep_grid(4)
+        rows = [renorm.sweep(taus, deltas, cfg, 30, workers=w) for w in (1, 2, 3)]
+        assert rows[0] == rows[1] == rows[2]
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.1])
+    def test_calibration_block_equals_one_cell_steps(self, gamma):
+        # the calibration steps its canned states as one block; stepping
+        # them one by one gives the same constant
+        for n in range(2, 9):
+            renorm.calibrate_threshold_constant.cache_clear()
+            got = renorm.calibrate_threshold_constant(n, gamma)
+            assert got == _calibrate_one_by_one(n, gamma)
+
+
+def _calibrate_one_by_one(n, gamma, tau=10.0):
+    """`calibrate_threshold_constant` with one `_step_detail` per canned state."""
+    if n == 2:
+        return 0.0
+    cfg = renorm.MapConfig(n=n, gamma=gamma, C_gamma=0.0)
+    worst = 0.0
+    for s in (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 5e-2, 1e-1, 1.5e-1):
+        for pat in (1.0, -1.0, 0.5):
+            delta = np.zeros(n - 2)
+            delta[0] = s * (1.0 if pat > 0 else -1.0)
+            if pat == 0.5 and n > 3:
+                delta[1] = -0.5 * s
+            state = DeltaState(n=n, tau=tau, delta=delta, kappa0=cfg.kappa0)
+            if not state.in_small_ball:
+                continue
+            try:
+                new_state, m, _, _ = renorm._step_detail(state, cfg)
+            except DegeneracyError:
+                continue
+            if not new_state.in_small_ball:
+                continue
+            report = renorm.check_monotonicity(state, new_state, cfg, moments_at_state=m)
+            if report.regime == "negative" and not report.deltajclaim_holds:
+                worst = max(worst, state.delta.max() * tau**gamma)
+            if report.regime == "positive" and not report.deltajclaim_holds:
+                worst = max(worst, -state.delta.min() * tau**gamma)
+    return worst
+
+
 class TestDefaultWorkers:
     def test_respects_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -375,20 +477,30 @@ class TestDefaultWorkers:
 
 
 class TestIterateErrors:
-    """Which step errors `iterate` absorbs into the record and which propagate."""
+    """Which step errors `iterate` absorbs into the record and which propagate:
+    an error the step reports for its cell is absorbed, an exception it
+    raises propagates."""
 
     def _run(self, monkeypatch, exc):
-        def boom(state, cfg, rng=None):
+        advance = renorm._advance
+
+        def boom(tau, delta, q, cfg, rng=None):
+            if isinstance(exc, (DegeneracyError, DomainError)):
+                return dataclasses.replace(advance(tau, delta, q, cfg, rng), failed={0: exc})
             raise exc
 
-        monkeypatch.setattr(renorm, "_step_detail", boom)
+        monkeypatch.setattr(renorm, "_advance", boom)
         return renorm.iterate(DeltaState(n=4, tau=10.0, delta=np.zeros(2)), cfg4(), 5)
 
     def test_escape_is_classified(self, monkeypatch):
         outside = DeltaState(n=4, tau=10.5, delta=np.array([0.3, 0.0]))
-        monkeypatch.setattr(
-            renorm, "_step_detail", lambda state, cfg, rng=None: (outside, None, None, None)
-        )
+        advance = renorm._advance
+
+        def leave(tau, delta, q, cfg, rng=None):
+            step = advance(tau, delta, q, cfg, rng)
+            return dataclasses.replace(step, tau=np.array([outside.tau]), delta=outside.delta[None])
+
+        monkeypatch.setattr(renorm, "_advance", leave)
         rec = renorm.iterate(DeltaState(n=4, tau=10.0, delta=np.zeros(2)), cfg4(), 5)
         assert rec.classification.kind == "escaped"
         assert rec.classification.step == 1
