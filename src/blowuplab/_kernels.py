@@ -123,17 +123,15 @@ def indicator_moment_block(coeffs, step):
     """
     coeffs = np.where(np.abs(coeffs) < SNAP_EPS, 0.0, coeffs)
     n = coeffs.shape[-1] + 1
-    if coeffs.size == n - 1:  # one form: no grouping, no gather or scatter
+    lam = np.empty((coeffs.size // (n - 1), n))
+    lam[:, :-1] = coeffs.reshape(-1, n - 1)
+    lam[:, -1] = -1.0
+    if lam.shape[0] == 1:  # one form: no grouping, no gather or scatter
         if not np.any(coeffs > 0.0):
             return np.zeros(coeffs.shape[:-1] + (n + 1,))
-        lam = np.append(coeffs, -1.0)
-        s_lo, count = _node_range(lam.tolist(), step)
-        return _columns(lam[None], s_lo, count, step).reshape(coeffs.shape[:-1] + (n + 1,))
-    rows = coeffs.reshape(-1, n - 1)
-    lam = np.empty((rows.shape[0], n))
-    lam[:, :-1] = rows
-    lam[:, -1] = -1.0
-    out = np.zeros((rows.shape[0], n + 1))
+        s_lo, count = _node_range(lam[0].tolist(), step)
+        return _columns(lam, s_lo, count, step).reshape(coeffs.shape[:-1] + (n + 1,))
+    out = np.zeros((lam.shape[0], n + 1))
     groups = {}  # node count -> (its rows, their s_lo)
     for i, row in enumerate(lam.tolist()):
         if any(a > 0.0 for a in row):
