@@ -666,8 +666,8 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps)
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor faults as Linux counts them")
     def test_steady_block_steps_fault_nothing_in(self):
         # a 32-cell sweep block evaluates its moments in slices of
-        # BLOCK_ELEMS, small enough that steady steps fault nothing in; one
-        # slice of all 32 rows faulted in about 275 pages a step
+        # BLOCK_ELEMS, small enough that steady steps fault nothing in;
+        # slices of 1 << 15 elements faulted in about 275 pages a step
         out = _fresh_interpreter(_N4_START + """
 import resource
 cells = [(t, np.array([d, 0.0])) for t in np.linspace(5, 50, 4) for d in np.linspace(0, 0.1, 8)]
