@@ -186,14 +186,14 @@ def _cmd_map(args, parser):
         parser.error("n must be >= 2")
     delta = _parse_delta(args.delta, args.n)
     cfg = _map_config(args)
-    state = DeltaState(n=args.n, tau=args.tau, delta=delta, kappa0=cfg.kappa0)
+    state = DeltaState(n=args.n, tau=args.tau, delta=delta)
     new_state, m, z_half, xi = renorm._step_detail(state, cfg)
     report = renorm.check_monotonicity(state, new_state, cfg, moments_at_state=m)
     out = {
         "before": {"tau": state.tau, "delta": list(state.delta)},
         "after": {"tau": new_state.tau, "delta": list(new_state.delta)},
-        "escaped": not new_state.in_small_ball,
-        "correction_projection_diag": list(np.diag(z_half.coeff)),
+        "escaped": not cfg.in_ball(new_state.delta),
+        "correction_projection_diag": list(z_half),
         "noise_diag": list(xi),
         "monotonicity": {
             "sum_ci": report.sum_ci,
@@ -256,7 +256,7 @@ def _cmd_iterate(args, parser):
     if tau0 <= 1.0:
         parser.error("tau0 must be > 1")
 
-    state0 = DeltaState(n=cfg.n, tau=tau0, delta=delta0, kappa0=cfg.kappa0)
+    state0 = DeltaState(n=cfg.n, tau=tau0, delta=delta0)
     rec = renorm.iterate(state0, cfg, steps)
     csv_text = rec.to_csv()
     summary = rec.manifest()

@@ -113,24 +113,16 @@ def compute_moments(delta, n, order=None):
 def moment_block(delta, n):
     """Moments of a stack of deltas (B, n-2), from one kernel call.
 
-    Returns b (B,), b_i (B, n), c (B,), c_i (B, n) and a dict mapping each
-    row with |delta| >= 1/2 to the DomainError `compute_moments` raises for
-    it; such rows are left at 0.  Every other row is bit for bit its own
-    `compute_moments`, and the stack passes `MomentSet.validate`'s checks
-    or raises AssertionError.
+    Returns b (B,), b_i (B, n), c (B,) and c_i (B, n); every row is bit for
+    bit its own `compute_moments`.  Raises the DomainError of
+    `compute_moments` when any row has |delta| >= 1/2, and AssertionError
+    when the stack fails `MomentSet.validate`'s checks.
     """
-    outside = delta_norms(delta) >= 0.5
-    failed = {}
-    coeffs = _coeff_vector(n, delta)
-    if outside.any():
-        failed = {j: DomainError(_OUTSIDE) for j in np.flatnonzero(outside).tolist()}
-        cols = np.zeros((delta.shape[0], n + 1))
-        cols[~outside] = indicator_moment_columns(n, coeffs[~outside])
-    else:
-        cols = indicator_moment_columns(n, coeffs)
-    b, b_i, c, c_i = _moments(cols, n)
+    if (delta_norms(delta) >= 0.5).any():
+        raise DomainError(_OUTSIDE)
+    b, b_i, c, c_i = _moments(indicator_moment_columns(n, _coeff_vector(n, delta)), n)
     _check_moments(b, b_i, c, c_i)
-    return b, b_i, c, c_i, failed
+    return b, b_i, c, c_i
 
 
 def fourier_diagonal(b, b_i, n):

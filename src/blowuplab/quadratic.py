@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import DegeneracyError, DomainError
 
-DEFAULT_KAPPA0 = 0.2
-
 _TRACE_TOL = 1e-12
 _SYM_TOL = 1e-12
 _ORTHO_TOL = 1e-12
@@ -107,7 +105,9 @@ class DeltaState:
     """Normal-form state (tau, delta) with the rotation back to ambient frame.
 
     The represented polynomial is tau * p_delta(Q^T x).  `delta` entries are
-    kept in ascending order by the diagonalization convention.
+    kept in ascending order by the diagonalization convention.  Whether the
+    state lies in the small-delta ball is a question for the map
+    (`MapConfig.in_ball`), not for the state.
     """
 
     n: int
@@ -115,7 +115,6 @@ class DeltaState:
     delta: np.ndarray
     Q: np.ndarray = None
     consistency_defect: float = 0.0
-    kappa0: float = DEFAULT_KAPPA0
 
     def __post_init__(self):
         self.delta = np.atleast_1d(np.asarray(self.delta, dtype=np.float64))
@@ -126,9 +125,10 @@ class DeltaState:
         self.Q = np.asarray(self.Q, dtype=np.float64)
         if self.Q.shape != (self.n, self.n):
             raise DomainError(f"Q must be {self.n}x{self.n}")
-        # the step reads Q's columns as an orthonormal frame; NaN fails too
-        if not _orthogonal(self.Q):
-            raise DomainError(_NOT_ORTHOGONAL)
+        # a step's new frame permutes and signs Q's columns, exactly, so a
+        # frame checked here stays orthonormal; NaN fails too
+        if not np.abs(self.Q @ self.Q.T - np.eye(self.n)).max() <= _ORTHO_TOL:
+            raise DomainError("Q must be orthogonal")
         if self.tau <= 0.0:
             raise DomainError("tau must be positive")
 
@@ -136,11 +136,6 @@ class DeltaState:
     def delta_tilde(self):
         """Recomputed sum of delta entries (never cached)."""
         return float(self.delta.sum())
-
-    @property
-    def in_small_ball(self):
-        """Whether |delta| < kappa0; out-of-range states are flagged, not rejected."""
-        return bool(delta_norms(self.delta) < self.kappa0)
 
     def ratio(self):
         """max(delta) / (1 - delta_tilde); 0 for n = 2."""
@@ -204,22 +199,6 @@ def delta_ratios(delta):
     return delta.max(axis=1) / (1.0 - delta.sum(axis=1))
 
 
-_NOT_ORTHOGONAL = "Q must be orthogonal"
-
-
-def _orthogonal(q):
-    """Whether Q, or each matrix of a stack (..., n, n), is orthogonal to _ORTHO_TOL."""
-    gap = abs(q @ np.swapaxes(q, -1, -2) - _identity(q.shape[-1]))
-    return gap.reshape(gap.shape[:-2] + (-1,)).max(axis=-1) <= _ORTHO_TOL
-
-
-@lru_cache(maxsize=64)
-def _identity(n):
-    eye = np.eye(n)
-    eye.setflags(write=False)  # cached and shared
-    return eye
-
-
 @lru_cache(maxsize=64)
 def _axis_order(n):
     """Normal-form axes of ascending values: the middle ones, then the largest, then the most negative."""
@@ -270,68 +249,67 @@ def _order_ties(eigvals, eigvecs):
     return eigvals[order], vecs
 
 
-def normal_forms(eigvals, eigvecs):
-    """Normal forms tau * p_delta of a stack of diagonal forms in their frames.
+def normal_forms(values):
+    """Normal forms tau * p_delta of a stack of diagonal forms, from their values.
 
-    `eigvals` (B, n) holds each form's values, ascending, and `eigvecs`
-    (B, n, n) their orthonormal columns.  Values are not re-sorted, so the
-    caller's order within ties stands.  Values are assigned: most negative to
-    axis n, largest to axis n-1, the remaining ones in the given order on
-    axes 1..n-2; the last column's sign makes the frame a rotation.
+    `values` (B, n) holds each form's values, ascending.  They are not
+    re-sorted, so the caller's order within ties stands.  Values are
+    assigned: most negative to axis n, largest to axis n-1, the remaining
+    ones in the given order on axes 1..n-2 (`normal_frame` moves a frame's
+    columns the same way).
 
-    Returns tau (B,), delta (B, n-2), Q (B, n, n), the consistency defect
-    (B,) and a dict mapping each row with no normal form to the error
-    `normal_form` raises for it: DegeneracyError when there is no strictly
-    negative value to scale to -1, DomainError when the frame is not
-    orthogonal.  Such a row's entries are meaningless.
+    Returns tau (B,), delta (B, n-2), the consistency defect (B,) and a dict
+    mapping each row with no strictly negative value to scale to -1 to the
+    DegeneracyError `normal_form` raises for it.  Such a row's entries are
+    meaningless.
     """
-    n = eigvals.shape[1]
-    tau = -eigvals[:, 0]
+    n = values.shape[1]
+    tau = -values[:, 0]
     failed = {}
-    degenerate = eigvals[:, 0] >= 0.0
+    degenerate = values[:, 0] >= 0.0
     if degenerate.any():
         failed = {
             j: DegeneracyError("no strictly negative eigenvalue; p_delta needs -1 on x_n")
             for j in np.flatnonzero(degenerate).tolist()
         }
         tau = np.where(degenerate, 1.0, tau)  # keeps the division below quiet
-    perm = _axis_order(n)
-    vals = eigvals[:, perm]
-    vecs = eigvecs[:, :, perm]
-    flip = np.linalg.det(vecs) < 0
-    if flip.any():
-        vecs[flip, :, -1] = -vecs[flip, :, -1]
-    orthogonal = _orthogonal(vecs)
-    if not orthogonal.all():
-        for j in np.flatnonzero(~orthogonal).tolist():
-            failed.setdefault(j, DomainError(_NOT_ORTHOGONAL))
-
+    vals = values[:, _axis_order(n)]
     delta = vals[:, : n - 2] / tau[:, None]
     defect = np.abs(vals[:, n - 2] / tau - (1.0 - delta.sum(axis=1)))
-    return tau, delta, vecs, defect, failed
+    return tau, delta, defect, failed
 
 
-def normal_form(eigvals, eigvecs, kappa0=DEFAULT_KAPPA0):
-    """The state tau * p_delta of the form with values `eigvals` on the
-    orthonormal columns of `eigvecs`: `normal_forms` for one form.
+def normal_frame(vecs):
+    """The frame of a normal form whose values lie, ascending, on the
+    orthonormal columns of `vecs` (n, n): the columns in `normal_forms`'
+    axis order, the last one's sign making the frame a rotation."""
+    vecs = vecs[:, _axis_order(vecs.shape[0])]
+    if np.linalg.det(vecs) < 0:
+        vecs[:, -1] = -vecs[:, -1]
+    return vecs
+
+
+def normal_form(eigvals, eigvecs):
+    """The state tau * p_delta of the form with values `eigvals`, ascending,
+    on the orthonormal columns of `eigvecs`: `normal_forms` and
+    `normal_frame` for one form.
 
     Raises DegeneracyError when there is no strictly negative value to
-    scale to -1.
+    scale to -1, and DomainError when the frame is not orthogonal.
     """
-    tau, delta, vecs, defect, failed = normal_forms(eigvals[None], eigvecs[None])
+    tau, delta, defect, failed = normal_forms(eigvals[None])
     if failed:
         raise failed[0]
     return DeltaState(
         n=eigvals.shape[0],
         tau=float(tau[0]),
         delta=delta[0],
-        Q=vecs[0],
+        Q=normal_frame(eigvecs),
         consistency_defect=float(defect[0]),
-        kappa0=kappa0,
     )
 
 
-def diagonalize(q, kappa0=DEFAULT_KAPPA0):
+def diagonalize(q):
     """Bring a trace-free form to the normal form tau * p_delta in a rotated frame.
 
     The eigendecomposition, with `_order_ties` fixing the basis within
@@ -342,7 +320,7 @@ def diagonalize(q, kappa0=DEFAULT_KAPPA0):
     if np.abs(q.coeff).max() == 0.0:
         raise DegeneracyError("cannot normalize the zero form")
     eigvals, eigvecs = _order_ties(*np.linalg.eigh(q.coeff))
-    return normal_form(eigvals, eigvecs, kappa0)
+    return normal_form(eigvals, eigvecs)
 
 
 def random_rotation(n, rng):

@@ -8,13 +8,16 @@ frame, so that is a sort of the new diagonal and a permutation of the
 frame's columns, with no eigendecomposition.
 
 Cells advance in lock-step: `_advance` takes one step for a whole block of
-states held as arrays, tau (B,), delta (B, n-2) and Q (B, n, n), with one
-kernel call for all their moments, and `_Block` runs a block step by step
-and classifies each cell as converged / escaped / exhausted, the escape
-criterion being leaving the small-delta ball.  `iterate` is a block of one
-that records every step, `sweep` one block per worker, and `half_step`,
-`_step_detail` and the `map` command one step of a block of one.  Each
-cell's numbers are bit for bit the same whatever cells share its block.
+states held as arrays, tau (B,) and delta (B, n-2), with one kernel call
+for all their moments, and `_Block` runs a block step by step and
+classifies each cell as converged / escaped / exhausted, the escape
+criterion being leaving the small-delta ball of `MapConfig.in_ball`.  No
+frame rides in the block: a step reports each cell's column order, and
+`_Step.state` turns it into the new frame for callers that hold the old
+one.  `iterate` is a block of one that records every step, `sweep` one
+block per worker, and `half_step`, `_step_detail` and the `map` command one
+step of a block of one.  Each cell's numbers are bit for bit the same
+whatever cells share its block.
 """
 
 import csv
@@ -22,7 +25,6 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import InitVar, asdict, dataclass, field
 from functools import lru_cache
 
@@ -31,13 +33,12 @@ import numpy as np
 from .errors import DegeneracyError, DomainError, EscapeError
 from .moments import MomentSet, compute_moments, fourier_diagonal, moment_block
 from .quadratic import (
-    DEFAULT_KAPPA0,
     DeltaState,
-    HarmonicQuadratic,
     delta_norms,
     delta_ratios,
     normal_form_diagonal,
     normal_forms,
+    normal_frame,
 )
 # Its only reader is perfbench/layertrace.py, which wraps this name; nothing calls it.
 from .quadratic import diagonalize
@@ -56,7 +57,7 @@ class MapConfig:
     noise: str = "off"
     seed: int = 0
     C_gamma: float = None
-    kappa0: float = DEFAULT_KAPPA0
+    kappa0: float = 0.2
     tol_conv: float = 1e-9
     # accepted and ignored for perfbench/, the only caller that passes it;
     # an InitVar is not a field, so to_dict() and equality never see it
@@ -76,6 +77,14 @@ class MapConfig:
         # the moments the step takes are defined for |delta| < 1/2
         if not (0.0 < self.kappa0 <= 0.5):
             raise DomainError("kappa0 must lie in (0, 1/2]")
+
+    def in_ball(self, delta):
+        """Whether |delta| < kappa0, for one delta (n-2,) or each row of a stack (B, n-2).
+
+        The one test of the small-delta ball: a state outside it is an
+        escape, whichever entry point meets it.
+        """
+        return delta_norms(delta) < self.kappa0
 
     def effective_C_gamma(self):
         if self.C_gamma is not None:
@@ -120,8 +129,9 @@ def _noise_diagonal(tau, delta, cfg, rng):
 class _Step:
     """One half-scale step of a block of cells; row j belongs to cell j.
 
-    `tau`, `delta`, `q` and `defect` are the new normal forms; `b`, `b_i`,
-    `c` and `c_i` the moments at the old ones; `z` the correction's
+    `tau`, `delta` and `defect` are the new normal forms, and `order` (B, n)
+    the old frame's columns in the order of the new values, ascending; `b`,
+    `b_i`, `c` and `c_i` the moments at the old ones; `z` the correction's
     projection at scale 1/2 and `xi` the noise, both as diagonals in the old
     frames.  `failed` maps each cell the step cannot take to the error that
     says why; that cell's rows are meaningless.
@@ -129,7 +139,7 @@ class _Step:
 
     tau: np.ndarray
     delta: np.ndarray
-    q: np.ndarray
+    order: np.ndarray
     defect: np.ndarray
     b: np.ndarray
     b_i: np.ndarray
@@ -139,15 +149,14 @@ class _Step:
     xi: np.ndarray
     failed: dict
 
-    def state(self, j, kappa0):
-        """Cell j's new state."""
+    def state(self, j, old_q):
+        """Cell j's new state, whose frame comes from its old frame `old_q`."""
         return DeltaState(
-            n=self.q.shape[1],
+            n=old_q.shape[0],
             tau=float(self.tau[j]),
             delta=self.delta[j],
-            Q=self.q[j],
+            Q=normal_frame(old_q[:, self.order[j]]),
             consistency_defect=float(self.defect[j]),
-            kappa0=kappa0,
         )
 
     def take(self, rows):
@@ -171,24 +180,22 @@ class _Step:
         )
 
 
-def _advance(tau, delta, q, cfg, rng=None):
-    """One half-scale step for a block of cells: tau (B,), delta (B, n-2), Q (B, n, n).
+def _advance(tau, delta, cfg, rng=None):
+    """One half-scale step for a block of cells: tau (B,), delta (B, n-2).
 
     All cells' moments come from one kernel call and the rest is array
-    arithmetic on the block; no object is built per cell.  The step's checks
-    are per cell: tau <= 1 and |delta| >= 1/2 are DomainErrors, a new
-    diagonal with no negative value a DegeneracyError and a frame that is not
-    orthogonal a DomainError, each reported in `failed` for its cell alone,
-    in that order of precedence.  A moment set that fails
-    `MomentSet.validate` raises AssertionError for the block.  `rng` is the
-    block's random-noise generator, drawn once.
+    arithmetic on the block; no object is built per cell.  Callers step
+    only cells inside `cfg`'s ball, so inside |delta| < 1/2 where the
+    moments are defined; a cell outside that is `moment_block`'s DomainError
+    for the block.  The step reports two errors per cell, each in `failed`
+    for its cell alone and in this order of precedence: tau <= 1, a
+    DomainError, and a new diagonal with no negative value, a
+    DegeneracyError.  A moment set that fails `MomentSet.validate` raises
+    AssertionError for the block.  `rng` is the block's random-noise
+    generator, drawn once.
     """
     n = cfg.n
-    b, b_i, c, c_i, failed = moment_block(delta, n)
-    low = tau <= 1.0
-    if low.any():
-        for j in np.flatnonzero(low).tolist():
-            failed[j] = DomainError("half_step requires tau > 1")
+    b, b_i, c, c_i = moment_block(delta, n)
     # the correction q = block / (n+2) (`correction.from_fourier_block`) at
     # scale 1/2 is q ln(1/2) (`correction.scale_projection`)
     z = fourier_diagonal(b, b_i, n) * (1.0 / (n + 2)) * math.log(0.5)
@@ -197,25 +204,20 @@ def _advance(tau, delta, q, cfg, rng=None):
     diag = tau[:, None] * normal_form_diagonal(delta) + z + xi
     diag -= diag.sum(axis=1, keepdims=True) / n  # the rounding-level trace of the sum
     order = np.argsort(diag, axis=1, kind="stable")
-    rows = np.arange(tau.shape[0])[:, None]
-    tau_new, delta_new, q_new, defect, unnormal = normal_forms(
-        diag[rows, order],
-        q[rows[:, :, None], np.arange(n)[:, None], order[:, None, :]],  # Q's columns in that order
-    )
-    for j, exc in unnormal.items():
-        failed.setdefault(j, exc)
-    return _Step(tau_new, delta_new, q_new, defect, b, b_i, c, c_i, z, xi, failed)
+    tau_new, delta_new, defect, failed = normal_forms(diag[np.arange(tau.shape[0])[:, None], order])
+    for j in np.flatnonzero(tau <= 1.0).tolist():
+        failed[j] = DomainError("half_step requires tau > 1")
+    return _Step(tau_new, delta_new, order, defect, b, b_i, c, c_i, z, xi, failed)
 
 
 def _stack(states, cfg):
-    """tau (B,), delta (B, n-2) and Q (B, n, n) of `states`, copied."""
+    """tau (B,) and delta (B, n-2) of `states`, copied."""
     if any(state.n != cfg.n for state in states):
         raise DomainError("state and config dimensions differ")
     count, n = len(states), cfg.n
     return (
         np.array([state.tau for state in states], dtype=np.float64),
         np.array([state.delta for state in states], dtype=np.float64).reshape(count, n - 2),
-        np.array([state.Q for state in states], dtype=np.float64).reshape(count, n, n),
     )
 
 
@@ -223,22 +225,22 @@ def _step_detail(state, cfg, rng=None):
     """One half-scale step of one state (`_advance` on a block of one).
 
     Returns the new state, the moment set at `state`, the correction's
-    projection at scale 1/2 as a HarmonicQuadratic and the noise diagonal.
-    The new state is returned whether or not it is inside the kappa0 ball;
-    callers decide what leaving it means from `new_state.in_small_ball`.
-    Raises the error `_advance` reports for the state.
+    projection at scale 1/2 as its diagonal in `state`'s frame and the noise
+    diagonal.  The new state is returned whether or not it is inside the
+    kappa0 ball; callers decide what leaving it means from `cfg.in_ball`.
+    Raises DomainError when `state` is outside the ball, and the error
+    `_advance` reports for the state (tau <= 1 or no negative value).
     """
     if state.n != cfg.n:
         raise DomainError("state and config dimensions differ")
-    if not state.in_small_ball:
+    if not cfg.in_ball(state.delta):
         raise DomainError("half_step requires the state inside the kappa0 ball")
     if rng is None and cfg.noise == "random":
         rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
     step = _advance(*_stack([state], cfg), cfg, rng)
     if step.failed:
         raise step.failed[0]
-    z_half = HarmonicQuadratic(cfg.n, np.diag(step.z[0]))
-    return step.state(0, cfg.kappa0), step.moment_set(0, state.delta), z_half, step.xi[0]
+    return step.state(0, state.Q), step.moment_set(0, state.delta), step.z[0], step.xi[0]
 
 
 def half_step(state, cfg, rng=None):
@@ -248,7 +250,7 @@ def half_step(state, cfg, rng=None):
     kappa0 ball; DomainError when `state` is outside the ball or tau <= 1.
     """
     new_state, _, _, _ = _step_detail(state, cfg, rng)
-    if not new_state.in_small_ball:
+    if not cfg.in_ball(new_state.delta):
         raise EscapeError(
             f"|delta| = {np.linalg.norm(new_state.delta):.6f} left the "
             f"kappa0 = {cfg.kappa0} ball",
@@ -260,6 +262,8 @@ def half_step(state, cfg, rng=None):
 class _Block:
     """Cells of one configuration run in lock-step, one `_advance` a step.
 
+    The block holds each cell's tau and delta, never its frame, which no
+    step reads.  A start outside `cfg`'s ball is an escape at step 0.
     After `run`, `tau` (B,) and `delta` (B, n-2) hold each cell's last
     recorded state: its start, or the state after the last step it took,
     the one that left the ball included; `kind`, `step` and `error` say how
@@ -268,9 +272,8 @@ class _Block:
 
     def __init__(self, states, cfg):
         self.cfg = cfg
-        self.tau, self.delta, self.q = _stack(states, cfg)
-        # a start outside the ball is an escape at step 0
-        self.kind = [None if state.in_small_ball else "escaped" for state in states]
+        self.tau, self.delta = _stack(states, cfg)
+        self.kind = [None if inside else "escaped" for inside in cfg.in_ball(self.delta).tolist()]
         self.step = [0] * len(states)
         self.error = [None] * len(states)
         self.tau_monotone = np.ones(len(states), dtype=bool)
@@ -302,7 +305,6 @@ class _Block:
         rows = {
             "tau": self.tau[live],
             "delta": self.delta[live],
-            "q": self.q[live],
             "cum": np.zeros(live.size),
             "tau_monotone": np.ones(live.size, dtype=bool),
             "tail": np.zeros((live.size, width)),
@@ -321,7 +323,7 @@ class _Block:
         for k in range(1, max_steps + 1):
             if not live.size:
                 return
-            step = _advance(rows["tau"], rows["delta"], rows["q"], cfg, rng)
+            step = _advance(rows["tau"], rows["delta"], cfg, rng)
             if step.failed:
                 failed = np.zeros(live.size, dtype=bool)
                 for j, exc in step.failed.items():
@@ -337,10 +339,10 @@ class _Block:
             rows["cum"] += inc
             if k > max_steps - width:
                 rows["tail"][:, k - 1 - (max_steps - width)] = inc
-            rows.update(tau=step.tau, delta=step.delta, q=step.q)
+            rows.update(tau=step.tau, delta=step.delta)
             if on_step is not None:
                 on_step(k, live, step, inc, rows["cum"])
-            outside = ~(delta_norms(step.delta) < cfg.kappa0)
+            outside = ~cfg.in_ball(step.delta)
             if outside.any():
                 for cell in live[outside].tolist():
                     self.kind[cell], self.step[cell] = "escaped", k
@@ -432,9 +434,8 @@ def calibrate_threshold_constant(n, gamma, tau=10.0):
             delta[0] = s * (1.0 if pat > 0 else -1.0)
             if pat == 0.5 and n > 3:
                 delta[1] = -0.5 * s
-            state = DeltaState(n=n, tau=tau, delta=delta, kappa0=cfg.kappa0)
-            if state.in_small_ball:
-                states.append(state)
+            if cfg.in_ball(delta):
+                states.append(DeltaState(n=n, tau=tau, delta=delta))
     # the canned states take their one step together, as a block
     step = _advance(*_stack(states, cfg), cfg)
     worst = 0.0
@@ -443,8 +444,8 @@ def calibrate_threshold_constant(n, gamma, tau=10.0):
             continue
         if j in step.failed:
             raise step.failed[j]
-        new_state = step.state(j, cfg.kappa0)
-        if not new_state.in_small_ball:
+        new_state = step.state(j, state.Q)
+        if not cfg.in_ball(new_state.delta):
             continue
         m = step.moment_set(j, state.delta)
         report = check_monotonicity(state, new_state, cfg, moments_at_state=m)
@@ -533,21 +534,21 @@ def iterate(state0, cfg, max_steps, record_monotonicity=False):
     """Iterate the half-scale map, recording and classifying the trajectory.
 
     The run is a block of one (see `_Block.run` for the classification
-    rule), recorded step by step.  Classification: "escaped" when a step
-    leaves the kappa0 ball; "converged" when the per-step delta movement
+    rule), recorded step by step.  Classification: "escaped" at step 0 when
+    `state0` is outside the kappa0 ball of `cfg.in_ball`, and at the step
+    that leaves it otherwise; "converged" when the per-step delta movement
     summed over the last quarter of the run stays below tol_conv (with the
     partial sums' domination constant against sum tau_k^(-1-gamma) fitted
     and recorded); "exhausted" otherwise.
 
     The step that leaves the ball is recorded like every other step, with
     its row and, when asked for, its monotonicity report from the moments
-    the step computed; the run then ends as "escaped".  The errors a step
-    reports for its cell (tau <= 1, |delta| >= 1/2, no negative value, a
-    frame that is not orthogonal) end the run as "exhausted" with the
-    message in `rec.error`.  Exceptions, such as EvaluationError, numpy's
-    LinAlgError or the AssertionError of a moment set that fails its
-    checks, propagate to the caller, and so does the DomainError of a state
-    whose dimension is not cfg.n.
+    the step computed; the run then ends as "escaped".  The two errors a
+    step reports for its cell (tau <= 1 and no negative value) end the run
+    as "exhausted" with the message in `rec.error`.  Exceptions, such as
+    EvaluationError, numpy's LinAlgError or the AssertionError of a moment
+    set that fails its checks, propagate to the caller, and so does the
+    DomainError of a state whose dimension is not cfg.n.
     """
     rec = TrajectoryRecord(config=cfg, monotonicity=[] if record_monotonicity else None)
     rec.steps.append(
@@ -578,7 +579,7 @@ def iterate(state0, cfg, max_steps, record_monotonicity=False):
         )
         increments.append(float(inc[0]))
         if record_monotonicity:
-            after = step.state(0, cfg.kappa0)
+            after = step.state(0, before.Q)
             m = step.moment_set(0, before.delta)
             rec.monotonicity.append(check_monotonicity(before, after, cfg, moments_at_state=m))
             before = after
@@ -607,7 +608,7 @@ def _sweep_block(args):
     """Sweep rows of a block of cells, run in lock-step."""
     cells, cfg, max_steps = args
     block = _Block(
-        [DeltaState(n=cfg.n, tau=tau0, delta=delta0, kappa0=cfg.kappa0) for tau0, delta0 in cells],
+        [DeltaState(n=cfg.n, tau=tau0, delta=delta0) for tau0, delta0 in cells],
         cfg,
     )
     block.run(max_steps)
@@ -654,6 +655,10 @@ def sweep(tau0_values, delta0_values, cfg, max_steps, workers=None):
         return _sweep_block((cells, cfg, max_steps))
     cuts = [len(cells) * i // parts for i in range(parts + 1)]
     tasks = [(cells[lo:hi], cfg, max_steps) for lo, hi in zip(cuts, cuts[1:])]
+    # imported here: loading the pool machinery costs every import of the
+    # package, and only a sweep on more than one worker uses it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=parts) as pool:
         return [row for rows in pool.map(_sweep_block, tasks) for row in rows]
 

@@ -81,12 +81,17 @@ class TestBatch:
         deltas = np.random.default_rng(1).uniform(-0.1, 0.1, (40, n - 2))
         deltas[:3] = 0.0
         deltas[3, 0] = 4e-12  # snaps to the touch
-        b, b_i, c, c_i, failed = moments.moment_block(deltas, n)
-        assert not failed
+        b, b_i, c, c_i = moments.moment_block(deltas, n)
         for j, delta in enumerate(deltas):
             m = moments.compute_moments(delta, n)
             assert m.B == b[j] and m.C == c[j]
             assert np.array_equal(m.B_i, b_i[j]) and np.array_equal(m.C_i, c_i[j])
+
+    def test_block_outside_half_ball_raises(self):
+        # one DomainError for the whole call: a step's cells all lie in the
+        # map's kappa0 ball, which is never wider than |delta| < 1/2
+        with pytest.raises(DomainError, match="1/2"):
+            moments.moment_block(np.array([[0.1, 0.0], [0.5, 0.0]]), 4)
 
     def test_all_empty_rows(self):
         rows = -np.abs(np.random.default_rng(3).uniform(0.0, 1.0, (9, 4)))
@@ -633,11 +638,21 @@ import numpy as np
 from blowuplab import moments, renorm
 from blowuplab.quadratic import DeltaState
 cfg = renorm.MapConfig(n=4, C_gamma=0.0)
-start = DeltaState(n=4, tau=10.0, delta=np.array([0.05, -0.01]), kappa0=cfg.kappa0)
+start = DeltaState(n=4, tau=10.0, delta=np.array([0.05, -0.01]))
 """
 
 
 class TestProcessFootprint:
+    def test_import_loads_no_process_pool(self):
+        # only a sweep on more than one worker starts a process pool, so an
+        # import leaves its machinery unloaded
+        out = _fresh_interpreter("""
+import sys
+import blowuplab
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")))
+""")
+        assert out == "[]"
+
     def test_no_scipy_import(self):
         # nothing the package computes loads scipy, so an import and a first
         # computation pay only for numpy

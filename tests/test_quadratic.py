@@ -13,6 +13,7 @@ from blowuplab.quadratic import (
     random_rotation,
     sup_norm_ball,
 )
+from blowuplab.renorm import MapConfig
 
 
 class TestMakePDelta:
@@ -109,7 +110,7 @@ class TestDiagonalize:
             assert state.tau == pytest.approx(tau, rel=1e-11)
             assert np.allclose(np.sort(state.delta), np.sort(delta), atol=1e-11)
             assert np.allclose(state.polynomial().coeff, q.coeff, atol=1e-10 * tau)
-            assert state.in_small_ball
+            assert MapConfig(n=n).in_ball(state.delta)
             assert state.consistency_defect < 1e-9
 
     def test_delta_sorted_ascending(self):
@@ -121,7 +122,7 @@ class TestDiagonalize:
         state = diagonalize(q)
         assert state.tau == pytest.approx(0.6)
         assert np.allclose(state.delta, [0.5])
-        assert not state.in_small_ball
+        assert not MapConfig(n=3).in_ball(state.delta)
 
     def test_degenerate_zero_form(self):
         with pytest.raises(DegeneracyError):

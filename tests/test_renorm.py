@@ -103,8 +103,7 @@ class TestHalfStep:
         n, delta, tau = 4, np.array([0.05, -0.03]), 10.0
         cfg = cfg4()
         state = DeltaState(n=n, tau=tau, delta=delta)
-        _, m, z_half, _ = renorm._step_detail(state, cfg)
-        z_quad = np.diag(z_half.coeff)
+        _, m, z_quad, _ = renorm._step_detail(state, cfg)
 
         b_est, bi_est = moments.mc_moment_check(delta, n, 10**7, 55555)
         bi = np.array([e.value for e in bi_est])
@@ -133,23 +132,29 @@ class TestHalfStep:
         assert abs(xi.sum()) < 1e-15
 
 
-def _ambient_advance(advance):
-    """Reference step: rotate each cell's new diagonal out to the ambient
-    matrix Q diag Q^T, symmetrize it and re-diagonalize it from scratch."""
+def _ambient_state(state, z, xi):
+    """Reference normal form: rotate the step's new diagonal out to the
+    ambient matrix Q diag Q^T, symmetrize it and re-diagonalize it from
+    scratch."""
+    diag_new = state.tau * normal_form_diagonal(state.delta) + z + xi
+    return diagonalize(HarmonicQuadratic.from_matrix(state.Q @ np.diag(diag_new) @ state.Q.T))
 
-    def ambient(tau, delta, q, cfg, rng=None):
-        step = advance(tau, delta, q, cfg, rng)
-        states = []
-        for j in range(tau.shape[0]):
-            diag_new = tau[j] * normal_form_diagonal(delta[j]) + step.z[j] + step.xi[j]
-            matrix = HarmonicQuadratic.from_matrix(q[j] @ np.diag(diag_new) @ q[j].T)
-            states.append(diagonalize(matrix, kappa0=cfg.kappa0))
+
+def _ambient_advance(advance, q):
+    """`advance` for a block of one whose new normal forms come from
+    `_ambient_state`; the frame starts at `q` and follows the reference."""
+    frame = [q]
+
+    def ambient(tau, delta, cfg, rng=None):
+        step = advance(tau, delta, cfg, rng)
+        before = DeltaState(n=cfg.n, tau=float(tau[0]), delta=delta[0], Q=frame[0])
+        state = _ambient_state(before, step.z[0], step.xi[0])
+        frame[0] = state.Q
         return dataclasses.replace(
             step,
-            tau=np.array([s.tau for s in states]),
-            delta=np.array([s.delta for s in states]).reshape(tau.shape[0], cfg.n - 2),
-            q=np.array([s.Q for s in states]),
-            defect=np.array([s.consistency_defect for s in states]),
+            tau=np.array([state.tau]),
+            delta=state.delta[None],
+            defect=np.array([state.consistency_defect]),
         )
 
     return ambient
@@ -186,20 +191,18 @@ class TestNormalFrameStep:
 
     @pytest.mark.parametrize("noise", renorm.NOISE_MODES)
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_matches_ambient_round_trip(self, n, noise, monkeypatch):
+    def test_matches_ambient_round_trip(self, n, noise):
         cfg = _noisy_cfg(n, noise)
         for frame, state in _frame_states(n, seed=n):
-            new, _, _, _ = renorm._step_detail(state, cfg)
-            with monkeypatch.context() as patch:
-                patch.setattr(renorm, "_advance", _ambient_advance(renorm._advance))
-                ref, _, _, _ = renorm._step_detail(state, cfg)
+            new, _, z, xi = renorm._step_detail(state, cfg)
+            ref = _ambient_state(state, z, xi)
             # eigh of a rotated ambient matrix is itself only good to about
             # n ulps of tau; in the axes' frame the two agree to 1e-15 tau
             tol = 1e-15 * state.tau * (1 if frame == "axes" else n)
             assert abs(new.tau - ref.tau) <= tol
             assert np.abs(new.delta - ref.delta).max(initial=0.0) <= tol
             assert np.abs(new.polynomial().coeff - ref.polynomial().coeff).max() <= 1e-12
-            assert new.in_small_ball == ref.in_small_ball
+            assert cfg.in_ball(new.delta) == cfg.in_ball(ref.delta)
 
     @pytest.mark.parametrize("noise", renorm.NOISE_MODES)
     @pytest.mark.parametrize("n", range(2, 9))
@@ -208,7 +211,7 @@ class TestNormalFrameStep:
         for _, state in _frame_states(n, seed=n):
             rec = renorm.iterate(state, cfg, 30)
             with monkeypatch.context() as patch:
-                patch.setattr(renorm, "_advance", _ambient_advance(renorm._advance))
+                patch.setattr(renorm, "_advance", _ambient_advance(renorm._advance, state.Q))
                 ref = renorm.iterate(state, cfg, 30)
             assert rec.classification.kind == ref.classification.kind
             assert rec.classification.step == ref.classification.step
@@ -224,6 +227,22 @@ class TestNormalFrameStep:
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         new = renorm.half_step(state, _noisy_cfg(n, "random"))
         assert new.tau > state.tau
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_no_frame_in_sweep_or_iterate(self, n, monkeypatch):
+        # the block holds no frame, so a sweep, and an iterate that records
+        # no monotonicity, never compose one
+        _, state = list(_frame_states(n, seed=1))[5]  # rotated, mixed signs
+
+        def det(*args, **kwargs):
+            raise AssertionError("the step called np.linalg.det")
+
+        monkeypatch.setattr(np.linalg, "det", det)
+        cfg = _noisy_cfg(n, "random")
+        rec = renorm.iterate(state, cfg, 10)
+        rows = renorm.sweep([10.0, 20.0], [state.delta, np.zeros(n - 2)], cfg, 10, workers=1)
+        assert len(rec.steps) > 1
+        assert [row["step"] for row in rows] == [10] * 4
 
 
 class TestCheckMonotonicity:
@@ -261,6 +280,32 @@ class TestCheckMonotonicity:
         assert rep.regime == "positive"
         assert rep.sum_ci > 0
         assert rep.deltajclaim_holds  # min-ratio strictly decreases
+
+
+class TestOneBall:
+    """The kappa0 ball is the map's: every entry point asks `MapConfig.in_ball`."""
+
+    # |delta| = 0.15 lies outside a kappa0 = 0.1 ball, inside the default one
+    START = dict(n=4, tau=10.0, delta=np.array([0.15, 0.0]))
+
+    def test_iterate_and_sweep_escape_at_start(self):
+        cfg = cfg4(kappa0=0.1)
+        rec = renorm.iterate(DeltaState(**self.START), cfg, 10)
+        assert (rec.classification.kind, rec.classification.step) == ("escaped", 0)
+        assert len(rec.steps) == 1
+        (row,) = renorm.sweep([self.START["tau"]], [self.START["delta"]], cfg, 10, workers=1)
+        assert (row["classification"], row["step"]) == ("escaped", 0)
+
+    @pytest.mark.parametrize("step", [renorm.half_step, renorm._step_detail])
+    def test_step_requires_state_in_ball(self, step):
+        with pytest.raises(DomainError, match="kappa0 ball"):
+            step(DeltaState(**self.START), cfg4(kappa0=0.1))
+
+    def test_in_ball_of_one_delta_and_of_a_stack(self):
+        cfg = cfg4(kappa0=0.1)
+        deltas = np.array([[0.15, 0.0], [0.05, -0.05], [0.1, 0.0]])
+        assert cfg.in_ball(deltas).tolist() == [False, True, False]
+        assert [bool(cfg.in_ball(d)) for d in deltas] == [False, True, False]
 
 
 class TestIterate:
@@ -411,7 +456,7 @@ class TestLockstep:
         rows = renorm.sweep(taus, deltas, cfg, 40, workers=1)
         ends = set()
         for row in rows:
-            state = DeltaState(n=n, tau=row["tau0"], delta=np.array(row["delta0"]), kappa0=cfg.kappa0)
+            state = DeltaState(n=n, tau=row["tau0"], delta=np.array(row["delta0"]))
             rec = renorm.iterate(state, cfg, 40)
             assert row["classification"] == rec.classification.kind
             assert row["step"] == rec.classification.step
@@ -453,14 +498,14 @@ def _calibrate_one_by_one(n, gamma, tau=10.0):
             delta[0] = s * (1.0 if pat > 0 else -1.0)
             if pat == 0.5 and n > 3:
                 delta[1] = -0.5 * s
-            state = DeltaState(n=n, tau=tau, delta=delta, kappa0=cfg.kappa0)
-            if not state.in_small_ball:
+            state = DeltaState(n=n, tau=tau, delta=delta)
+            if not cfg.in_ball(state.delta):
                 continue
             try:
                 new_state, m, _, _ = renorm._step_detail(state, cfg)
             except DegeneracyError:
                 continue
-            if not new_state.in_small_ball:
+            if not cfg.in_ball(new_state.delta):
                 continue
             report = renorm.check_monotonicity(state, new_state, cfg, moments_at_state=m)
             if report.regime == "negative" and not report.deltajclaim_holds:
@@ -484,9 +529,9 @@ class TestIterateErrors:
     def _run(self, monkeypatch, exc):
         advance = renorm._advance
 
-        def boom(tau, delta, q, cfg, rng=None):
+        def boom(tau, delta, cfg, rng=None):
             if isinstance(exc, (DegeneracyError, DomainError)):
-                return dataclasses.replace(advance(tau, delta, q, cfg, rng), failed={0: exc})
+                return dataclasses.replace(advance(tau, delta, cfg, rng), failed={0: exc})
             raise exc
 
         monkeypatch.setattr(renorm, "_advance", boom)
@@ -496,8 +541,8 @@ class TestIterateErrors:
         outside = DeltaState(n=4, tau=10.5, delta=np.array([0.3, 0.0]))
         advance = renorm._advance
 
-        def leave(tau, delta, q, cfg, rng=None):
-            step = advance(tau, delta, q, cfg, rng)
+        def leave(tau, delta, cfg, rng=None):
+            step = advance(tau, delta, cfg, rng)
             return dataclasses.replace(step, tau=np.array([outside.tau]), delta=outside.delta[None])
 
         monkeypatch.setattr(renorm, "_advance", leave)
