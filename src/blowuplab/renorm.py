@@ -12,11 +12,12 @@ states held as arrays, tau (B,) and delta (B, n-2), with one kernel call
 for all their moments, and `_Block` runs a block step by step and
 classifies each cell as converged / escaped / exhausted, the escape
 criterion being leaving the small-delta ball of `MapConfig.in_ball`.  No
-frame rides in the block: a step reports each cell's column order, and
-`_Step.state` turns it into the new frame for callers that hold the old
-one.  `iterate` is a block of one that records every step, `sweep` one
-block per worker, and `half_step`, `_step_detail` and the `map` command one
-step of a block of one.  Each cell's numbers are bit for bit the same
+frame rides in the block: a step reports each cell's column order, and only
+`_step_detail`, behind `half_step` and the `map` command, turns it into a
+new frame, `DeltaState` and `MomentSet`; the monotonicity reports and the
+threshold calibration read the block's arrays.  `iterate` is a block of one
+that records every step, `sweep` one block per worker, and `_step_detail`
+one step of a block of one.  Each cell's numbers are bit for bit the same
 whatever cells share its block.
 """
 
@@ -89,7 +90,7 @@ class MapConfig:
     def effective_C_gamma(self):
         if self.C_gamma is not None:
             return self.C_gamma
-        return calibrate_threshold_constant(self.n, self.gamma)
+        return calibrate_threshold_constant(self.n, self.gamma, self.kappa0)
 
     def to_dict(self):
         return asdict(self)
@@ -149,34 +150,13 @@ class _Step:
     xi: np.ndarray
     failed: dict
 
-    def state(self, j, old_q):
-        """Cell j's new state, whose frame comes from its old frame `old_q`."""
-        return DeltaState(
-            n=old_q.shape[0],
-            tau=float(self.tau[j]),
-            delta=self.delta[j],
-            Q=normal_frame(old_q[:, self.order[j]]),
-            consistency_defect=float(self.defect[j]),
-        )
-
     def take(self, rows):
-        """The step of the cells `rows` selects."""
+        """The step of the cells `rows` selects (of cell j alone for an int)."""
         return _Step(
             **{
                 name: value if name == "failed" else value[rows]
                 for name, value in vars(self).items()
             }
-        )
-
-    def moment_set(self, j, delta):
-        """The moment set at cell j's old state, whose delta is `delta`."""
-        return MomentSet(
-            n=self.b_i.shape[1],
-            delta=delta,
-            B=float(self.b[j]),
-            B_i=self.b_i[j],
-            C=float(self.c[j]),
-            C_i=self.c_i[j],
         )
 
 
@@ -210,17 +190,6 @@ def _advance(tau, delta, cfg, rng=None):
     return _Step(tau_new, delta_new, order, defect, b, b_i, c, c_i, z, xi, failed)
 
 
-def _stack(states, cfg):
-    """tau (B,) and delta (B, n-2) of `states`, copied."""
-    if any(state.n != cfg.n for state in states):
-        raise DomainError("state and config dimensions differ")
-    count, n = len(states), cfg.n
-    return (
-        np.array([state.tau for state in states], dtype=np.float64),
-        np.array([state.delta for state in states], dtype=np.float64).reshape(count, n - 2),
-    )
-
-
 def _step_detail(state, cfg, rng=None):
     """One half-scale step of one state (`_advance` on a block of one).
 
@@ -237,10 +206,13 @@ def _step_detail(state, cfg, rng=None):
         raise DomainError("half_step requires the state inside the kappa0 ball")
     if rng is None and cfg.noise == "random":
         rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
-    step = _advance(*_stack([state], cfg), cfg, rng)
+    step = _advance(np.array([float(state.tau)]), state.delta[None], cfg, rng).take(0)
     if step.failed:
         raise step.failed[0]
-    return step.state(0, state.Q), step.moment_set(0, state.delta), step.z[0], step.xi[0]
+    frame = normal_frame(state.Q[:, step.order])
+    new_state = DeltaState(cfg.n, float(step.tau), step.delta, frame, float(step.defect))
+    m = MomentSet(cfg.n, state.delta, float(step.b), step.b_i, float(step.c), step.c_i)
+    return new_state, m, step.z, step.xi
 
 
 def half_step(state, cfg, rng=None):
@@ -262,21 +234,23 @@ def half_step(state, cfg, rng=None):
 class _Block:
     """Cells of one configuration run in lock-step, one `_advance` a step.
 
-    The block holds each cell's tau and delta, never its frame, which no
+    Built from copies of the cells' starts, tau (B,) and delta (B, n-2),
+    which the entry points have checked; the block holds no frame, which no
     step reads.  A start outside `cfg`'s ball is an escape at step 0.
-    After `run`, `tau` (B,) and `delta` (B, n-2) hold each cell's last
-    recorded state: its start, or the state after the last step it took,
-    the one that left the ball included; `kind`, `step` and `error` say how
-    its run ended and `tau_monotone` whether its tau rose on every step.
+    After `run`, `tau` and `delta` hold each cell's last recorded state: its
+    start, or the state after the last step it took, the one that left the
+    ball included; `kind`, `step` and `error` say how its run ended and
+    `tau_monotone` whether its tau rose on every step.
     """
 
-    def __init__(self, states, cfg):
+    def __init__(self, tau, delta, cfg):
         self.cfg = cfg
-        self.tau, self.delta = _stack(states, cfg)
+        self.tau = np.array(tau, dtype=np.float64)
+        self.delta = np.array(delta, dtype=np.float64).reshape(self.tau.size, cfg.n - 2)
         self.kind = [None if inside else "escaped" for inside in cfg.in_ball(self.delta).tolist()]
-        self.step = [0] * len(states)
-        self.error = [None] * len(states)
-        self.tau_monotone = np.ones(len(states), dtype=bool)
+        self.step = [0] * self.tau.size
+        self.error = [None] * self.tau.size
+        self.tau_monotone = np.ones(self.tau.size, dtype=bool)
 
     def run(self, max_steps, on_step=None):
         """Step every live cell until it leaves the ball, fails a step or has taken max_steps.
@@ -368,92 +342,97 @@ class MonotonicityReport:
     negdelta_holds: bool = None  # None when no negative minimum applies
 
 
+def _predicates(tau, d0, d1, sum_ci, cfg):
+    """The ratio-growth predicates of a block of steps, one entry a cell.
+
+    tau (B,) and d0 (B, n-2) are the states before the steps, d1 (B, n-2)
+    the deltas after them and sum_ci (B,) the sum(C_i) before them.  The
+    mirrored regime, sum(C_i) > 0, is the negative one applied to -delta
+    with each ratio's sign restored; negation and division are exact, so
+    every value is bit for bit that of a branch of its own.  Returns the
+    fields of `MonotonicityReport` after sum_ci; negdelta_holds is None in
+    the zero regime and where the negative regime's d0 has no entry < 0.
+    """
+    c_gamma = cfg.effective_C_gamma()
+    threshold = np.array([c_gamma * t ** (-cfg.gamma) for t in tau.tolist()])
+    mirrored, negative = sum_ci > 0.0, sum_ci < 0.0
+    if cfg.n == 2:  # no delta: every cell is in the zero regime, with ratios 0
+        mirrored = negative = np.zeros(tau.size, dtype=bool)
+        d0 = d1 = np.zeros((tau.size, 1))
+    sign = 1.0 - 2.0 * mirrored
+    d = np.array((d0, d1))  # (2, B, n-2): before and after
+    e = sign[:, None] * d  # the negative regime's deltas
+    dt = 1.0 - d.sum(axis=2)
+    top, low = e.max(axis=2), e.min(axis=2)
+    (before, after), (low_before, low_after) = top / dt, low / dt
+    regime = np.array(["zero", "positive", "negative"])[mirrored + 2 * negative]
+    moving = mirrored | negative
+    exceeds = moving & (top[0] > threshold)
+    after = np.where(moving, after, before)
+    claim = ~moving | (after > before)
+    neg = np.where(moving & (low[0] < 0.0), low_after < low_before, None)
+    return regime, threshold, exceeds, sign * before, sign * after, claim, neg
+
+
+def _report(tau, d0, d1, sum_ci, cfg):
+    """The `MonotonicityReport` of a block of one step (see `_predicates`)."""
+    fields = (value.tolist()[0] for value in _predicates(tau, d0, d1, sum_ci, cfg))
+    return MonotonicityReport(float(sum_ci[0]), *fields)
+
+
 def check_monotonicity(state, next_state, cfg, moments_at_state=None):
     """Evaluate the ratio-growth predicates between consecutive states.
 
     In the sum(C_i) < 0 regime the claim is that max(delta)/(1-delta_tilde)
     strictly increases once max(delta) exceeds C_gamma tau^-gamma, and that
     a negative minimal entry's ratio strictly decreases; the mirrored
-    regime reverses the inequalities.
+    regime reverses the inequalities.  It reads the states' tau and delta
+    only, as one row of the arrays `iterate` and the calibration evaluate;
+    the moments at `state` are computed when not given.
     """
     m = moments_at_state or compute_moments(state.delta, cfg.n)
-    sum_ci = m.C
-    threshold = cfg.effective_C_gamma() * state.tau ** (-cfg.gamma)
-    d0, d1 = state.delta, next_state.delta
-    dt0, dt1 = 1.0 - state.delta_tilde, 1.0 - next_state.delta_tilde
-    if cfg.n == 2:
-        return MonotonicityReport(sum_ci, "zero", threshold, False, 0.0, 0.0, True)
-
-    if sum_ci < 0.0:
-        regime = "negative"
-        exceeds = d0.max() > threshold
-        before, after = d0.max() / dt0, d1.max() / dt1
-        claim = after > before
-        neg = None
-        if d0.min() < 0.0:
-            neg = (d1.min() / dt1) < (d0.min() / dt0)
-    elif sum_ci > 0.0:
-        regime = "positive"
-        exceeds = -d0.min() > threshold
-        before, after = d0.min() / dt0, d1.min() / dt1
-        claim = after < before
-        neg = None
-        if d0.max() > 0.0:
-            neg = (d1.max() / dt1) > (d0.max() / dt0)
-    else:
-        regime = "zero"
-        exceeds = False
-        before = after = d0.max() / dt0
-        claim = True
-        neg = None
-    return MonotonicityReport(
-        sum_ci, regime, threshold, exceeds, float(before), float(after), claim, neg
+    return _report(
+        np.array([float(state.tau)]), state.delta[None], next_state.delta[None], np.array([m.C]), cfg
     )
 
 
 @lru_cache(maxsize=32)
-def calibrate_threshold_constant(n, gamma, tau=10.0):
+def calibrate_threshold_constant(n, gamma, kappa0=MapConfig.kappa0):
     """Smallest constant making the threshold implication pass on a canned sweep.
 
     Evaluates the regime-appropriate ratio claim for one half-step at
     tau = 10 over a log-spaced sweep of single-direction and mixed
-    perturbations; returns max over failures of |extreme delta| * tau^gamma
-    (0.0 when the claim holds everywhere, as it does for the clean map).
+    perturbations inside the map's kappa0 ball, all stepped as one block;
+    returns max over failures of |extreme delta| * tau^gamma (0.0 when the
+    claim holds everywhere, as it does for the clean map).  Steps that have
+    no normal form or leave the ball are skipped.
     """
     if n == 2:
         return 0.0
+    tau = 10.0
     # C_gamma pinned to 0 here: the threshold is only read by the report,
     # not by the claims the calibration scans for.
-    cfg = MapConfig(n=n, gamma=gamma, C_gamma=0.0)
-    magnitudes = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 5e-2, 1e-1, 1.5e-1)
-    patterns = [1.0, -1.0, 0.5]
-    states = []
-    for s in magnitudes:
-        for pat in patterns:
-            delta = np.zeros(n - 2)
-            delta[0] = s * (1.0 if pat > 0 else -1.0)
-            if pat == 0.5 and n > 3:
-                delta[1] = -0.5 * s
-            if cfg.in_ball(delta):
-                states.append(DeltaState(n=n, tau=tau, delta=delta))
-    # the canned states take their one step together, as a block
-    step = _advance(*_stack(states, cfg), cfg)
-    worst = 0.0
-    for j, state in enumerate(states):
-        if isinstance(step.failed.get(j), DegeneracyError):
-            continue
-        if j in step.failed:
-            raise step.failed[j]
-        new_state = step.state(j, state.Q)
-        if not cfg.in_ball(new_state.delta):
-            continue
-        m = step.moment_set(j, state.delta)
-        report = check_monotonicity(state, new_state, cfg, moments_at_state=m)
-        if report.regime == "negative" and not report.deltajclaim_holds:
-            worst = max(worst, state.delta.max() * tau**gamma)
-        if report.regime == "positive" and not report.deltajclaim_holds:
-            worst = max(worst, -state.delta.min() * tau**gamma)
-    return worst
+    cfg = MapConfig(n=n, gamma=gamma, C_gamma=0.0, kappa0=kappa0)
+    magnitudes = np.array([1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 5e-2, 1e-1, 1.5e-1])
+    # each magnitude on the first axis with either sign, then mixed with
+    # half its opposite on the second (the first alone at n = 3)
+    delta = np.zeros((magnitudes.size, 3, n - 2))
+    delta[:, :, 0] = magnitudes[:, None] * [1.0, -1.0, 1.0]
+    if n > 3:
+        delta[:, 2, 1] = -0.5 * magnitudes
+    delta = delta.reshape(-1, n - 2)
+    delta = delta[cfg.in_ball(delta)]
+    taus = np.full(len(delta), tau)
+    step = _advance(taus, delta, cfg)
+    for exc in step.failed.values():
+        if not isinstance(exc, DegeneracyError):
+            raise exc
+    kept = cfg.in_ball(step.delta)
+    kept[list(step.failed)] = False
+    regime, _, _, _, _, claim, _ = _predicates(taus, delta, step.delta, step.c, cfg)
+    extreme = np.where(regime == "positive", -delta.min(axis=1), delta.max(axis=1))
+    failing = kept & (regime != "zero") & ~claim
+    return float(np.max(extreme[failing] * tau**gamma, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -542,14 +521,17 @@ def iterate(state0, cfg, max_steps, record_monotonicity=False):
     and recorded); "exhausted" otherwise.
 
     The step that leaves the ball is recorded like every other step, with
-    its row and, when asked for, its monotonicity report from the moments
-    the step computed; the run then ends as "escaped".  The two errors a
-    step reports for its cell (tau <= 1 and no negative value) end the run
-    as "exhausted" with the message in `rec.error`.  Exceptions, such as
-    EvaluationError, numpy's LinAlgError or the AssertionError of a moment
-    set that fails its checks, propagate to the caller, and so does the
-    DomainError of a state whose dimension is not cfg.n.
+    its row and, when asked for, its monotonicity report, read from the row
+    before it and the step's arrays with the moments the step computed; the
+    run then ends as "escaped".  The two errors a step reports for its cell
+    (tau <= 1 and no negative value) end the run as "exhausted" with the
+    message in `rec.error`.  Exceptions, such as EvaluationError, numpy's
+    LinAlgError or the AssertionError of a moment set that fails its
+    checks, propagate to the caller, and so does the DomainError of a state
+    whose dimension is not cfg.n.
     """
+    if state0.n != cfg.n:
+        raise DomainError("state and config dimensions differ")
     rec = TrajectoryRecord(config=cfg, monotonicity=[] if record_monotonicity else None)
     rec.steps.append(
         StepRow(
@@ -561,12 +543,11 @@ def iterate(state0, cfg, max_steps, record_monotonicity=False):
             defect=state0.consistency_defect,
         )
     )
-    block = _Block([state0], cfg)
+    block = _Block([state0.tau], state0.delta[None], cfg)
     increments = []
-    before = state0
 
     def record(k, cells, step, inc, cum):
-        nonlocal before
+        before = rec.steps[-1]
         rec.steps.append(
             StepRow(
                 k=k,
@@ -579,10 +560,9 @@ def iterate(state0, cfg, max_steps, record_monotonicity=False):
         )
         increments.append(float(inc[0]))
         if record_monotonicity:
-            after = step.state(0, before.Q)
-            m = step.moment_set(0, before.delta)
-            rec.monotonicity.append(check_monotonicity(before, after, cfg, moments_at_state=m))
-            before = after
+            rec.monotonicity.append(
+                _report(np.array([before.tau]), before.delta[None], step.delta, step.c, cfg)
+            )
 
     block.run(max_steps, record)
     kind, step = block.kind[0], block.step[0]
@@ -607,10 +587,7 @@ def iterate(state0, cfg, max_steps, record_monotonicity=False):
 def _sweep_block(args):
     """Sweep rows of a block of cells, run in lock-step."""
     cells, cfg, max_steps = args
-    block = _Block(
-        [DeltaState(n=cfg.n, tau=tau0, delta=delta0) for tau0, delta0 in cells],
-        cfg,
-    )
+    block = _Block([tau0 for tau0, _ in cells], [delta0 for _, delta0 in cells], cfg)
     block.run(max_steps)
     return [
         {
@@ -642,7 +619,8 @@ def sweep(tau0_values, delta0_values, cfg, max_steps, workers=None):
     worker the whole grid is one block in this process.  Every row is bit
     for bit the cell's own `iterate`, so the table is independent of the
     worker count.  `workers` defaults to `default_workers()`; below 1 is a
-    ValueError.
+    ValueError.  A tau0 <= 0 or a delta0 whose length is not n - 2 is a
+    DomainError.
     """
     workers = default_workers() if workers is None else workers
     if workers < 1:
@@ -650,6 +628,10 @@ def sweep(tau0_values, delta0_values, cfg, max_steps, workers=None):
     cells = [
         (float(tau0), np.atleast_1d(d0)) for tau0 in tau0_values for d0 in delta0_values
     ]
+    if any(np.shape(d0) != (cfg.n - 2,) for _, d0 in cells):
+        raise DomainError(f"delta must have length n-2 = {cfg.n - 2}")
+    if any(tau0 <= 0.0 for tau0, _ in cells):
+        raise DomainError("tau must be positive")
     parts = min(workers, len(cells))
     if parts <= 1:
         return _sweep_block((cells, cfg, max_steps))

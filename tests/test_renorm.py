@@ -230,8 +230,9 @@ class TestNormalFrameStep:
 
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_no_frame_in_sweep_or_iterate(self, n, monkeypatch):
-        # the block holds no frame, so a sweep, and an iterate that records
-        # no monotonicity, never compose one
+        # the block holds no frame, and the monotonicity reports and the
+        # calibration read its arrays, so a sweep, an iterate with or
+        # without reports and a calibration never compose one
         _, state = list(_frame_states(n, seed=1))[5]  # rotated, mixed signs
 
         def det(*args, **kwargs):
@@ -240,8 +241,12 @@ class TestNormalFrameStep:
         monkeypatch.setattr(np.linalg, "det", det)
         cfg = _noisy_cfg(n, "random")
         rec = renorm.iterate(state, cfg, 10)
+        reported = renorm.iterate(state, cfg, 10, record_monotonicity=True)
         rows = renorm.sweep([10.0, 20.0], [state.delta, np.zeros(n - 2)], cfg, 10, workers=1)
+        renorm.calibrate_threshold_constant.cache_clear()
+        assert renorm.calibrate_threshold_constant(n, 0.1) == 0.0
         assert len(rec.steps) > 1
+        assert len(reported.monotonicity) == len(reported.steps) - 1 > 0
         assert [row["step"] for row in rows] == [10] * 4
 
 
@@ -300,6 +305,23 @@ class TestOneBall:
     def test_step_requires_state_in_ball(self, step):
         with pytest.raises(DomainError, match="kappa0 ball"):
             step(DeltaState(**self.START), cfg4(kappa0=0.1))
+
+    def test_calibration_steps_only_states_in_the_maps_ball(self, monkeypatch):
+        # the canned deltas reach |delta| = 0.15; a kappa0 = 0.1 map calls
+        # those escaped at step 0, so its calibration must not step them
+        cfg = cfg4(C_gamma=None, kappa0=0.1)
+        stepped = []
+        advance = renorm._advance
+
+        def record(tau, delta, cfg, rng=None):
+            stepped.extend(delta)
+            return advance(tau, delta, cfg, rng)
+
+        monkeypatch.setattr(renorm, "_advance", record)
+        renorm.calibrate_threshold_constant.cache_clear()
+        assert cfg.effective_C_gamma() == 0.0
+        assert stepped and all(cfg.in_ball(delta) for delta in stepped)
+        renorm.calibrate_threshold_constant.cache_clear()
 
     def test_in_ball_of_one_delta_and_of_a_stack(self):
         cfg = cfg4(kappa0=0.1)
@@ -421,6 +443,18 @@ class TestSweep:
         )
         assert rows[0]["classification"] == rows[1]["classification"]
         assert rows[0]["final_tau"] == pytest.approx(rows[1]["final_tau"], rel=1e-13)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_input_checks(self, workers):
+        # the block is built from arrays, so `sweep` itself rejects what a
+        # DeltaState would: a start with tau0 <= 0 or a delta0 of the wrong length
+        cfg = cfg4()
+        for tau0 in (0.0, -1.0):
+            with pytest.raises(DomainError, match="tau must be positive"):
+                renorm.sweep([10.0, tau0], [np.zeros(2)], cfg, 5, workers=workers)
+        for delta0 in (np.zeros(1), np.zeros(3), np.zeros((2, 2))):
+            with pytest.raises(DomainError, match="length n-2 = 2"):
+                renorm.sweep([10.0], [np.zeros(2), delta0], cfg, 5, workers=workers)
 
     def test_csv(self):
         cfg = cfg4()
@@ -552,6 +586,10 @@ class TestIterateErrors:
         assert len(rec.steps) == 2
         assert rec.steps[1].tau == outside.tau
         assert np.array_equal(rec.steps[1].delta, outside.delta)
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(DomainError, match="dimensions differ"):
+            renorm.iterate(DeltaState(n=3, tau=10.0, delta=np.zeros(1)), cfg4(), 5)
 
     @pytest.mark.parametrize("exc", [DegeneracyError("tie"), DomainError("bad state")])
     def test_degeneracy_and_domain_exhaust(self, monkeypatch, exc):

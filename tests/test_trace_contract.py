@@ -3,8 +3,8 @@
 `perfbench/layertrace.py` wraps package attributes by name from outside the
 package, so renaming a traced name, or no longer calling through it, breaks
 traced benchmark runs.  These tests install the tracer on the package, run
-a Monte Carlo moment check and moment sets, and check the counts and the
-cache statistics the tracer reads.  The benchmark's workloads also still
+a Monte Carlo moment check, moment sets, a recorded trajectory and a sweep,
+and check the counts and the cache statistics the tracer reads.  The benchmark's workloads also still
 pass a node count to `compute_moments` and `MapConfig`, which both accept
 and ignore; the last test pins that.
 """
@@ -45,6 +45,37 @@ def test_tracer_reaches_wrapped_layers_and_restores():
     assert counts["kernels.indicator_moment_block.calls"] >= 1
     assert set(caches) == {"sphere.adaptive_prefix", "sphere.prefix_rule", "moments.zero_columns"}
     assert all(len(c) == 2 for c in caches.values())
+    for module, attrs in zip(_MODULES, before):
+        assert vars(module).keys() == attrs.keys()
+        assert all(vars(module)[k] is v for k, v in attrs.items())
+
+
+def test_tracer_reaches_the_step_path_and_restores():
+    # `run.py --trace 1` on the trajectory and sweep workloads: one traced
+    # `iterate` with its monotonicity reports, and a sweep block, each
+    # stepping through one kernel call a step
+    before = [dict(vars(m)) for m in _MODULES]
+    cfg = bl.renorm.MapConfig(n=4, C_gamma=0.0)
+    tracer = _load_layertrace().Tracer(bl).install()
+    try:
+        rec = bl.renorm.iterate(
+            bl.DeltaState(n=4, tau=10.0, delta=np.array([0.05, -0.02])),
+            cfg,
+            12,
+            record_monotonicity=True,
+        )
+        iterate_kernel_calls = tracer.counts["kernels.indicator_moment_block.calls"]
+        rows = bl.renorm.sweep([10.0, 20.0], [np.zeros(2), np.array([0.03, 0.0])], cfg, 8, workers=1)
+    finally:
+        tracer.restore()
+    counts = tracer.counts
+    steps = len(rec.steps) - 1
+    assert steps == len(rec.monotonicity) == 12
+    assert counts["renorm.iterate.calls"] == 1
+    assert counts["renorm.iterate.steps"] == steps
+    assert iterate_kernel_calls >= steps
+    assert [row["step"] for row in rows] == [8] * 4
+    assert counts["kernels.indicator_moment_block.calls"] >= steps + 8
     for module, attrs in zip(_MODULES, before):
         assert vars(module).keys() == attrs.keys()
         assert all(vars(module)[k] is v for k, v in attrs.items())
