@@ -4,9 +4,9 @@
 package, so renaming a traced name, or no longer calling through it, breaks
 traced benchmark runs.  These tests install the tracer on the package, run
 a Monte Carlo moment check, moment sets, a recorded trajectory and a sweep,
-and check the counts and the cache statistics the tracer reads.  The benchmark's workloads also still
-pass a node count to `compute_moments` and `MapConfig`, which both accept
-and ignore; the last test pins that.
+and check the counts and the cache statistics the tracer reads.  The
+benchmark's workloads also still pass a node count to `compute_moments` and
+`MapConfig`, which both accept and ignore; the last test pins that.
 """
 
 import importlib.util
