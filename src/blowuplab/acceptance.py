@@ -77,7 +77,7 @@ def a3_two_dimensional_oracle(max_degree=40, n_points=100):
     from .quadratic import HarmonicQuadratic
 
     dec = correction.fourier_series_2d(HarmonicQuadratic(2, p_rot), max_degree)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(_seed("a3-points"))))
+    rng = sphere.philox(_seed("a3-points"))
     angles = rng.uniform(0.0, 2.0 * math.pi, n_points)
     radii = np.sqrt(rng.uniform(0.0, 1.0, n_points))
     radii = np.maximum(radii, 1e-3)
@@ -124,7 +124,7 @@ def a4_increment_scaling():
             drift = abs(ratios[(n, s_lo)] / ratios[(n, s_hi)] - 1.0)
             drift_ok = drift_ok and drift < 0.25
 
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(_seed("a4-monotonicity"))))
+    rng = sphere.philox(_seed("a4-monotonicity"))
     mono_ok = True
     n = 4
     for _ in range(100):

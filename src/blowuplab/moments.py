@@ -99,12 +99,13 @@ def compute_moments(delta, n, order=None):
     B and B_i are one Gil-Pelaez integral (`sphere.indicator_moment_columns`)
     at its fixed step in every dimension, and the baseline is the same
     integral at delta = 0, so delta = 0 gives C_i = 0 exactly.  C is stored
-    as sum(C_i).
+    as sum(C_i).  A delta without n-2 entries, or not inside |delta| < 1/2
+    (a NaN entry included), is a DomainError.
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=np.float64))
     if delta.shape != (n - 2,):
         raise DomainError(f"delta must have length n-2 = {n - 2}")
-    if np.linalg.norm(delta) >= 0.5:  # the `delta_norms` of one delta
+    if not np.linalg.norm(delta) < 0.5:  # `delta_norms` of one delta; NaN fails too
         raise DomainError(_OUTSIDE)
     b, b_i, c, c_i = _moments(indicator_moment_columns(n, _coeff_vector(n, delta)), n)
     return MomentSet(n=n, delta=delta, B=float(b), B_i=b_i, C=float(c), C_i=c_i).validate()
@@ -115,10 +116,10 @@ def moment_block(delta, n):
 
     Returns b (B,), b_i (B, n), c (B,) and c_i (B, n); every row is bit for
     bit its own `compute_moments`.  Raises the DomainError of
-    `compute_moments` when any row has |delta| >= 1/2, and AssertionError
-    when the stack fails `MomentSet.validate`'s checks.
+    `compute_moments` when any row has not |delta| < 1/2 (NaN included), and
+    AssertionError when the stack fails `MomentSet.validate`'s checks.
     """
-    if (delta_norms(delta) >= 0.5).any():
+    if not (delta_norms(delta) < 0.5).all():
         raise DomainError(_OUTSIDE)
     b, b_i, c, c_i = _moments(indicator_moment_columns(n, _coeff_vector(n, delta)), n)
     _check_moments(b, b_i, c, c_i)
@@ -271,6 +272,19 @@ def mc_moment_check(delta, n, samples, seed):
     return b_est, bi_est
 
 
+def csv_table(header, rows):
+    """CSV text of every result table: a header, then rows whose numbers are
+    written at `.17g` (read back bit for bit), strings as they are and None
+    as an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        [v if v is None or isinstance(v, str) else f"{v:.17g}" for v in row] for row in rows
+    )
+    return buf.getvalue()
+
+
 def momentsets_to_csv(sets):
     """RFC-4180-style CSV for a sweep of moment sets (single n)."""
     if not sets:
@@ -278,25 +292,7 @@ def momentsets_to_csv(sets):
     n = sets[0].n
     if any(m.n != n for m in sets):
         raise DomainError("CSV export requires a single dimension per sweep")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = (
-        ["n"]
-        + [f"delta_{i+1}" for i in range(n - 2)]
-        + ["B"]
-        + [f"B_{i+1}" for i in range(n)]
-        + ["C"]
-        + [f"C_{i+1}" for i in range(n)]
-    )
-    writer.writerow(header)
-    for m in sets:
-        row = (
-            [m.n]
-            + [f"{d:.17g}" for d in m.delta]
-            + [f"{m.B:.17g}"]
-            + [f"{v:.17g}" for v in m.B_i]
-            + [f"{m.C:.17g}"]
-            + [f"{v:.17g}" for v in m.C_i]
-        )
-        writer.writerow(row)
-    return buf.getvalue()
+    deltas = [f"delta_{i+1}" for i in range(n - 2)]
+    b_i, c_i = ([f"{name}_{i+1}" for i in range(n)] for name in "BC")
+    rows = ([m.n, *m.delta, m.B, *m.B_i, m.C, *m.C_i] for m in sets)
+    return csv_table(["n", *deltas, "B", *b_i, "C", *c_i], rows)

@@ -11,7 +11,7 @@ scaling the most negative coefficient to -1.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -107,7 +107,7 @@ class DeltaState:
     The represented polynomial is tau * p_delta(Q^T x).  `delta` entries are
     kept in ascending order by the diagonalization convention.  Whether the
     state lies in the small-delta ball is a question for the map
-    (`MapConfig.in_ball`), not for the state.
+    (`MapConfig.in_ball`), not for the state; its start is `check_start`'s.
     """
 
     n: int
@@ -117,9 +117,7 @@ class DeltaState:
     consistency_defect: float = 0.0
 
     def __post_init__(self):
-        self.delta = np.atleast_1d(np.asarray(self.delta, dtype=np.float64))
-        if self.delta.shape != (self.n - 2,):
-            raise DomainError(f"delta must have length n-2 = {self.n - 2}")
+        _, self.delta = check_start(self.n, self.tau, np.atleast_1d(self.delta))
         if self.Q is None:
             self.Q = np.eye(self.n)
         self.Q = np.asarray(self.Q, dtype=np.float64)
@@ -129,8 +127,6 @@ class DeltaState:
         # frame checked here stays orthonormal; NaN fails too
         if not np.abs(self.Q @ self.Q.T - np.eye(self.n)).max() <= _ORTHO_TOL:
             raise DomainError("Q must be orthogonal")
-        if self.tau <= 0.0:
-            raise DomainError("tau must be positive")
 
     @property
     def delta_tilde(self):
@@ -167,6 +163,21 @@ class DeltaState:
             # a wrong entry count is left unshaped for the shape check
             Q=q_mat.reshape(n, n) if q_mat.size == n * n else q_mat,
         )
+
+
+def check_start(n, tau, delta):
+    """A run's start, tau (...) and delta (..., n-2), checked and as float64 arrays.
+
+    The one test of a start, `DeltaState`'s and `renorm.sweep`'s: tau must be
+    finite and > 0, delta finite with n-2 entries a row; DomainError otherwise.
+    """
+    tau = np.asarray(tau, dtype=np.float64)
+    delta = np.asarray(delta, dtype=np.float64)
+    if delta.shape != tau.shape + (n - 2,) or not np.isfinite(delta).all():
+        raise DomainError(f"delta must have length n-2 = {n - 2} and finite entries")
+    if not ((0.0 < tau) & (tau < np.inf)).all():
+        raise DomainError("tau must be positive and finite")
+    return tau, delta
 
 
 def normal_form_diagonal(delta):

@@ -21,9 +21,6 @@ one step of a block of one.  Each cell's numbers are bit for bit the same
 whatever cells share its block.
 """
 
-import csv
-import io
-import json
 import math
 import os
 from dataclasses import InitVar, asdict, dataclass, field
@@ -32,9 +29,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegeneracyError, DomainError, EscapeError
-from .moments import MomentSet, compute_moments, fourier_diagonal, moment_block
+from .moments import MomentSet, compute_moments, csv_table, fourier_diagonal, moment_block
 from .quadratic import (
     DeltaState,
+    check_start,
     delta_norms,
     delta_ratios,
     normal_form_diagonal,
@@ -43,13 +41,16 @@ from .quadratic import (
 )
 # Its only reader is perfbench/layertrace.py, which wraps this name; nothing calls it.
 from .quadratic import diagonalize
+from .sphere import philox, seed_key
 
 NOISE_MODES = ("off", "random", "adversarial")
 
 
 @dataclass
 class MapConfig:
-    """Configuration of the half-scale map."""
+    """Configuration of the half-scale map; a field out of its domain is a DomainError.
+
+    c_noise and tol_conv must be finite, and the seed an integer in [0, 2^64)."""
 
     n: int
     gamma: float = 0.1
@@ -71,13 +72,16 @@ class MapConfig:
             raise DomainError("gamma must lie in (0, 1/8)")
         if not (0.0 < self.alpha < 0.25):
             raise DomainError("alpha must lie in (0, 1/4)")
-        if self.c_noise < 0.0:
-            raise DomainError("noise amplitude must be >= 0")
+        if not (0.0 <= self.c_noise < math.inf):
+            raise DomainError("noise amplitude must be >= 0 and finite")
         if self.noise not in NOISE_MODES:
             raise DomainError(f"noise mode must be one of {NOISE_MODES}")
+        seed_key(self.seed)  # philox's test, with no stream built
         # the moments the step takes are defined for |delta| < 1/2
         if not (0.0 < self.kappa0 <= 0.5):
             raise DomainError("kappa0 must lie in (0, 1/2]")
+        if not math.isfinite(self.tol_conv):
+            raise DomainError("tol_conv must be finite")
 
     def in_ball(self, delta):
         """Whether |delta| < kappa0, for one delta (n-2,) or each row of a stack (B, n-2).
@@ -205,7 +209,7 @@ def _step_detail(state, cfg, rng=None):
     if not cfg.in_ball(state.delta):
         raise DomainError("half_step requires the state inside the kappa0 ball")
     if rng is None and cfg.noise == "random":
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
+        rng = philox(cfg.seed)
     step = _advance(np.array([float(state.tau)]), state.delta[None], cfg, rng).take(0)
     if step.failed:
         raise step.failed[0]
@@ -267,11 +271,7 @@ class _Block:
         if max_steps < 1:
             raise DomainError("max_steps must be >= 1")
         cfg = self.cfg
-        rng = (
-            np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
-            if cfg.noise == "random"
-            else None
-        )
+        rng = philox(cfg.seed) if cfg.noise == "random" else None
         width = max(max_steps // 4, 1)  # the last quarter of the run
         live = np.array([i for i, kind in enumerate(self.kind) if kind is None], dtype=np.intp)
         # the live cells' states, row j for cell live[j]; a cell's row leaves
@@ -396,7 +396,6 @@ def check_monotonicity(state, next_state, cfg, moments_at_state=None):
     )
 
 
-@lru_cache(maxsize=32)
 def calibrate_threshold_constant(n, gamma, kappa0=MapConfig.kappa0):
     """Smallest constant making the threshold implication pass on a canned sweep.
 
@@ -405,8 +404,15 @@ def calibrate_threshold_constant(n, gamma, kappa0=MapConfig.kappa0):
     perturbations inside the map's kappa0 ball, all stepped as one block;
     returns max over failures of |extreme delta| * tau^gamma (0.0 when the
     claim holds everywhere, as it does for the clean map).  Steps that have
-    no normal form or leave the ball are skipped.
+    no normal form or leave the ball are skipped.  The result is cached
+    once per (n, gamma, kappa0), however the arguments are passed;
+    `cache_info` and `cache_clear` are that cache's.
     """
+    return _calibrated(n, gamma, kappa0)
+
+
+@lru_cache(maxsize=32)
+def _calibrated(n, gamma, kappa0):
     if n == 2:
         return 0.0
     tau = 10.0
@@ -433,6 +439,10 @@ def calibrate_threshold_constant(n, gamma, kappa0=MapConfig.kappa0):
     extreme = np.where(regime == "positive", -delta.min(axis=1), delta.max(axis=1))
     failing = kept & (regime != "zero") & ~claim
     return float(np.max(extreme[failing] * tau**gamma, initial=0.0))
+
+
+calibrate_threshold_constant.cache_info = _calibrated.cache_info
+calibrate_threshold_constant.cache_clear = _calibrated.cache_clear
 
 
 @dataclass(frozen=True)
@@ -471,25 +481,9 @@ class TrajectoryRecord:
         return np.array([r.delta for r in self.steps])
 
     def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        n = self.config.n
-        writer.writerow(
-            ["k", "tau"]
-            + [f"delta_{i+1}" for i in range(n - 2)]
-            + ["ratio", "sum_abs_ddelta", "defect"]
-        )
-        for row in self.steps:
-            writer.writerow(
-                [row.k, f"{row.tau:.17g}"]
-                + [f"{d:.17g}" for d in row.delta]
-                + [
-                    f"{row.ratio:.17g}",
-                    f"{row.cum_abs_ddelta:.17g}",
-                    f"{row.defect:.17g}",
-                ]
-            )
-        return buf.getvalue()
+        deltas = [f"delta_{i+1}" for i in range(self.config.n - 2)]
+        rows = ([r.k, r.tau, *r.delta, r.ratio, r.cum_abs_ddelta, r.defect] for r in self.steps)
+        return csv_table(["k", "tau", *deltas, "ratio", "sum_abs_ddelta", "defect"], rows)
 
     def manifest(self):
         cls = self.classification
@@ -619,19 +613,15 @@ def sweep(tau0_values, delta0_values, cfg, max_steps, workers=None):
     worker the whole grid is one block in this process.  Every row is bit
     for bit the cell's own `iterate`, so the table is independent of the
     worker count.  `workers` defaults to `default_workers()`; below 1 is a
-    ValueError.  A tau0 <= 0 or a delta0 whose length is not n - 2 is a
-    DomainError.
+    ValueError.  A start that `quadratic.check_start` refuses is its
+    DomainError, raised before any block runs.
     """
     workers = default_workers() if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    cells = [
-        (float(tau0), np.atleast_1d(d0)) for tau0 in tau0_values for d0 in delta0_values
-    ]
-    if any(np.shape(d0) != (cfg.n - 2,) for _, d0 in cells):
-        raise DomainError(f"delta must have length n-2 = {cfg.n - 2}")
-    if any(tau0 <= 0.0 for tau0, _ in cells):
-        raise DomainError("tau must be positive")
+    cells = [(float(tau0), np.atleast_1d(d0)) for tau0 in tau0_values for d0 in delta0_values]
+    for tau0, d0 in cells:
+        check_start(cfg.n, tau0, d0)
     parts = min(workers, len(cells))
     if parts <= 1:
         return _sweep_block((cells, cfg, max_steps))
@@ -646,22 +636,7 @@ def sweep(tau0_values, delta0_values, cfg, max_steps, workers=None):
 
 
 def sweep_to_csv(rows, n):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["tau0"]
-        + [f"delta0_{i+1}" for i in range(n - 2)]
-        + ["classification", "step", "final_tau", "final_ratio"]
-    )
-    for row in rows:
-        writer.writerow(
-            [f"{row['tau0']:.17g}"]
-            + [f"{d:.17g}" for d in row["delta0"]]
-            + [
-                row["classification"],
-                "" if row["step"] is None else row["step"],
-                f"{row['final_tau']:.17g}",
-                f"{row['final_ratio']:.17g}",
-            ]
-        )
-    return buf.getvalue()
+    tail = ("classification", "step", "final_tau", "final_ratio")
+    deltas = [f"delta0_{i+1}" for i in range(n - 2)]
+    table = ([r["tau0"], *r["delta0"], *(r[k] for k in tail)] for r in rows)
+    return csv_table(["tau0", *deltas, *tail], table)

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, EvaluationError, QuadratureConvergenceWarning
-from .quadratic import HarmonicQuadratic
 
 MAX_PRODUCT_NODES = 20_000_000
 
@@ -189,21 +188,37 @@ class McEstimate:
     seed: int
 
 
+def seed_key(seed):
+    """The Philox key of `seed`, which must be an integer in [0, 2^64); DomainError
+    otherwise.  `philox` tests its seed here, and so may a caller that builds no stream."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 1 << 64:
+        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    return np.uint64(seed)
+
+
+def philox(seed):
+    """The package's one seeded stream: a Philox generator keyed by `seed` alone.
+
+    Every draw is fully determined by (seed, index); a seed that is not an
+    integer in [0, 2^64) is a DomainError (`seed_key`).
+    """
+    return np.random.Generator(np.random.Philox(key=seed_key(seed)))
+
+
 _MC_CHUNK = 1 << 20
 
 
 def mc_integrate(n, f, samples, seed):
-    """Uniform-sphere Monte Carlo via normalized Gaussian vectors (Philox).
+    """Uniform-sphere Monte Carlo via normalized Gaussian vectors of `philox(seed)`.
 
-    The generator is counter-based and keyed by the seed alone, so the
-    sample sequence is fully determined by (seed, index).  `f` maps (m, n)
+    The sample sequence is fully determined by (seed, index).  `f` maps (m, n)
     points to (m,) values, a scalar, or a (k, m) stack; a stack gives k
     estimates from the one stream, each row summed on its own exactly as
     its lone run would be (a moment check's n+1 columns share one stream).
     """
     if samples < 1000:
         raise DomainError("samples must be >= 1000")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = philox(seed)
     total = 0.0
     total_sq = 0.0
     done = 0

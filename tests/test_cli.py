@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -426,6 +427,41 @@ def test_usage_error_names_the_problem(capsys, argv, message):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and message in err
+
+
+_SEED = "seed must be an integer in [0, 2^64), got -1"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the library's own checks, met through the commands; each of these
+        # used to exit 0 (NaN rows, "escaped") or end in a traceback
+        (["map", "--n", "4", "--tau", "10", "--seed", "-1"], _SEED),
+        (["iterate", "--n", "4", "--steps", "3", "--seed", "-1"], _SEED),
+        (["moments", "--n", "3", "--delta", "0", "--mc-check", "1000", "--seed", "-1"], _SEED),
+        (["fourier2d", "--seed", "-1"], _SEED),
+        (["iterate", "--n", "4", "--steps", "3", "--tau0", "nan"], "tau must be positive and finite"),
+        (["iterate", "--n", "4", "--steps", "3", "--delta0", "nan,0"],
+         "delta must have length n-2 = 2 and finite entries"),
+        (["sweep", "--n", "4", "--steps", "3", "--tau0-range", "5:inf:2", "--delta0-range", "0:0.1:2"],
+         "tau must be positive and finite"),
+        (["moments", "--n", "4", "--delta", "nan,0"], "compute_moments requires |delta| < 1/2"),
+        # the commands checked these themselves; the line is now the library's
+        (["moments", "--n", "4", "--delta", "0.4,0.4"], "compute_moments requires |delta| < 1/2"),
+        (["map", "--n", "1", "--tau", "10"], "n must be >= 2"),
+        (["iterate", "--n", "1"], "n must be >= 2"),
+        (["sweep", "--n", "1", "--tau0-range", "5:50:2", "--delta0-range", "0:0:1"], "n must be >= 2"),
+    ],
+)
+def test_refused_input_is_one_error_line(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning may precede the error line
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("blowuplab: error:") == 1 and message in err
 
 
 def _off_by_1e_6(monkeypatch):

@@ -114,6 +114,13 @@ class TestComputeMoments:
         with pytest.raises(DomainError):
             moments.compute_moments(np.array([0.1]), 4)
 
+    def test_rejects_nan_delta(self):
+        # NaN is not inside |delta| < 1/2; it used to give a set with B = -0 and C = 9.87
+        with pytest.raises(DomainError, match="requires \\|delta\\| < 1/2"):
+            moments.compute_moments(np.array([np.nan, 0.0]), 4)
+        with pytest.raises(DomainError, match="requires \\|delta\\| < 1/2"):
+            moments.moment_block(np.array([[0.01, 0.0], [np.nan, 0.0]]), 4)
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("order", [0, 1])
     def test_rejects_order_below_two(self, n, order):

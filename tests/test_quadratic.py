@@ -158,6 +158,17 @@ class TestDeltaState:
         with pytest.raises(DomainError):
             DeltaState(n=3, tau=0.0, delta=np.array([0.0]))
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_refuses_non_finite_tau(self, tau):
+        # a run from such a start used to end "escaped" at step 1 with NaN rows
+        with pytest.raises(DomainError, match="tau must be positive and finite"):
+            DeltaState(n=4, tau=tau, delta=np.zeros(2))
+
+    @pytest.mark.parametrize("delta", [[math.nan, 0.0], [0.0, math.inf]])
+    def test_refuses_non_finite_delta(self, delta):
+        with pytest.raises(DomainError, match="delta must have length n-2 = 2 and finite entries"):
+            DeltaState(n=4, tau=10.0, delta=np.array(delta))
+
     @pytest.mark.parametrize(
         "q_mat",
         [

@@ -54,11 +54,42 @@ class TestMapConfig:
     def test_accepts_half_ball(self):
         assert renorm.MapConfig(n=4, kappa0=0.5).kappa0 == 0.5
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    def test_refuses_seed_philox_refuses(self, seed):
+        # refused whatever the noise mode, so no run records a seed its
+        # stream could not take
+        with pytest.raises(DomainError, match="seed must be an integer in \\[0, 2\\^64\\)"):
+            renorm.MapConfig(n=4, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.int64(3)])
+    def test_accepts_every_philox_key(self, seed):
+        assert renorm.MapConfig(n=4, noise="random", seed=seed).seed == seed
+
+    @pytest.mark.parametrize("field", ["c_noise", "tol_conv"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_refuses_non_finite_amplitude_and_tolerance(self, field, value):
+        # a NaN c_noise used to make every random-noise run "escaped"
+        with pytest.raises(DomainError, match="finite"):
+            renorm.MapConfig(n=4, **{field: value})
+
     def test_calibrated_constant_is_zero_for_clean_map(self):
         # the clean map amplifies every nonzero delta, so the smallest
         # constant making the threshold implication pass is zero
         assert renorm.calibrate_threshold_constant(4, 0.1) == 0.0
         assert renorm.calibrate_threshold_constant(3, 0.1) == 0.0
+
+    def test_one_calibration_per_constant(self):
+        # every way of asking for the default ball's constant is one cache entry
+        renorm.calibrate_threshold_constant.cache_clear()
+        try:
+            renorm.calibrate_threshold_constant(4, 0.1)
+            renorm.calibrate_threshold_constant(4, 0.1, 0.2)
+            renorm.calibrate_threshold_constant(4, 0.1, kappa0=0.2)
+            renorm.MapConfig(n=4, gamma=0.1).effective_C_gamma()
+            info = renorm.calibrate_threshold_constant.cache_info()
+            assert (info.misses, info.hits) == (1, 3)
+        finally:
+            renorm.calibrate_threshold_constant.cache_clear()
 
 
 class TestHalfStep:
@@ -331,6 +362,12 @@ class TestOneBall:
 
 
 class TestIterate:
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_refuses_non_finite_start(self, tau):
+        # a NaN or infinite tau0 used to be a run "escaped" at step 1
+        with pytest.raises(DomainError, match="tau must be positive and finite"):
+            renorm.iterate(DeltaState(n=4, tau=tau, delta=np.zeros(2)), cfg4(), 5)
+
     def test_fixed_point_converges(self):
         cfg = renorm.MapConfig(n=3, C_gamma=0.0)
         rec = renorm.iterate(DeltaState(n=3, tau=10.0, delta=np.zeros(1)), cfg, 100)
@@ -455,6 +492,18 @@ class TestSweep:
         for delta0 in (np.zeros(1), np.zeros(3), np.zeros((2, 2))):
             with pytest.raises(DomainError, match="length n-2 = 2"):
                 renorm.sweep([10.0], [np.zeros(2), delta0], cfg, 5, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_refuses_non_finite_start(self, workers, monkeypatch):
+        # such cells used to end "escaped" at step 1 with NaN rows; they are
+        # refused before any pool starts
+        monkeypatch.setattr(renorm, "_sweep_block", None)
+        cfg = cfg4()
+        for tau0 in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="tau must be positive and finite"):
+                renorm.sweep([10.0, tau0], [np.zeros(2)], cfg, 5, workers=workers)
+        with pytest.raises(DomainError, match="length n-2 = 2 and finite entries"):
+            renorm.sweep([10.0], [np.zeros(2), np.array([math.nan, 0.0])], cfg, 5, workers=workers)
 
     def test_csv(self):
         cfg = cfg4()
@@ -604,3 +653,72 @@ class TestIterateErrors:
     def test_other_errors_propagate(self, monkeypatch, exc):
         with pytest.raises(type(exc)):
             self._run(monkeypatch, exc)
+
+
+class TestResultTables:
+    """The bytes of the three result tables, which `moments.csv_table` writes:
+    numbers at .17g, strings as they are, None as an empty field."""
+
+    def test_trajectory(self):
+        rec = renorm.TrajectoryRecord(
+            config=cfg4(),
+            steps=[
+                # an int tau, as a DeltaState built from one carries to step 0
+                renorm.StepRow(0, 10, np.array([-0.0, 1e-300]), 0.0, 0.0, 0.0),
+                renorm.StepRow(
+                    1,
+                    10.110381511481002,
+                    np.array([-0.003971793911360732, 0.0098048923374095837]),
+                    0.0098624208087058768,
+                    0.019641437766849113,
+                    1.7347234759768071e-18,
+                ),
+            ],
+        )
+        assert rec.to_csv() == (
+            "k,tau,delta_1,delta_2,ratio,sum_abs_ddelta,defect\n"
+            "0,10,-0,1e-300,0,0,0\n"
+            "1,10.110381511481002,-0.003971793911360732,0.0098048923374095837,"
+            "0.0098624208087058768,0.019641437766849113,1.7347234759768071e-18\n"
+        )
+        rec = renorm.TrajectoryRecord(
+            config=renorm.MapConfig(n=2, C_gamma=0.0),
+            steps=[renorm.StepRow(0, 10.0, np.zeros(0), 0.0, 0.0, 0.0),
+                   renorm.StepRow(1, 10.1, np.zeros(0), 0.0, 0.1, 0.0)],
+        )
+        assert rec.to_csv() == "k,tau,ratio,sum_abs_ddelta,defect\n0,10,0,0,0\n1,10.1,0,0.10000000000000001,0\n"
+
+    def test_sweep(self):
+        rows = [
+            {"tau0": 5.0, "delta0": [-0.0, 1e-300], "classification": "escaped", "step": 0,
+             "final_tau": 5.0, "final_ratio": 1e-300},
+            {"tau0": 0.1, "delta0": [0.050000000000000003, 0.0], "classification": "exhausted",
+             "step": None, "final_tau": 7.4582565589891283, "final_ratio": -0.0},
+        ]
+        assert renorm.sweep_to_csv(rows, 4) == (
+            "tau0,delta0_1,delta0_2,classification,step,final_tau,final_ratio\n"
+            "5,-0,1e-300,escaped,0,5,1e-300\n"
+            "0.10000000000000001,0.050000000000000003,0,exhausted,,7.4582565589891283,-0\n"
+        )
+        row = {"tau0": 10, "delta0": [], "classification": "converged", "step": 8,
+               "final_tau": 10.693147180559945, "final_ratio": 0.0}
+        assert renorm.sweep_to_csv([row], 2) == (
+            "tau0,classification,step,final_tau,final_ratio\n10,converged,8,10.693147180559945,0\n"
+        )
+
+    def test_moment_sets(self):
+        half = -1.5707963267948966
+        m2 = moments.MomentSet(2, np.zeros(0), -3.1415926535897931, np.array([half, half]),
+                               -0.0, np.array([0.0, -0.0]))
+        assert moments.momentsets_to_csv([m2]) == (
+            "n,B,B_1,B_2,C,C_1,C_2\n2,-3.1415926535897931,-1.5707963267948966,"
+            "-1.5707963267948966,-0,0,-0\n"
+        )
+        b_i = np.array([-2.0943951023931953, -3.4275145760290995, -0.76127019552304287])
+        c_i = np.array([-0.094075152905479964, 0.00021385969742615529, -0.0])
+        m3 = moments.MomentSet(3, np.array([1e-300]), -6.2831853071795862, b_i, 1e-300, c_i)
+        assert moments.momentsets_to_csv([m3]) == (
+            "n,delta_1,B,B_1,B_2,B_3,C,C_1,C_2,C_3\n3,1e-300,-6.2831853071795862,"
+            "-2.0943951023931953,-3.4275145760290995,-0.76127019552304287,1e-300,"
+            "-0.094075152905479964,0.00021385969742615529,-0\n"
+        )

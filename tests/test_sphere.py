@@ -278,6 +278,17 @@ class TestIndicatorQuadratic:
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    def test_refuses_seed_outside_philox_keys(self, seed):
+        # np.uint64 raised OverflowError on -1 and 2**64 and truncated 1.5
+        with pytest.raises(DomainError, match="seed must be an integer in \\[0, 2\\^64\\)"):
+            sphere.mc_integrate(3, lambda x: x[:, 0], 1000, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**63 + 5), np.int32(7)])
+    def test_philox_is_the_keyed_stream(self, seed):
+        want = np.random.Generator(np.random.Philox(key=np.uint64(seed))).standard_normal(5)
+        assert np.array_equal(sphere.philox(seed).standard_normal(5), want)
+
     def test_constant_zero_variance(self):
         est = sphere.mc_integrate(3, lambda x: np.ones(len(x)), 10**4, 7)
         assert est.value == pytest.approx(4 * math.pi, rel=1e-14)

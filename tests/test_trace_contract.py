@@ -6,7 +6,9 @@ traced benchmark runs.  These tests install the tracer on the package, run
 a Monte Carlo moment check, moment sets, a recorded trajectory and a sweep,
 and check the counts and the cache statistics the tracer reads.  The
 benchmark's workloads also still pass a node count to `compute_moments` and
-`MapConfig`, which both accept and ignore; the last test pins that.
+`MapConfig`, which both accept and ignore, and `run.py`'s `environment()`
+stamps every measured process with `_kernels.backend_name()`; the last two
+tests pin those.
 """
 
 import importlib.util
@@ -110,3 +112,9 @@ def test_benchmark_call_forms_ignore_order(k):
     cfg = bl.renorm.MapConfig(n=4, order=k)
     assert cfg == bl.renorm.MapConfig(n=4)
     assert "order" not in cfg.to_dict()
+
+
+def test_backend_name_stamps_the_environment():
+    # perfbench/run.py's environment() calls it in every measured process,
+    # and each manifest records it, so a replay warns when it changes
+    assert bl._kernels.backend_name() == "pure"
