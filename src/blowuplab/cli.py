@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 criterion failure, 2 usage/validation.
 """
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import platform
@@ -201,70 +203,79 @@ def _cmd_map(args, parser):
     return 0
 
 
-def _iterate_config(manifest, path, parser):
-    """The `config` of an iterate manifest.
+def _replay_args(args, parser):
+    """The namespace of the `iterate` flags the manifest records, with this run's --output.
 
-    A manifest another command wrote, or one without a key the replay
-    reads, is a usage error: exit 2 with one line that says which.
+    `config.map` keys are their flags (`C_gamma` is --c-gamma; a null is
+    left out), and --tau0, --delta0 and --steps follow, parsed by
+    `build_parser()` like a command line.  A manifest that another command
+    wrote, that lacks a key, has a key `MapConfig` has not or a value its
+    flag refuses is a usage error: exit 2, one line naming the manifest.
     """
+    path = args.manifest
+    manifest = json.loads(Path(path).read_text())
+
+    def refuse(problem):
+        parser.exit(2, f"{parser.prog}: error: manifest {path} {problem}\n")
+
     if not isinstance(manifest, dict):
-        problem = "is not a JSON object"
-    elif manifest.get("command", "iterate") != "iterate":
-        problem = f"was written by {manifest['command']!r}, not 'iterate'"
-    elif not isinstance(manifest.get("config"), dict):
-        problem = "has no 'config'"
-    else:
-        missing = [k for k in ("map", "tau0", "delta0", "steps") if k not in manifest["config"]]
-        if not missing:
-            return manifest["config"]
-        problem = f"has no {', '.join(map(repr, missing))} in its 'config'"
-    parser.exit(2, f"{parser.prog}: error: manifest {path} {problem}\n")
+        refuse("is not a JSON object")
+    if manifest.get("command", "iterate") != "iterate":
+        refuse(f"was written by {manifest['command']!r}, not 'iterate'")
+    config = manifest.get("config")
+    if not isinstance(config, dict):
+        refuse("has no 'config'")
+    missing = [k for k in ("map", "tau0", "delta0", "steps") if k not in config]
+    if missing:
+        refuse(f"has no {', '.join(map(repr, missing))} in its 'config'")
+    if not isinstance(config["map"], dict):
+        refuse("has a 'map' that is not a JSON object")
+    values = dict(config["map"])
+    order = values.pop("order", None)
+    unknown = [k for k in values if k not in _MAP_DEFAULTS]
+    if unknown:
+        refuse(f"has {', '.join(map(repr, unknown))} in its 'map', not a MapConfig field")
+    delta0 = config["delta0"]
+    values.update(tau0=config["tau0"], steps=config["steps"],
+                  delta0=",".join(map(str, delta0)) if isinstance(delta0, list) else delta0)
+    # a float's str is its repr, which float() reads back exactly
+    flags = [f"--{k.lower().replace('_', '-')}={v}" for k, v in values.items() if v is not None]
+    try:  # argparse writes its error to stderr and exits; keep the message
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            replay = build_parser().parse_args(["iterate", *flags])
+    except SystemExit:
+        refuse("records " + err.getvalue().rstrip("\n").rpartition(": error: ")[2])
+    _warn_environment(manifest, path)
+    if order is not None:  # written before 0.10.0, when moments still took a node count
+        sys.stderr.write(f"warning: manifest {path} sets 'order', which no longer "
+                         "selects anything; it is ignored\n")
+    replay.output = args.output
+    return replay
 
 
 def _cmd_iterate(args, parser):
     if args.manifest:
-        loaded = json.loads(Path(args.manifest).read_text())
-        config = _iterate_config(loaded, args.manifest, parser)
-        _warn_environment(loaded, args.manifest)
-        map_config = dict(config["map"])
-        if map_config.pop("order", None) is not None:
-            # written before 0.10.0, when moments still took a node count
-            sys.stderr.write(
-                f"warning: manifest {args.manifest} sets 'order', which no longer "
-                "selects anything; it is ignored\n"
-            )
-        cfg = renorm.MapConfig(**map_config)
-        tau0 = config["tau0"]
-        delta0 = np.array(config["delta0"])
-        steps = config["steps"]
-    else:
-        cfg = _map_config(args)
-        tau0 = args.tau0
-        delta0 = _parse_delta(args.delta0, args.n)
-        steps = args.steps
-    prefix = args.output
-    if tau0 <= 1.0:
+        args = _replay_args(args, parser)
+    cfg = _map_config(args)
+    delta0 = _parse_delta(args.delta0, args.n)
+    if args.tau0 <= 1.0:
         parser.error("tau0 must be > 1")
-
-    state0 = DeltaState(n=cfg.n, tau=tau0, delta=delta0)
-    rec = renorm.iterate(state0, cfg, steps)
+    rec = renorm.iterate(DeltaState(n=cfg.n, tau=args.tau0, delta=delta0), cfg, args.steps)
     csv_text = rec.to_csv()
-    summary = rec.manifest()
-    if prefix:
-        csv_path = f"{prefix}.csv"
+    if args.output:
+        csv_path = f"{args.output}.csv"
         Path(csv_path).write_text(csv_text, encoding="utf-8")
         config = {
             "map": cfg.to_dict(),
-            "tau0": tau0,
+            "tau0": args.tau0,
             "delta0": list(delta0),
-            "steps": steps,
-            "output_prefix": str(prefix),
+            "steps": args.steps,
+            "output_prefix": str(args.output),
         }
-        _write_manifest(prefix, "iterate", config, [csv_path])
-        sys.stdout.write(_json_dump(summary) + "\n")
+        _write_manifest(args.output, "iterate", config, [csv_path])
     else:
         sys.stdout.write(csv_text)
-        sys.stdout.write(_json_dump(summary) + "\n")
+    sys.stdout.write(_json_dump(rec.manifest()) + "\n")
     return 0
 
 

@@ -50,7 +50,7 @@ NOISE_MODES = ("off", "random", "adversarial")
 class MapConfig:
     """Configuration of the half-scale map; a field out of its domain is a DomainError.
 
-    c_noise and tol_conv must be finite, and the seed an integer in [0, 2^64)."""
+    c_noise, tol_conv and a C_gamma other than None must be finite, the seed an integer in [0, 2^64)."""
 
     n: int
     gamma: float = 0.1
@@ -82,6 +82,8 @@ class MapConfig:
             raise DomainError("kappa0 must lie in (0, 1/2]")
         if not math.isfinite(self.tol_conv):
             raise DomainError("tol_conv must be finite")
+        if self.C_gamma is not None and not math.isfinite(self.C_gamma):
+            raise DomainError("C_gamma must be finite or None")
 
     def in_ball(self, delta):
         """Whether |delta| < kappa0, for one delta (n-2,) or each row of a stack (B, n-2).
@@ -241,10 +243,12 @@ class _Block:
     Built from copies of the cells' starts, tau (B,) and delta (B, n-2),
     which the entry points have checked; the block holds no frame, which no
     step reads.  A start outside `cfg`'s ball is an escape at step 0.
-    After `run`, `tau` and `delta` hold each cell's last recorded state: its
-    start, or the state after the last step it took, the one that left the
-    ball included; `kind`, `step` and `error` say how its run ended and
-    `tau_monotone` whether its tau rose on every step.
+    The block's arrays, one row per cell, are the only home of its cells'
+    runs.  After `run`, `tau` and `delta` hold each cell's last recorded
+    state (its start, or the state after its last step, the one that left
+    the ball included), `cum` and `tail` its delta movements summed over the
+    run and listed over its last quarter, and `tau_monotone` whether its tau
+    rose on every step; `kind`, `step` and `error` say how its run ended.
     """
 
     def __init__(self, tau, delta, cfg):
@@ -255,6 +259,7 @@ class _Block:
         self.step = [0] * self.tau.size
         self.error = [None] * self.tau.size
         self.tau_monotone = np.ones(self.tau.size, dtype=bool)
+        self.cum = np.zeros(self.tau.size)
 
     def run(self, max_steps, on_step=None):
         """Step every live cell until it leaves the ball, fails a step or has taken max_steps.
@@ -263,69 +268,47 @@ class _Block:
         a step error (see `_advance`) is "exhausted" at that step, with its
         message in `error`; a cell that takes every step is "converged" when
         its delta movement summed over the last quarter of the run stays
-        below tol_conv, "exhausted" otherwise.  `on_step(k, cells, step,
-        inc, cum)` is called after each step with the cells that took it,
-        the `_Step` whose rows are theirs, and their delta movements and
-        running sums.
+        below tol_conv, "exhausted" otherwise.  Each step gathers the rows
+        of the live cells, a sorted index, and writes the step's rows back.
+        `on_step(k, cells, step)` is called after each step with the cells
+        that took it and the `_Step` whose rows are theirs, once the
+        block's rows (`cum` included) hold it.
         """
         if max_steps < 1:
             raise DomainError("max_steps must be >= 1")
         cfg = self.cfg
         rng = philox(cfg.seed) if cfg.noise == "random" else None
         width = max(max_steps // 4, 1)  # the last quarter of the run
+        self.tail = np.zeros((self.tau.size, width))
         live = np.array([i for i, kind in enumerate(self.kind) if kind is None], dtype=np.intp)
-        # the live cells' states, row j for cell live[j]; a cell's row leaves
-        # these arrays, for the block's, when its run ends
-        rows = {
-            "tau": self.tau[live],
-            "delta": self.delta[live],
-            "cum": np.zeros(live.size),
-            "tau_monotone": np.ones(live.size, dtype=bool),
-            "tail": np.zeros((live.size, width)),
-        }
-
-        def end(done):
-            """Move the rows of the cells whose runs ended out; the rest stay live."""
-            nonlocal live
-            cells = live[done]
-            for name in ("tau", "delta", "tau_monotone"):
-                getattr(self, name)[cells] = rows[name][done]
-            for name in rows:
-                rows[name] = rows[name][~done]
-            live = live[~done]
-
         for k in range(1, max_steps + 1):
             if not live.size:
                 return
-            step = _advance(rows["tau"], rows["delta"], cfg, rng)
+            tau, delta = self.tau[live], self.delta[live]
+            step = _advance(tau, delta, cfg, rng)
             if step.failed:
-                failed = np.zeros(live.size, dtype=bool)
+                ok = np.ones(live.size, dtype=bool)
                 for j, exc in step.failed.items():
-                    failed[j] = True
+                    ok[j] = False
                     self.kind[live[j]], self.step[live[j]] = "exhausted", k
                     self.error[live[j]] = str(exc)
-                end(failed)
-                if not live.size:
-                    return
-                step = step.take(~failed)
-            inc = delta_norms(step.delta - rows["delta"])
-            rows["tau_monotone"] &= ~(step.tau <= rows["tau"])
-            rows["cum"] += inc
+                live, tau, delta, step = live[ok], tau[ok], delta[ok], step.take(ok)
+            inc = delta_norms(step.delta - delta)
+            self.tau_monotone[live] &= ~(step.tau <= tau)
+            self.cum[live] += inc
             if k > max_steps - width:
-                rows["tail"][:, k - 1 - (max_steps - width)] = inc
-            rows.update(tau=step.tau, delta=step.delta)
-            if on_step is not None:
-                on_step(k, live, step, inc, rows["cum"])
-            outside = ~cfg.in_ball(step.delta)
-            if outside.any():
-                for cell in live[outside].tolist():
-                    self.kind[cell], self.step[cell] = "escaped", k
-                end(outside)
-        converged = rows["tail"].sum(axis=1) < cfg.tol_conv
+                self.tail[live, k - 1 - max_steps] = inc  # column -1 is step max_steps
+            self.tau[live], self.delta[live] = step.tau, step.delta
+            if on_step is not None and live.size:
+                on_step(k, live, step)
+            inside = cfg.in_ball(step.delta)
+            for cell in live[~inside].tolist():
+                self.kind[cell], self.step[cell] = "escaped", k
+            live = live[inside]
+        converged = self.tail[live].sum(axis=1) < cfg.tol_conv
         for cell, conv in zip(live.tolist(), converged.tolist()):
             self.kind[cell] = "converged" if conv else "exhausted"
             self.step[cell] = max_steps
-        end(np.ones(live.size, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -512,7 +495,8 @@ def iterate(state0, cfg, max_steps, record_monotonicity=False):
     that leaves it otherwise; "converged" when the per-step delta movement
     summed over the last quarter of the run stays below tol_conv (with the
     partial sums' domination constant against sum tau_k^(-1-gamma) fitted
-    and recorded); "exhausted" otherwise.
+    and recorded); "exhausted" otherwise.  Each row's `cum_abs_ddelta` is
+    the block's `cum` after that step, and the fit reads those partial sums.
 
     The step that leaves the ball is recorded like every other step, with
     its row and, when asked for, its monotonicity report, read from the row
@@ -538,9 +522,8 @@ def iterate(state0, cfg, max_steps, record_monotonicity=False):
         )
     )
     block = _Block([state0.tau], state0.delta[None], cfg)
-    increments = []
 
-    def record(k, cells, step, inc, cum):
+    def record(k, cells, step):
         before = rec.steps[-1]
         rec.steps.append(
             StepRow(
@@ -548,11 +531,10 @@ def iterate(state0, cfg, max_steps, record_monotonicity=False):
                 tau=float(step.tau[0]),
                 delta=step.delta[0].copy(),
                 ratio=float(delta_ratios(step.delta)[0]),
-                cum_abs_ddelta=float(cum[0]),
+                cum_abs_ddelta=float(block.cum[0]),
                 defect=float(step.defect[0]),
             )
         )
-        increments.append(float(inc[0]))
         if record_monotonicity:
             rec.monotonicity.append(
                 _report(np.array([before.tau]), before.delta[None], step.delta, step.c, cfg)
@@ -566,15 +548,12 @@ def iterate(state0, cfg, max_steps, record_monotonicity=False):
         rec.classification = Classification(kind=kind, step=step)
         return rec
 
-    taus = rec.taus()[:-1]
-    bounds = np.cumsum(taus ** (-1.0 - cfg.gamma))
-    partials = np.cumsum(increments)
+    bounds = np.cumsum(rec.taus()[:-1] ** (-1.0 - cfg.gamma))
+    partials = np.array([row.cum_abs_ddelta for row in rec.steps[1:]])
     with np.errstate(divide="ignore", invalid="ignore"):
-        fitted = float(np.max(partials / bounds)) if len(partials) else 0.0
+        fitted = float(np.max(partials / bounds))
     delta_inf = block.delta[0].copy() if kind == "converged" else None
-    rec.classification = Classification(
-        kind=kind, step=step, delta_inf=delta_inf, fitted_C=fitted
-    )
+    rec.classification = Classification(kind=kind, step=step, delta_inf=delta_inf, fitted_C=fitted)
     return rec
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blowuplab import __version__, _kernels, moments
+from blowuplab import __version__, _kernels, moments, renorm
 from blowuplab.cli import main
 
 
@@ -14,6 +14,16 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def _config_with(**items):
+    """An edit of an iterate manifest that sets `config` items."""
+    return lambda m: {**m, "config": {**m["config"], **items}}
+
+
+def _map_with(**items):
+    """An edit of an iterate manifest that sets `config.map` items."""
+    return lambda m: {**m, "config": {**m["config"], "map": {**m["config"]["map"], **items}}}
 
 
 class TestMoments:
@@ -225,12 +235,20 @@ class TestIterate:
             (lambda m: {**m, "config": {k: v for k, v in m["config"].items() if k != "tau0"}},
              "has no 'tau0' in its 'config'"),
             (lambda m: [m], "is not a JSON object"),
+            # a value is parsed as the flag it records, and a key must be a flag
+            (_config_with(tau0="abc"), "records argument --tau0: invalid float value: 'abc'"),
+            (_config_with(steps=2.5), "records argument --steps: invalid int value: '2.5'"),
+            (_map_with(colour=1), "has 'colour' in its 'map', not a MapConfig field"),
+            (_map_with(n="x"), "records argument --n: invalid int value: 'x'"),
+            (_config_with(map=[1]), "has a 'map' that is not a JSON object"),
         ],
-        ids=["sweep", "no-config", "no-tau0", "list"],
+        ids=["sweep", "no-config", "no-tau0", "list", "tau0-text", "steps-float",
+             "unknown-key", "n-text", "map-list"],
     )
     def test_non_iterate_manifest_is_usage_error(self, capsys, tmp_path, edit, message):
         # the basin manifest of a sweep, or an iterate manifest without a
-        # key the replay reads, ends in one line and exit 2, not a KeyError
+        # key the replay reads or with a value its flag refuses, ends in one
+        # line and exit 2, not a KeyError or TypeError
         if edit is None:
             run(capsys, ["sweep", "--n", "3", "--tau0-range", "10:10:1", "--delta0-range",
                          "0:0:1", "--steps", "2", "--workers", "1",
@@ -247,6 +265,43 @@ class TestIterate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(path) in err and message in err
         assert not (tmp_path / "replay.csv").exists()
+
+    # a non-default value for every MapConfig field: a field added without a
+    # flag has no case here, or no flag to set, and fails the replay test
+    _FIELD_VALUES = {
+        "n": [6],
+        "gamma": [0.05],
+        "alpha": [0.1],
+        "c_noise": [0.002],
+        "noise": list(renorm.NOISE_MODES),
+        "seed": [2**64 - 1],
+        "C_gamma": [0.0, None],
+        "kappa0": [0.5],
+        "tol_conv": [1e-300],
+    }
+
+    @pytest.mark.parametrize(
+        "field, value", [(f, v) for f, values in _FIELD_VALUES.items() for v in values]
+    )
+    def test_replay_round_trips_every_map_field(self, capsys, tmp_path, field, value):
+        assert set(self._FIELD_VALUES) == {f.name for f in dataclasses.fields(renorm.MapConfig)}
+        n = value if field == "n" else 4
+        argv = [
+            "iterate", "--n", str(n), "--tau0", "10", "--steps", "12",
+            f"--delta0={','.join(['-0.01'] + ['0.004'] * (n - 3))}",
+            "--noise", "random", "--c-noise", "0.001", "--seed", "3",
+        ]
+        if value is not None:
+            argv.append(f"--{field.lower().replace('_', '-')}={value}")
+        code, out = run(capsys, [*argv, "-o", str(tmp_path / "orig")])
+        assert code == 0
+        orig = json.loads((tmp_path / "orig.manifest.json").read_text())["config"]["map"]
+        assert orig[field] == value
+        code, replay_out = run(capsys, ["iterate", "--manifest", str(tmp_path / "orig.manifest.json"),
+                                        "-o", str(tmp_path / "replay")])
+        assert code == 0 and replay_out == out
+        assert json.loads((tmp_path / "replay.manifest.json").read_text())["config"]["map"] == orig
+        assert (tmp_path / "orig.csv").read_bytes() == (tmp_path / "replay.csv").read_bytes()
 
     def test_escape_classification(self, capsys):
         code, out = run(
@@ -452,6 +507,9 @@ _SEED = "seed must be an integer in [0, 2^64), got -1"
         (["map", "--n", "1", "--tau", "10"], "n must be >= 2"),
         (["iterate", "--n", "1"], "n must be >= 2"),
         (["sweep", "--n", "1", "--tau0-range", "5:50:2", "--delta0-range", "0:0:1"], "n must be >= 2"),
+        # a NaN C_gamma used to print "threshold": NaN, which is not JSON
+        (["map", "--n", "4", "--tau", "10", "--delta", "0.05,0", "--c-gamma", "nan"],
+         "C_gamma must be finite or None"),
     ],
 )
 def test_refused_input_is_one_error_line(capsys, argv, message):

@@ -65,10 +65,11 @@ class TestMapConfig:
     def test_accepts_every_philox_key(self, seed):
         assert renorm.MapConfig(n=4, noise="random", seed=seed).seed == seed
 
-    @pytest.mark.parametrize("field", ["c_noise", "tol_conv"])
+    @pytest.mark.parametrize("field", ["c_noise", "tol_conv", "C_gamma"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_refuses_non_finite_amplitude_and_tolerance(self, field, value):
-        # a NaN c_noise used to make every random-noise run "escaped"
+        # a NaN c_noise used to make every random-noise run "escaped", and a
+        # NaN C_gamma every monotonicity threshold NaN
         with pytest.raises(DomainError, match="finite"):
             renorm.MapConfig(n=4, **{field: value})
 
@@ -537,7 +538,7 @@ class TestLockstep:
         )
         taus, deltas = _lockstep_grid(n)
         rows = renorm.sweep(taus, deltas, cfg, 40, workers=1)
-        ends = set()
+        ends, recs = set(), []
         for row in rows:
             state = DeltaState(n=n, tau=row["tau0"], delta=np.array(row["delta0"]))
             rec = renorm.iterate(state, cfg, 40)
@@ -546,9 +547,17 @@ class TestLockstep:
             assert row["final_tau"] == rec.steps[-1].tau
             assert row["final_ratio"] == rec.steps[-1].ratio
             ends.add((row["classification"], min(row["step"], 2)))
+            recs.append(rec)
         assert ("exhausted", 1) in ends  # tau0 = 0.5
         if n > 2:
             assert {("escaped", 0), ("escaped", 2)} <= ends  # at the start and mid-run
+        # the block's own rows keep each cell's run, however it ended
+        block = renorm._Block([t for t in taus for _ in deltas], [d for _ in taus for d in deltas], cfg)
+        block.run(40)
+        for i, rec in enumerate(recs):
+            assert block.tau_monotone[i] == rec.tau_monotone
+            assert block.error[i] == rec.error
+            assert block.cum[i] == rec.steps[-1].cum_abs_ddelta
 
     @pytest.mark.parametrize("noise", renorm.NOISE_MODES)
     def test_rows_independent_of_workers(self, noise):
