@@ -3,7 +3,7 @@ free-boundary singular points: sphere moments of indicator sources, the
 correction's scale projections, and trajectory classification of the
 induced map on normal-form quadratics."""
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .correction import (
     CorrectionDecomposition,

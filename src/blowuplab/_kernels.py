@@ -15,16 +15,25 @@ integrands are sin(theta)/rho and
 (sin(theta) + u_i cos(theta)) / (rho (1 + u_i^2)).
 
 In s = ln t both are analytic in |Im s| < pi/2 (the branch points sit at
-t = +-i/(2 lambda_j)) and decay exponentially at both ends, so the plain
-trapezoid rule in s converges like exp(-pi^2/h) for every n and every
-coefficient vector (Trefethen & Weideman, SIAM Review 56, 2014).  h = STEP
-leaves the delta = 0 columns within 5e-16 of the analytic ones, norm-wise,
-at n = 3..24.  The nodes are s = s_lo + k h up to
-s_hi = -ln(2 lambda_(2)) + SPAN, with s_lo = -ln(2 max|lambda|) - SPAN and
-lambda_(2) the second-largest |lambda|: below s_lo the integrands are
-under e^-SPAN, and above s_hi they decay like 1/t or faster.  That is
-(ln(max|lambda| / lambda_(2)) + 2 SPAN) / h nodes: at most 288 for a normal
-form with |delta| < 1/2 at n = 3..8, where both are O(1).
+s_j + i pi/2, s_j = -ln(2 |lambda_j|)) and decay exponentially at both ends,
+so the trapezoid rule in s converges like exp(-pi^2/h) for every n and
+every coefficient vector (Trefethen & Weideman, SIAM Review 56, 2014).  The
+structure sits in the band of scales [min s_j - MARGIN, max s_j + MARGIN],
+centre m and half-width H, over the nonzero coefficients; outside it the
+integrands only decay, like e^(s - s_edge) below and e^-(s - s_edge) or
+faster above.  So the rule keeps s uniform across the band and compresses
+both tails with a sinh (Takahasi & Mori, Publ. RIMS 9, 1974):
+s(w) = m + w + k sinh(w), with weight s'(w) = 1 + k cosh(w), and the
+trapezoid rule in w at h = STEP on |w| <= W, where s reaches
+m +- (H - MARGIN + SPAN).  The singularities lie only inside the band,
+where the map is near the identity, so the convergence stays exponential.
+The half-count W / STEP is rounded up to a multiple of BUCKET and k
+refitted to end the rule at the same s, which leaves 65, 97, 129 or 161
+nodes for a normal form with |delta| < 1/2 at n = 3..8, and few distinct
+counts in a batch.
+Against the 0.11.0 rule (283-286 nodes, uniform in s at h = 0.27) at h/8,
+156 such rows at n = 3..8 are within 5.8e-16 norm-wise and 7.1e-15
+absolute, where the 0.11.0 rule itself leaves 8.0e-15 and 9.7e-14.
 """
 
 import math
@@ -37,12 +46,14 @@ import numpy as np
 # amplify rounding noise at delta = 0 into a seed of the unstable fixed point.
 SNAP_EPS = 1e-11
 
-# Trapezoid step in s = ln t, and how far past the scales 1/(2 |lambda|) the
-# nodes run, in s.  Against h/4, norm-wise over 70 deltas each at n = 3..8
-# with |delta| from 1e-9 to 0.49, h = 0.3, 0.27 and 0.25 leave 9.7e-14,
-# 3.0e-15 and 3.0e-16; a SPAN of 50 moves nothing beyond 2.7e-16.
-STEP = 0.27
+# Trapezoid step in w, the band's margin and the tails' reach past it in
+# s = ln t, and the multiple of nodes each half of a rule is rounded up to.
+# Unbucketed, the node counts of a 32-row n = 4 block split it into about
+# 6 slices a call instead of 1.5, which cost more than the nodes saved.
+STEP = 0.25
+MARGIN = 3.0
 SPAN = 38.0
+BUCKET = 16
 
 # Most float64 elements one kernel temporary holds.  A batch of rows is
 # evaluated a slice at a time, so a call's working set stays a few of these
@@ -63,19 +74,36 @@ def row_reductions():
     """Placeholder for the per-row kernel that the Gil-Pelaez integral replaced."""
 
 
-def _node_range(lam, step):
-    """First node s_lo and node count of the trapezoid rule for one coefficient row.
+def _node_map(big, small, step):
+    """Centre m and sinh factor k of one row's map at STEP, and its half-count at `step`.
 
-    `lam` is the row as a list of Python floats, -1 last.  math.log, not
-    np.log: numpy's SIMD log differs from it in the last bit, which would
-    move every node.
+    `big` and `small` are the row's largest and smallest nonzero |lambda|,
+    as Python floats; zeros play no part in the band.  The map is STEP's at
+    every step, so a step that divides STEP keeps STEP's nodes among its
+    own.  Closed form in math, not numpy: numpy's SIMD log differs from
+    math.log in the last bit, which would move every node, and per-row
+    numpy calls would cost more than the row's nodes.
     """
-    mags = sorted(map(abs, lam))
-    s_lo = -math.log(2.0 * mags[-1]) - SPAN
-    s_hi = -math.log(2.0 * mags[-2]) + SPAN
-    # lo + k h, not np.arange(lo, hi, h): arange's nodes drift off the step
-    # the weights assume, 4.5e-12 over 1600 nodes, which biases the sum
-    return s_lo, math.ceil((s_hi - s_lo) / step) + 1
+    lo = -math.log(2.0 * big) - MARGIN
+    hi = -math.log(2.0 * small) + MARGIN
+    half_width = 0.5 * (hi - lo)
+    end = half_width - MARGIN + SPAN  # |s - m| where both tails stop
+    # w + k sinh(w) with k = 2 e^-H reaches `end` below w = asinh(end e^H / 2),
+    # which is H + ln(end) to 2e-6 and cannot overflow; the half-count is
+    # rounded up to a bucket and k refitted, so the rule ends at `end` exactly
+    half = -(-math.ceil((half_width + math.log(end)) / STEP) // BUCKET) * BUCKET
+    w_end = half * STEP
+    return 0.5 * (hi + lo), (end - w_end) / math.sinh(w_end), math.ceil(half * (STEP / step))
+
+
+@lru_cache(maxsize=64)
+def _grid(half, step):
+    """Nodes w = step * (-half..half) and their sinh and cosh, read-only."""
+    w = step * np.arange(-half, half + 1.0)
+    grid = (w, np.sinh(w), np.cosh(w))
+    for a in grid:
+        a.setflags(write=False)  # cached and shared
+    return grid
 
 
 @lru_cache(maxsize=64)
@@ -88,18 +116,20 @@ def _scale(n):
     return scale
 
 
-def _columns(lam, s_lo, count, step):
-    """Moment columns (r, n+1) of coefficient rows `lam` (r, n) that share a node count.
+def _columns(lam, m, k, half, step):
+    """Moment columns (r, n+1) of coefficient rows `lam` (r, n) that share a half-count.
 
-    `s_lo` is the rows' first node: an (r, 1) column, or a float for r = 1.
+    `m` and `k` are the rows' map constants: (r, 1) columns, or floats for
+    r = 1.
     """
-    s = s_lo + step * np.arange(count)
+    w, sinh, cosh = _grid(half, step)
+    s = m + w + k * sinh
     u = (2.0 * lam)[:, :, None] * np.exp(s)[..., None, :]
     theta = 0.5 * np.arctan(u).sum(axis=1)
     u2p1 = 1.0 + u * u
-    rho = np.exp(0.25 * np.log(u2p1).sum(axis=1))
-    im = np.sin(theta) / rho
-    re = np.cos(theta) / rho
+    weight = (1.0 + k * cosh) / np.exp(0.25 * np.log(u2p1).sum(axis=1))
+    im = np.sin(theta) * weight
+    re = np.cos(theta) * weight
     out = np.empty((lam.shape[0], lam.shape[1] + 1))
     np.sum(im, axis=1, out=out[:, 0])
     np.sum((im[:, None, :] + u * re[:, None, :]) / u2p1, axis=2, out=out[:, 1:])
@@ -112,7 +142,8 @@ def indicator_moment_block(coeffs, step):
     `coeffs` holds p's diagonal coefficients on the first n-1 axes once the
     last one is normalized to -1, one row per form, shape (n-1,) or
     (..., n-1); entries under SNAP_EPS in magnitude count as 0.  `step` is
-    the trapezoid step in s = ln t: STEP, or a finer one for a check pass.
+    the trapezoid step in w: STEP, or a finer one for a check pass, which
+    keeps STEP's map, so that halving the step nests the nodes.
     Returns the columns, shape (..., n+1), all zeros for a row with no
     positive coefficient (the indicator is then empty).
 
@@ -129,19 +160,27 @@ def indicator_moment_block(coeffs, step):
     if lam.shape[0] == 1:  # one form: no grouping, no gather or scatter
         if not np.any(coeffs > 0.0):
             return np.zeros(coeffs.shape[:-1] + (n + 1,))
-        s_lo, count = _node_range(lam[0].tolist(), step)
-        return _columns(lam, s_lo, count, step).reshape(coeffs.shape[:-1] + (n + 1,))
+        mags = [abs(a) for a in lam[0].tolist() if a != 0.0]
+        m, k, half = _node_map(max(mags), min(mags), step)
+        return _columns(lam, m, k, half, step).reshape(coeffs.shape[:-1] + (n + 1,))
     out = np.zeros((lam.shape[0], n + 1))
-    groups = {}  # node count -> (its rows, their s_lo)
-    for i, row in enumerate(lam.tolist()):
-        if any(a > 0.0 for a in row):
-            s_lo, count = _node_range(row, step)
-            idx, lo = groups.setdefault(count, ([], []))
-            idx.append(i)
-            lo.append(s_lo)
-    for count, (idx, lo) in groups.items():
-        per = max(1, BLOCK_ELEMS // (n * count))
+    mags = np.abs(lam)  # max and min are exact, so each row's are its own call's
+    live = np.flatnonzero((lam > 0.0).any(axis=1))
+    big = mags.max(axis=1)[live].tolist()
+    small = np.where(mags > 0.0, mags, np.inf).min(axis=1)[live].tolist()
+    # half-count -> (its rows, their m and k); a dict, not np.unique, whose
+    # first call costs more than a sweep step in every fresh pool worker
+    groups = {}
+    for i, b, s in zip(live.tolist(), big, small):
+        m, k, half = _node_map(b, s, step)
+        idx, ms, ks = groups.setdefault(half, ([], [], []))
+        idx.append(i)
+        ms.append(m)
+        ks.append(k)
+    for half, (idx, ms, ks) in groups.items():
+        per = max(1, BLOCK_ELEMS // (n * (2 * half + 1)))
         for j in range(0, len(idx), per):
-            part = idx[j : j + per]
-            out[part] = _columns(lam[part], np.array(lo[j : j + per])[:, None], count, step)
+            part = slice(j, j + per)
+            out[idx[part]] = _columns(lam[idx[part]], np.array(ms[part])[:, None],
+                                      np.array(ks[part])[:, None], half, step)
     return out.reshape(coeffs.shape[:-1] + (n + 1,))

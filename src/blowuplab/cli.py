@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 criterion failure, 2 usage/validation.
 import argparse
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -203,21 +204,33 @@ def _cmd_map(args, parser):
     return 0
 
 
-def _replay_args(args, parser):
+def _replay_args(args, parser, argv):
     """The namespace of the `iterate` flags the manifest records, with this run's --output.
 
     `config.map` keys are their flags (`C_gamma` is --c-gamma; a null is
     left out), and --tau0, --delta0 and --steps follow, parsed by
-    `build_parser()` like a command line.  A manifest that another command
-    wrote, that lacks a key, has a key `MapConfig` has not or a value its
-    flag refuses is a usage error: exit 2, one line naming the manifest.
+    `build_parser()` like a command line.  `argv` is the command line: a
+    flag in it besides --manifest and -o, a manifest that is not JSON, that
+    another command wrote, that lacks a key, has a key `MapConfig` has not
+    or a value its flag refuses is a usage error: exit 2, one line naming
+    the manifest.
     """
     path = args.manifest
-    manifest = json.loads(Path(path).read_text())
 
     def refuse(problem):
         parser.exit(2, f"{parser.prog}: error: manifest {path} {problem}\n")
 
+    given = argparse.ArgumentParser(add_help=False)
+    given.add_argument("--manifest")
+    given.add_argument("--output", "-o")
+    extra = given.parse_known_args(argv[argv.index("iterate") + 1 :])[1]
+    if extra:
+        refuse(f"records every flag of the run, so {extra[0].partition('=')[0]} "
+               "cannot be given with it (only -o can)")
+    try:
+        manifest = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        refuse(f"is not JSON: {exc}")
     if not isinstance(manifest, dict):
         refuse("is not a JSON object")
     if manifest.get("command", "iterate") != "iterate":
@@ -253,9 +266,9 @@ def _replay_args(args, parser):
     return replay
 
 
-def _cmd_iterate(args, parser):
+def _cmd_iterate(args, parser, argv):
     if args.manifest:
-        args = _replay_args(args, parser)
+        args = _replay_args(args, parser, argv)
     cfg = _map_config(args)
     delta0 = _parse_delta(args.delta0, args.n)
     if args.tau0 <= 1.0:
@@ -498,12 +511,13 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {
         "moments": _cmd_moments,
         "map": _cmd_map,
-        "iterate": _cmd_iterate,
+        "iterate": functools.partial(_cmd_iterate, argv=argv),
         "sweep": _cmd_sweep,
         "fourier2d": _cmd_fourier2d,
         "project-grid": _cmd_project_grid,

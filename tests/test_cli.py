@@ -266,6 +266,34 @@ class TestIterate:
         assert err.count("\n") == 1 and str(path) in err and message in err
         assert not (tmp_path / "replay.csv").exists()
 
+    @pytest.mark.parametrize("flag", [["--steps", "1"], ["--n", "6"], ["--tau0=20"], ["--steps", "2"],
+                                      ["--seed", "3"], ["--delta0=-0.01"]])
+    def test_replay_refuses_other_flags(self, capsys, tmp_path, flag):
+        # the manifest fixes every flag of the run, so another flag beside
+        # -o would be silently overridden, even one equal to the manifest's
+        run(capsys, ["iterate", "--n", "3", "--steps", "2", "-o", str(tmp_path / "orig")])
+        path = tmp_path / "orig.manifest.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["iterate", "--manifest", str(path), *flag, "-o", str(tmp_path / "replay")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        name = flag[0].partition("=")[0]
+        assert err.count("\n") == 1 and str(path) in err and f"so {name} cannot be given" in err
+        assert not (tmp_path / "replay.csv").exists()
+
+    @pytest.mark.parametrize("text", ["not json", "", b"\xff\xfe"])
+    def test_non_json_manifest_is_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "m.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["iterate", "--manifest", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"manifest {path} is not JSON" in err
+
     # a non-default value for every MapConfig field: a field added without a
     # flag has no case here, or no flag to set, and fails the replay test
     _FIELD_VALUES = {

@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad, quad_vec
 
 import blowuplab
-from blowuplab import _kernels, moments, sphere
+from blowuplab import _kernels, moments, renorm, sphere
 from blowuplab.errors import DomainError
 from blowuplab.quadratic import HarmonicQuadratic
 
@@ -62,22 +62,25 @@ def _mixed_rows(n, rng):
 class TestBatch:
     """A stack of rows is one kernel call, each row bit for bit its own 1-D call."""
 
-    @pytest.mark.parametrize("step", [_kernels.STEP, 0.5 * _kernels.STEP])
+    # the ids name the steps of 0.11.0's rule in s = ln t, kept as labels:
+    # the cases are STEP and STEP / 2 of the mapped rule
+    @pytest.mark.parametrize("step", [_kernels.STEP, 0.5 * _kernels.STEP], ids=["0.27", "0.135"])
     @pytest.mark.parametrize("n", range(2, 9))
     def test_rows_equal_one_dimensional_calls(self, n, step):
         rows = _mixed_rows(n, np.random.default_rng(n))
         got = _kernels.indicator_moment_block(rows.reshape(3, 20, n - 1), step).reshape(60, n + 1)
         for row, out in zip(rows, got):
             assert np.array_equal(out, _kernels.indicator_moment_block(row, step))
-        live = [row for row in rows if (row > 0.0).any()]
-        counts = {_kernels._node_range([*row, -1.0], step)[1] for row in live}
-        assert len(counts) > 10  # many slices of equal node count
+        counts = {_node_count(lam, step) for lam in _live_rows(rows)}
+        # slices of several bucketed node counts; at n = 8 each row has both
+        # an entry near 10 and one near the snap, so only the two widest occur
+        assert len(counts) >= (2 if n == 8 else 3)
         assert (np.abs(rows) < _kernels.SNAP_EPS).any()
         assert not got[::7].any()  # the rows with no positive entry
 
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_normal_form_rows_equal_moment_sets(self, n):
-        # a sweep step's rows, counts 283-285 at n = 4, mixed in one block
+        # a sweep step's rows, of 65 and 97 nodes at n = 4, mixed in one block
         deltas = np.random.default_rng(1).uniform(-0.1, 0.1, (40, n - 2))
         deltas[:3] = 0.0
         deltas[3, 0] = 4e-12  # snaps to the touch
@@ -98,7 +101,7 @@ class TestBatch:
         assert np.array_equal(_kernels.indicator_moment_block(rows, _kernels.STEP), np.zeros((9, 6)))
 
     def test_working_set_is_bounded(self):
-        # unsliced, 4,000 n = 4 rows of ~285 nodes make 36 MB temporaries;
+        # unsliced, 4,000 n = 4 rows of 65-97 nodes make 12 MB temporaries;
         # in slices of BLOCK_ELEMS the peak grows by well under 1 KB a row
         # (the output and per-row bookkeeping) beyond a few slices
         rng = np.random.default_rng(2)
@@ -582,11 +585,11 @@ class TestLastAngleNodes:
 
     @pytest.mark.parametrize("n", [3, 5, 6, 7, 8])
     def test_far_root_switch(self, monkeypatch, n):
-        # the node range runs from the largest scale 1/(2 max|lambda|) to the
-        # second largest; as the last coefficient b crosses 1 the -1 axis
-        # hands the largest scale to it, and the range switches ends.  On
-        # both sides the columns reach a quarter step with SPAN + 12 to
-        # 6e-15, and they move smoothly through the switch
+        # the band of scales runs from the largest |lambda| to the smallest;
+        # as the last coefficient b crosses 1 the -1 axis hands the band's
+        # lower end to it, and the map switches.  On both sides the columns
+        # reach a quarter step with SPAN + 12 to 6e-15, and they move
+        # smoothly through the switch
         rel = np.array([-0.3, -0.05, -1e-3, -1e-9, 0.0, 1e-9, 1e-3, 0.05, 0.3])
         prefix = np.array([1e-2, -5e-3, 2e-3, -4e-3, 3e-3, -1e-3][: n - 2])
         rows = [np.append(prefix, 1.0 + r) for r in rel]
@@ -596,6 +599,117 @@ class TestLastAngleNodes:
         assert _norm_err(got, ref) <= 6e-15
         kink = got[3] - 2.0 * got[4] + got[5]  # rel -1e-9, 0, 1e-9
         assert np.abs(kink).max() <= 1e-14 * np.abs(got).max()
+
+
+def _live_rows(coeffs):
+    """The snapped rows (-1 last) of `coeffs` (r, n-1) with a positive coefficient."""
+    lam = np.where(np.abs(coeffs) < _kernels.SNAP_EPS, 0.0, coeffs)
+    return [[*row, -1.0] for row in lam.tolist() if max(row) > 0.0]
+
+
+def _node_map(lam, step=_kernels.STEP):
+    """`_kernels._node_map` of one row (-1 last) from its largest and smallest nonzero |lambda|."""
+    mags = [abs(a) for a in lam if a != 0.0]
+    return _kernels._node_map(max(mags), min(mags), step)
+
+
+def _node_count(lam, step=_kernels.STEP):
+    return 2 * _node_map(lam, step)[2] + 1
+
+
+def _widest_normal_forms(n):
+    """Normal forms with |delta| just under 1/2 whose bands are widest: one
+    component at the snap (or just above it) beside the largest last
+    coefficient, 1 - sum(delta) up to 1 + sqrt(n-2)/2."""
+    rest = np.full(n - 2, -0.4999 / math.sqrt(max(n - 3, 1)))
+    out = []
+    for tiny in (_kernels.SNAP_EPS, -_kernels.SNAP_EPS, 3e-11, 1e-9):
+        delta = rest.copy()
+        delta[0] = tiny
+        out.append(delta)
+    out.append(np.full(n - 2, -0.4999 / math.sqrt(n - 2)))
+    return np.array(out)
+
+
+class TestMappedRule:
+    # the sinh-mapped trapezoid rule: s(w) = m + w + k sinh(w) on |w| <= W,
+    # W rounded up to a bucket of half-counts and k refitted to it
+
+    @pytest.mark.parametrize("step", [_kernels.STEP, 0.5 * _kernels.STEP])
+    def test_nodes_finite_and_tails_end_span_past_the_band(self, step):
+        # a rounded-up W with the unrefitted k runs s far past the tail,
+        # where exp(s) overflows and a snapped 0 times inf is NaN; every
+        # node stays finite, and both tails end SPAN past the band's scales
+        rng = np.random.default_rng(11)
+        for n in range(2, 9):
+            coeffs = np.concatenate([
+                _mixed_rows(n, rng),
+                moments._coeff_vector(n, _floor_deltas(n)) if n > 2 else np.empty((0, 1)),
+                moments._coeff_vector(n, _widest_normal_forms(n)) if n > 2 else np.empty((0, 1)),
+                np.full((1, n - 1), _kernels.SNAP_EPS),
+            ])
+            for lam in _live_rows(coeffs):
+                m, k, half = _node_map(lam, step)
+                w, sinh, _ = _kernels._grid(half, step)
+                s = m + w + k * sinh
+                assert k > 0.0 and np.isfinite(np.exp(s)).all()
+                scales = [-math.log(2.0 * abs(a)) for a in lam if a != 0.0]
+                assert s[0] == pytest.approx(min(scales) - _kernels.SPAN, abs=1e-12)
+                assert s[-1] == pytest.approx(max(scales) + _kernels.SPAN, abs=1e-12)
+            assert np.isfinite(_kernels.indicator_moment_block(coeffs, step)).all()
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 8])
+    def test_half_step_nests(self, n):
+        # the check pass keeps STEP's map, so every other node of h/2 is a
+        # node of h, bit for bit
+        for lam in _live_rows(moments._coeff_vector(n, _floor_deltas(n)[::7])):
+            nodes = []
+            for step in (_kernels.STEP, 0.5 * _kernels.STEP):
+                m, k, half = _node_map(lam, step)
+                w, sinh, _ = _kernels._grid(half, step)
+                nodes.append(m + w + k * sinh)
+            assert np.array_equal(nodes[1][::2], nodes[0])
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_normal_forms_take_at_most_161_nodes(self, n):
+        # |delta| < 1/2 from 1.1e-11 to 0.49, and the widest bands: 65, 97,
+        # 129 or 161 nodes a row, against 283-285 for the rule of 0.11.0
+        counts = [_node_count(lam) for lam in _live_rows(moments._coeff_vector(n, _floor_deltas(n)))]
+        widest = [_node_count(lam) for lam in _live_rows(moments._coeff_vector(n, _widest_normal_forms(n)))]
+        assert set(counts + widest) <= {65, 97, 129, 161}
+        assert max(widest) == 161 and np.median(counts) <= 129
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_coefficients_near_the_snap_take_bounded_nodes(self, n):
+        # a coefficient between SNAP_EPS and 1e-6 widens the band of scales
+        # by up to 24.6 in s; beside others in [1e-3, 1] a row takes at
+        # most 161 nodes, and the count only grows as the coefficient shrinks
+        tiny = np.logspace(math.log10(_kernels.SNAP_EPS), -6.0, 25)
+        for other in (1e-3, 0.1, 1.0):
+            coeffs = np.full((tiny.size, n - 1), other)
+            coeffs[:, 0] = tiny
+            counts = [_node_count(lam) for lam in _live_rows(coeffs)]
+            assert len(counts) == tiny.size and max(counts) <= 161
+            assert counts == sorted(counts, reverse=True)
+
+    def test_sweep_block_takes_few_counts(self, monkeypatch):
+        # a 40-cell n = 4 sweep block over the README's ranges: each step's
+        # kernel call slices its rows by node count, and the rows fall into
+        # at most 3 counts (283-285 nodes, 3 counts, under the rule of 0.11.0)
+        seen = []
+        block = _kernels.indicator_moment_block
+
+        def spy(coeffs, step):
+            if coeffs.ndim == 2:
+                seen.append({_node_count(lam, step) for lam in _live_rows(coeffs)})
+            return block(coeffs, step)
+
+        monkeypatch.setattr(_kernels, "indicator_moment_block", spy)
+        cfg = renorm.MapConfig(n=4)
+        cells = [(t, np.array([d, 0.0])) for t in np.linspace(5, 50, 5) for d in np.linspace(0, 0.1, 8)]
+        renorm._sweep_block((cells, cfg, 24))
+        assert len(seen) >= 10
+        assert max(map(len, seen)) <= 3
 
 
 class TestRowBlocks:
@@ -667,7 +781,7 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor faults as Linux counts them")
     def test_steady_steps_fault_nothing_in(self):
         # a step's temporaries stay far under glibc's 128 KB trim threshold
-        # (the kernel's are (n, ~280) arrays), so steady steps return no
+        # (the kernel's are (n, 65-97) arrays), so steady steps return no
         # memory to the OS and fault none in again
         out = _fresh_interpreter(_N4_START + """
 import resource

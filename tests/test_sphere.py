@@ -249,7 +249,7 @@ class TestIndicatorQuadratic:
 
     def test_check_pass_doubles_kernel_nodes(self, monkeypatch):
         # the check pass re-evaluates at half the kernel's step, which
-        # doubles its nodes in s = ln t; at the default step the two agree
+        # doubles its nodes in w; at the default step the two agree
         # to 1e-12 and nothing warns
         seen = []
         block = _kernels.indicator_moment_block
@@ -267,14 +267,15 @@ class TestIndicatorQuadratic:
 
     def test_check_sees_kernel_resolution(self):
         # just above the 1e-11 snap, the x_3^2 column at the step and at half
-        # of it agree to 1e-12 but not to 1e-15 (a 3.9e-15 gap), which a
-        # check pass that repeated the same step could never report
+        # of it agree to 1e-12 but not to 1e-16 (a 2.2e-16 gap, 2.9e-16
+        # relative), which a check pass that repeated the same step could
+        # never report
         p = make_p_delta(3, np.array([3e-11]))
         with warnings.catch_warnings():
             warnings.simplefilter("error", QuadratureConvergenceWarning)
             sphere.integrate_indicator_quadratic(p, weight_axis=2, check_rtol=1e-12)
         with pytest.warns(QuadratureConvergenceWarning):
-            sphere.integrate_indicator_quadratic(p, weight_axis=2, check_rtol=1e-15)
+            sphere.integrate_indicator_quadratic(p, weight_axis=2, check_rtol=1e-16)
 
 
 class TestMonteCarlo:
