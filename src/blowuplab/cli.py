@@ -31,6 +31,7 @@ from . import (
     renorm,
     sphere,
 )
+from .errors import EvaluationError
 from .quadratic import DeltaState, HarmonicQuadratic, make_p_delta
 
 
@@ -112,17 +113,28 @@ def _warn_environment(manifest, path):
     )
 
 
-def _write_manifest(prefix, command, config, outputs):
+def _emit(args, text, config, path=None):
+    """Write a command's result `text`: to stdout without -o, and with -o to
+    `path` (by default -o itself) and its manifest `<prefix>.manifest.json`.
+
+    The prefix is -o without its suffix when -o is the file written, and -o
+    otherwise; the manifest records `args.command`, the run's `config`, the
+    environment and the file written.
+    """
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    path = path or args.output
+    Path(path).write_text(text, encoding="utf-8")
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "environment": _environment(),
-        "outputs": outputs,
+        "outputs": [path],
         "package_version": __version__,
     }
-    path = Path(f"{prefix}.manifest.json")
-    path.write_text(_json_dump(manifest) + "\n", encoding="utf-8")
-    return str(path)
+    prefix = Path(path).with_suffix("") if path == args.output else args.output
+    Path(f"{prefix}.manifest.json").write_text(_json_dump(manifest) + "\n", encoding="utf-8")
 
 
 def _cmd_moments(args, parser):
@@ -138,31 +150,22 @@ def _cmd_moments(args, parser):
             b_est, bi_est = moments.mc_moment_check(
                 m.delta, args.n, args.mc_check, args.seed
             )
-            zs = [abs(m.B - b_est.value) / b_est.std_error] + [
-                abs(m.B_i[i] - bi_est[i].value) / bi_est[i].std_error
-                for i in range(args.n)
-            ]
             mc_report.append(
                 {
                     "delta": list(m.delta),
-                    "max_abs_z": max(zs),
+                    "max_abs_z": moments.mc_max_abs_z(m, b_est, bi_est),
                     "B_mc": b_est.value,
                     "B_mc_se": b_est.std_error,
                 }
             )
 
-    if args.output:
-        Path(args.output).write_text(csv_text, encoding="utf-8")
-        outputs = [args.output]
-        config = {
-            "n": args.n,
-            "delta": [list(d) for d in deltas],
-            "mc_check": args.mc_check,
-            "seed": args.seed,
-        }
-        _write_manifest(Path(args.output).with_suffix(""), "moments", config, outputs)
-    else:
-        sys.stdout.write(csv_text)
+    config = {
+        "n": args.n,
+        "delta": [list(d) for d in deltas],
+        "mc_check": args.mc_check,
+        "seed": args.seed,
+    }
+    _emit(args, csv_text, config)
     if mc_report:
         sys.stdout.write(_json_dump({"mc_check": mc_report}) + "\n")
         if any(r["max_abs_z"] > 3.0 for r in mc_report):
@@ -274,20 +277,14 @@ def _cmd_iterate(args, parser, argv):
     if args.tau0 <= 1.0:
         parser.error("tau0 must be > 1")
     rec = renorm.iterate(DeltaState(n=cfg.n, tau=args.tau0, delta=delta0), cfg, args.steps)
-    csv_text = rec.to_csv()
-    if args.output:
-        csv_path = f"{args.output}.csv"
-        Path(csv_path).write_text(csv_text, encoding="utf-8")
-        config = {
-            "map": cfg.to_dict(),
-            "tau0": args.tau0,
-            "delta0": list(delta0),
-            "steps": args.steps,
-            "output_prefix": str(args.output),
-        }
-        _write_manifest(args.output, "iterate", config, [csv_path])
-    else:
-        sys.stdout.write(csv_text)
+    config = {
+        "map": cfg.to_dict(),
+        "tau0": args.tau0,
+        "delta0": list(delta0),
+        "steps": args.steps,
+        "output_prefix": str(args.output),
+    }
+    _emit(args, rec.to_csv(), config, f"{args.output}.csv")
     sys.stdout.write(_json_dump(rec.manifest()) + "\n")
     return 0
 
@@ -311,20 +308,14 @@ def _cmd_sweep(args, parser):
             d[0] = s
         deltas.append(d)
     rows = renorm.sweep(tau0s, deltas, cfg, args.steps, workers=args.workers)
-    csv_text = renorm.sweep_to_csv(rows, args.n)
-    if args.output:
-        csv_path = f"{args.output}.csv"
-        Path(csv_path).write_text(csv_text, encoding="utf-8")
-        config = {
-            "map": cfg.to_dict(),
-            "tau0_range": args.tau0_range,
-            "delta0_range": args.delta0_range,
-            "steps": args.steps,
-            "workers": args.workers,
-        }
-        _write_manifest(args.output, "sweep", config, [csv_path])
-    else:
-        sys.stdout.write(csv_text)
+    config = {
+        "map": cfg.to_dict(),
+        "tau0_range": args.tau0_range,
+        "delta0_range": args.delta0_range,
+        "steps": args.steps,
+        "workers": args.workers,
+    }
+    _emit(args, renorm.sweep_to_csv(rows, args.n), config, f"{args.output}.csv")
     return 0
 
 
@@ -395,21 +386,16 @@ def _cmd_project_grid(args, parser):
             "fd_error": res.fd_error,
             "points_used": res.points_used,
         }
-    text = _json_dump(results) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-        config = {
-            "input": args.input,
-            "synthetic": args.synthetic,
-            "tau0": args.tau0,
-            "h": args.h,
-            "radius": args.radius,
-            "r": args.r,
-            "half_step": args.half_step,
-        }
-        _write_manifest(Path(args.output).with_suffix(""), "project-grid", config, [args.output])
-    else:
-        sys.stdout.write(text)
+    config = {
+        "input": args.input,
+        "synthetic": args.synthetic,
+        "tau0": args.tau0,
+        "h": args.h,
+        "radius": args.radius,
+        "r": args.r,
+        "half_step": args.half_step,
+    }
+    _emit(args, _json_dump(results) + "\n", config)
     return 0
 
 
@@ -525,7 +511,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args, parser)
-    except ValueError as exc:
+    except (ValueError, EvaluationError) as exc:
         parser.error(str(exc))
     except OSError as exc:
         # a missing or unreadable input file is a usage error, not a traceback

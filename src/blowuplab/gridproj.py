@@ -18,13 +18,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CoverageError, DomainError, ConditioningWarning
+from .errors import CoverageError, DomainError, ConditioningWarning, EvaluationError
 from .quadratic import HarmonicQuadratic
 
 
 @dataclass
 class SampledField:
-    """Field values on a cubic lattice centered at x0 covering B_radius(x0)."""
+    """Field values on a cubic lattice centered at x0 covering B_radius(x0).
+
+    A radius beyond the lattice's half-width k*h (to rounding) is a
+    CoverageError, and a non-finite value an EvaluationError: either would
+    make `project` average a region or values other than the ball's.
+    """
 
     n: int
     h: float
@@ -41,6 +46,13 @@ class SampledField:
         m = self.values.shape[0]
         if any(s != m for s in self.values.shape) or m % 2 == 0:
             raise DomainError("values must be a cube with odd side length")
+        width = self.half_points * self.h
+        if self.radius > width * (1.0 + 1e-12):
+            raise CoverageError(
+                f"radius {self.radius:g} exceeds the lattice's half-width {width:g}"
+            )
+        if not np.isfinite(self.values).all():
+            raise EvaluationError("field values must be finite")
 
     @property
     def half_points(self):
@@ -205,17 +217,12 @@ def project(field, r):
     a = 0.5 * (hess - np.trace(hess) / field.n * np.eye(field.n))
     raw = HarmonicQuadratic.from_matrix(a)
 
-    fd_error = 0.0
-    try:
-        hess2, _ = _hessian_average(field, r, 2)
-        a2 = 0.5 * (hess2 - np.trace(hess2) / field.n * np.eye(field.n))
-        fd_error = float(np.linalg.norm(a2 - a) / 3.0)
-    except CoverageError:
-        fd_error = float("nan")
+    # the field's radius is within its lattice, so the doubled stencil fits too
+    hess2, _ = _hessian_average(field, r, 2)
+    a2 = 0.5 * (hess2 - np.trace(hess2) / field.n * np.eye(field.n))
+    fd_error = float(np.linalg.norm(a2 - a) / 3.0)
 
     tau = raw.sup_norm_ball()
-    if not np.isfinite(fd_error):
-        fd_error = 0.0
     if tau <= 10.0 * fd_error or tau == 0.0:
         warnings.warn(
             "projection magnitude is within 10x of the FD error estimate; "

@@ -272,6 +272,12 @@ def mc_moment_check(delta, n, samples, seed):
     return b_est, bi_est
 
 
+def mc_max_abs_z(moment_set, b_est, bi_est):
+    """Largest |z| of B and the B_i of `moment_set` against `mc_moment_check`'s estimates."""
+    values = [moment_set.B, *moment_set.B_i]
+    return max(abs(v - e.value) / e.std_error for v, e in zip(values, [b_est, *bi_est]))
+
+
 def csv_table(header, rows):
     """CSV text of every result table: a header, then rows whose numbers are
     written at `.17g` (read back bit for bit), strings as they are and None

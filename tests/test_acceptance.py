@@ -77,3 +77,10 @@ def test_a9_grid_consistency():
 
 def test_a10_oracle_agreement():
     assert _report(acceptance.a10_oracle_agreement()).passed
+
+
+def test_registry_in_definition_order():
+    # each criterion registers itself, keyed and named by its decorator
+    assert list(acceptance.CRITERIA) == [f"A{i}" for i in range(1, 11)]
+    for key, fn in acceptance.CRITERIA.items():
+        assert fn.__name__.startswith(f"a{key[1:]}_") and fn.__doc__ and fn.tags

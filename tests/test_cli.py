@@ -451,6 +451,33 @@ class TestProjectGrid:
         assert report["r=0.4"]["tau"] == pytest.approx(1.0, abs=1e-9)
         assert report["r=0.4"]["points_used"] == gridproj.project(field, 0.4).points_used
 
+    @pytest.mark.parametrize(
+        "defect, message",
+        [("nan", "field values must be finite"),
+         ("radius", "radius 3 exceeds the lattice's half-width 1.375")],
+    )
+    def test_refused_field_file_is_one_error_line(self, capsys, tmp_path, defect, message):
+        # each used to exit 0: a NaN printed "tau": NaN, which is not JSON, and
+        # an overstated R projected the whole box as the ball
+        from blowuplab import gridproj
+
+        field = gridproj.SampledField.from_function(
+            lambda x: x[:, 0] ** 2 - x[:, 1] ** 2, 2, 0.125, 1.375
+        )
+        field.save(tmp_path / "f.bin")
+        if defect == "nan":
+            values = field.values.copy()
+            values[11, 11] = np.nan
+            values.tofile(tmp_path / "f.bin")
+        else:
+            header = json.loads((tmp_path / "f.json").read_text())
+            (tmp_path / "f.json").write_text(json.dumps({**header, "R": 3.0}))
+        with pytest.raises(SystemExit) as exc:
+            main(["project-grid", "--input", str(tmp_path / "f.bin"), "--r", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("blowuplab: error:") == 1 and message in err
+
     def test_missing_input_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["project-grid", "--input", str(tmp_path / "missing.csv")])
@@ -502,6 +529,12 @@ class TestProjectGrid:
         (["sweep", "--n", "4", "--tau0-range", "5:50:2", "--delta0-range", "0:0.1:2",
           "--kappa0", "0.6"], "kappa0 must lie in (0, 1/2]"),
         (["map", "--n", "4", "--tau", "10", "--kappa0", "0"], "kappa0 must lie in (0, 1/2]"),
+        (["iterate", "--n", "4", "--tau0", "1"], "tau0 must be > 1"),
+        (["moments", "--n", "4", "--delta", "0.1"], "delta must have 2 entries for n=4, got 1"),
+        (["sweep", "--n", "4", "--tau0-range", "5:50:0", "--delta0-range", "0:0.1:2"],
+         "range count must be >= 1"),
+        (["fourier2d", "--max-degree", "1"], "max-degree must be >= 2"),
+        (["project-grid", "--synthetic", "ztilde", "--h", "0"], "h must be positive"),
     ],
 )
 def test_usage_error_names_the_problem(capsys, argv, message):

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from blowuplab import correction, gridproj
-from blowuplab.errors import ConditioningWarning, CoverageError, DomainError
+from blowuplab.errors import ConditioningWarning, CoverageError, DomainError, EvaluationError
 from blowuplab.quadratic import make_p_delta, random_rotation
 
 ETA = math.log(2.0) / (2.0 * math.pi)
@@ -115,6 +116,53 @@ class TestSampledField:
             gridproj.SampledField(
                 n=2, h=0.1, center=np.zeros(2), radius=0.5, values=np.zeros((4, 4))
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_refuses_non_finite_values(self, bad):
+        # a NaN inside the ball used to project to NaN with fd_error 0.0
+        values = np.zeros((5, 5))
+        values[2, 3] = bad
+        with pytest.raises(EvaluationError, match="field values must be finite"):
+            gridproj.SampledField(n=2, h=0.25, center=np.zeros(2), radius=0.5, values=values)
+        with pytest.raises(EvaluationError):
+            gridproj.SampledField.from_function(
+                lambda x: np.where(x[:, 0] > 0.2, bad, 0.0), 2, 0.25, 0.5
+            )
+
+    def test_refuses_radius_beyond_lattice(self):
+        with pytest.raises(CoverageError, match="exceeds the lattice's half-width 0.5"):
+            gridproj.SampledField(
+                n=2, h=0.25, center=np.zeros(2), radius=0.75, values=np.zeros((5, 5))
+            )
+
+    @pytest.mark.parametrize("h, k, radius", [(0.3, 3, 0.9), (0.1, 3, 0.3), (1 / 3, 4, 4 / 3)])
+    def test_radius_at_lattice_width_to_rounding(self, h, k, radius):
+        # 3 * 0.3 is 0.8999999999999999: a radius written as the decimal k * h,
+        # or an ulp above the float one, is the lattice's own
+        values = np.zeros((2 * k + 1,) * 2)
+        for r in (radius, np.nextafter(k * h, np.inf)):
+            field = gridproj.SampledField(n=2, h=h, center=np.zeros(2), radius=r, values=values)
+            assert field.radius == r
+
+    def test_load_refuses_overstated_header_radius(self, tmp_path):
+        # with R = 3.0 on a lattice of half-width 1.375, r = 2 and r = 2.5 both
+        # averaged the whole 529-point box and returned it as the ball's projection
+        field = gridproj.SampledField.from_function(wavy, 2, 0.125, 1.375)
+        assert field.values.size == 529
+        field.save(tmp_path / "field.bin")
+        header = json.loads((tmp_path / "field.json").read_text())
+        (tmp_path / "field.json").write_text(json.dumps({**header, "R": 3.0}))
+        with pytest.raises(CoverageError, match="radius 3 exceeds"):
+            gridproj.SampledField.load(tmp_path / "field.bin")
+
+    def test_load_refuses_nan_value(self, tmp_path):
+        field = gridproj.SampledField.from_function(wavy, 2, 0.125, 1.375)
+        field.save(tmp_path / "field.bin")
+        values = field.values.copy()
+        values[11, 12] = math.nan  # one lattice step from the center
+        values.astype("<f8").tofile(tmp_path / "field.bin")
+        with pytest.raises(EvaluationError):
+            gridproj.SampledField.load(tmp_path / "field.bin")
 
 
 class TestProject:

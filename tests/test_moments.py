@@ -215,6 +215,31 @@ class TestMcMomentCheck:
         got = [(e.value, e.std_error) for e in [b_est, *bi_est]]
         assert got == MC_PINS[n]
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_max_abs_z_is_the_per_column_loop(self, n):
+        delta = np.linspace(-1.0, 1.0, n - 2) * 0.02
+        m = moments.compute_moments(delta, n)
+        b_est, bi_est = moments.mc_moment_check(delta, n, 4000, 5)
+        zs = [abs(m.B - b_est.value) / b_est.std_error] + [
+            abs(m.B_i[i] - bi_est[i].value) / bi_est[i].std_error for i in range(n)
+        ]
+        assert moments.mc_max_abs_z(m, b_est, bi_est) == max(zs)
+
+
+class TestCheckMoments:
+    @pytest.mark.parametrize(
+        "b, b_i, c, c_i, message",
+        [
+            (-1.0, [-0.5, -0.4], 0.0, [0.0, 0.0], "sum of B_i must equal B"),
+            (-1.0, [-0.5, -0.5], 0.1, [0.0, 0.0], "sum of C_i must equal C"),
+            (1.0, [0.5, 0.5], 0.0, [0.0, 0.0], "B moments are integrals of -chi"),
+        ],
+    )
+    def test_defect_raises(self, b, b_i, c, c_i, message):
+        m = moments.MomentSet(2, np.zeros(0), b, np.array(b_i), c, np.array(c_i))
+        with pytest.raises(AssertionError, match=message):
+            m.validate()
+
 
 class TestQuarticMatrix:
     def test_n4_values(self):

@@ -10,6 +10,8 @@ from blowuplab.quadratic import (
     HarmonicQuadratic,
     diagonalize,
     make_p_delta,
+    normal_form,
+    normal_forms,
     random_rotation,
     sup_norm_ball,
 )
@@ -127,6 +129,18 @@ class TestDiagonalize:
     def test_degenerate_zero_form(self):
         with pytest.raises(DegeneracyError):
             diagonalize(HarmonicQuadratic.zero(3))
+
+    def test_no_negative_value_is_degenerate(self):
+        # a row whose least value is not negative has nothing to scale to -1;
+        # the other rows of the stack are normalized as usual
+        values = np.array([[-2.0, 0.5, 1.5], [0.0, 0.5, 1.0], [-1.0, 0.25, 0.75]])
+        tau, delta, defect, failed = normal_forms(values)
+        assert list(failed) == [1] and isinstance(failed[1], DegeneracyError)
+        assert tau[[0, 2]].tolist() == [2.0, 1.0]
+        assert delta[[0, 2], 0].tolist() == [0.25, 0.25]
+        assert defect[[0, 2]].tolist() == [0.0, 0.0]
+        with pytest.raises(DegeneracyError, match="no strictly negative eigenvalue"):
+            normal_form(values[1], np.eye(3))
 
     def test_n2_state(self):
         state = diagonalize(4.0 * make_p_delta(2, np.zeros(0)))

@@ -129,6 +129,10 @@ class TestHalfStep:
         with pytest.raises(EscapeError):
             renorm.half_step(state, cfg4())
 
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(DomainError, match="dimensions differ"):
+            renorm.half_step(DeltaState(n=3, tau=10.0, delta=np.zeros(1)), cfg4())
+
     def test_step_against_monte_carlo_moments(self):
         # recompute the same step with Monte Carlo moments; the correction
         # coefficients are linear in (B, B_i) so 3 sigma propagates directly
@@ -317,6 +321,19 @@ class TestCheckMonotonicity:
         assert rep.regime == "positive"
         assert rep.sum_ci > 0
         assert rep.deltajclaim_holds  # min-ratio strictly decreases
+
+    def test_n2_zero_regime(self):
+        # n = 2 has no delta: every step is in the zero regime, with ratios 0
+        cfg = renorm.MapConfig(n=2)
+        state = DeltaState(n=2, tau=10.0, delta=np.zeros(0))
+        rec = renorm.iterate(state, cfg, 3, record_monotonicity=True)
+        reports = [renorm.check_monotonicity(state, renorm.half_step(state, cfg), cfg)]
+        reports += rec.monotonicity
+        assert len(reports) == len(rec.steps) == 4
+        for rep in reports:
+            assert (rep.regime, rep.ratio_before, rep.ratio_after) == ("zero", 0.0, 0.0)
+            assert rep.deltajclaim_holds and not rep.exceeds_threshold
+            assert rep.negdelta_holds is None
 
 
 class TestOneBall:
@@ -648,6 +665,10 @@ class TestIterateErrors:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DomainError, match="dimensions differ"):
             renorm.iterate(DeltaState(n=3, tau=10.0, delta=np.zeros(1)), cfg4(), 5)
+
+    def test_no_steps_raises(self):
+        with pytest.raises(DomainError, match="max_steps must be >= 1"):
+            renorm.iterate(DeltaState(n=4, tau=10.0, delta=np.zeros(2)), cfg4(), 0)
 
     @pytest.mark.parametrize("exc", [DegeneracyError("tie"), DomainError("bad state")])
     def test_degeneracy_and_domain_exhaust(self, monkeypatch, exc):

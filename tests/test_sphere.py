@@ -295,6 +295,12 @@ class TestMonteCarlo:
         assert est.value == pytest.approx(4 * math.pi, rel=1e-14)
         assert est.std_error == 0.0
 
+    def test_scalar_integrand(self):
+        # a scalar stands for the constant function, on every chunk
+        est = sphere.mc_integrate(3, lambda x: 2.0, sphere._MC_CHUNK + 1000, 7)
+        assert est.value == pytest.approx(8 * math.pi, rel=1e-14)
+        assert est.std_error == 0.0
+
     def test_half_measure(self):
         p0 = make_p_delta(3, np.zeros(1))
         est = sphere.mc_integrate(3, chi_indicator(p0), 10**6, 99)
