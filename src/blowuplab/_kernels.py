@@ -152,17 +152,19 @@ def indicator_moment_block(coeffs, step):
     padding a row would reorder its pairwise sums, and of at most
     BLOCK_ELEMS elements per temporary.
     """
-    coeffs = np.where(np.abs(coeffs) < SNAP_EPS, 0.0, coeffs)
     n = coeffs.shape[-1] + 1
+    if coeffs.size == n - 1:  # one form: snapped and tested as a list, no grouping
+        row = [0.0 if abs(a) < SNAP_EPS else a for a in coeffs.ravel().tolist()]
+        if not any(a > 0.0 for a in row):
+            return np.zeros(coeffs.shape[:-1] + (n + 1,))
+        row.append(-1.0)
+        mags = [abs(a) for a in row if a != 0.0]
+        m, k, half = _node_map(max(mags), min(mags), step)
+        return _columns(np.array([row]), m, k, half, step).reshape(coeffs.shape[:-1] + (n + 1,))
+    coeffs = np.where(np.abs(coeffs) < SNAP_EPS, 0.0, coeffs)
     lam = np.empty((coeffs.size // (n - 1), n))
     lam[:, :-1] = coeffs.reshape(-1, n - 1)
     lam[:, -1] = -1.0
-    if lam.shape[0] == 1:  # one form: no grouping, no gather or scatter
-        if not np.any(coeffs > 0.0):
-            return np.zeros(coeffs.shape[:-1] + (n + 1,))
-        mags = [abs(a) for a in lam[0].tolist() if a != 0.0]
-        m, k, half = _node_map(max(mags), min(mags), step)
-        return _columns(lam, m, k, half, step).reshape(coeffs.shape[:-1] + (n + 1,))
     out = np.zeros((lam.shape[0], n + 1))
     mags = np.abs(lam)  # max and min are exact, so each row's are its own call's
     live = np.flatnonzero((lam > 0.0).any(axis=1))

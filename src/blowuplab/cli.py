@@ -363,9 +363,9 @@ def _cmd_project_grid(args, parser):
     else:
         if args.synthetic is None:
             parser.error("give a field: --input FILE or --synthetic NAME")
-        if args.h <= 0:
-            parser.error("h must be positive")
-        radius = args.radius or (args.r + 5 * args.h)
+        radius = args.radius
+        if radius is None:  # --r's, so a refused --r is named as itself
+            radius = gridproj.positive("r", args.r) + 5 * args.h
 
         def synthetic(pts):
             if args.synthetic == "ztilde":

@@ -22,11 +22,19 @@ from .errors import CoverageError, DomainError, ConditioningWarning, EvaluationE
 from .quadratic import HarmonicQuadratic
 
 
+def positive(name, value):
+    """`value` if it is positive and finite, else a DomainError naming `name` and the value."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {float(value)!r}")
+    return value
+
+
 @dataclass
 class SampledField:
     """Field values on a cubic lattice centered at x0 covering B_radius(x0).
 
-    A radius beyond the lattice's half-width k*h (to rounding) is a
+    An h or radius that is not positive and finite is a DomainError.  A
+    radius beyond the lattice's half-width k*h (to rounding) is a
     CoverageError, and a non-finite value an EvaluationError: either would
     make `project` average a region or values other than the ball's.
     """
@@ -39,8 +47,8 @@ class SampledField:
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=np.float64)
-        if self.h <= 0:
-            raise DomainError("grid spacing must be positive")
+        positive("h", self.h)
+        positive("radius", self.radius)
         if self.values.ndim != self.n:
             raise DomainError("values array rank must equal the dimension")
         m = self.values.shape[0]
@@ -62,7 +70,8 @@ class SampledField:
     def from_function(cls, f, n, h, radius, center=None):
         """Sample a vectorized function of (..., n) points on the lattice."""
         center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-        k = int(math.ceil(radius / h))
+        positive("h", h)
+        k = int(math.ceil(positive("radius", radius) / h))
         axis = h * np.arange(-k, k + 1)
         grids = np.meshgrid(*[axis + c for c in center], indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=1)
@@ -207,8 +216,7 @@ def project(field, r):
     sup-ball norm tau and the normalized form p; a Richardson comparison
     against the doubled stencil supplies the FD error estimate.
     """
-    if r <= 0:
-        raise DomainError("scale r must be positive")
+    positive("r", r)
     if r + 2.0 * field.h > field.radius + 1e-12:
         raise CoverageError(
             f"field covers B_{field.radius:g} but the stencil needs B_{r + 2 * field.h:g}"

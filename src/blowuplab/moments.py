@@ -37,31 +37,31 @@ class MomentSet:
     C_i: np.ndarray
 
     def validate(self):
-        """Internal consistency required of any computed moment set."""
-        _check_moments(np.float64(self.B), self.B_i, np.float64(self.C), self.C_i)
+        """Internal consistency required of any moment set: `_check_columns`, and sum(C_i) = C."""
+        _check_columns(-np.concatenate(([self.B], self.B_i))[None])
+        if abs(self.C_i.sum() - self.C) > 1e-9 * (abs(self.C) + 1e-30):
+            raise AssertionError("sum of C_i must equal C")
         return self
 
 
-def _check_moments(b, b_i, c, c_i):
-    """`MomentSet.validate` for b, c (...,) and b_i, c_i (..., n), numpy values: one set or a stack."""
-    checks = (
-        (abs(b_i.sum(axis=-1) - b) > 1e-9 * abs(b), "sum of B_i must equal B (sum x_i^2 = 1)"),
-        (abs(c_i.sum(axis=-1) - c) > 1e-9 * (abs(c) + 1e-30), "sum of C_i must equal C"),
-        ((b > 0) | (b_i.max(axis=-1, initial=0.0) > 0), "B moments are integrals of -chi * nonneg"),
-    )
-    # one reduction when all pass, which is every call outside a defect
-    if (checks[0][0] | checks[1][0] | checks[2][0]).any():
-        raise AssertionError(next(message for bad, message in checks if bad.any()))
+def _check_columns(cols):
+    """Check kernel columns cols (rows, n+1), each row -B and -B_i of one set.
 
-
-def _coeff_vector(n, delta):
-    return normal_form_diagonal(delta)[..., :-1]
+    sum(B_i) = B to 1e-9 relative (sum x_i^2 = 1), and no B moment is
+    positive; AssertionError otherwise.  `moment_block` needs no test of
+    sum(C_i) = C, since it stores C as that sum.
+    """
+    indicator = cols[:, 0]
+    if (abs(cols[:, 1:].sum(axis=1) - indicator) > 1e-9 * abs(indicator)).any():
+        raise AssertionError("sum of B_i must equal B (sum x_i^2 = 1)")
+    if (cols < 0.0).any():
+        raise AssertionError("B moments are integrals of -chi * nonneg")
 
 
 @lru_cache(maxsize=64)
 def _zero_columns(n):
     """The delta = 0 columns."""
-    cols = indicator_moment_columns(n, _coeff_vector(n, np.zeros(n - 2)))
+    cols = indicator_moment_columns(n, normal_form_diagonal(np.zeros(n - 2))[:-1])
     cols.setflags(write=False)  # cached and shared
     return cols
 
@@ -81,49 +81,38 @@ def analytic_baseline(n):
     return b0, bi0
 
 
-_OUTSIDE = "compute_moments requires |delta| < 1/2"
-
-
-def _moments(cols, n):
-    """B, B_i, C and C_i from kernel columns (..., n+1): one set or a stack."""
-    b = -cols[..., 0]
-    b_i = -cols[..., 1:]
-    c_i = b_i + _zero_columns(n)[1:]
-    return b, b_i, c_i.sum(axis=-1), c_i
-
-
 # `order` is accepted and ignored for perfbench/, the only caller that passes it.
 def compute_moments(delta, n, order=None):
     """Moment set at delta, with increments against the delta = 0 baseline.
 
-    B and B_i are one Gil-Pelaez integral (`sphere.indicator_moment_columns`)
-    at its fixed step in every dimension, and the baseline is the same
-    integral at delta = 0, so delta = 0 gives C_i = 0 exactly.  C is stored
-    as sum(C_i).  A delta without n-2 entries, or not inside |delta| < 1/2
-    (a NaN entry included), is a DomainError.
+    `moment_block` on a block of one: a delta without n-2 entries is a
+    DomainError here, and the rest is `moment_block`'s.
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=np.float64))
     if delta.shape != (n - 2,):
         raise DomainError(f"delta must have length n-2 = {n - 2}")
-    if not np.linalg.norm(delta) < 0.5:  # `delta_norms` of one delta; NaN fails too
-        raise DomainError(_OUTSIDE)
-    b, b_i, c, c_i = _moments(indicator_moment_columns(n, _coeff_vector(n, delta)), n)
-    return MomentSet(n=n, delta=delta, B=float(b), B_i=b_i, C=float(c), C_i=c_i).validate()
+    b, b_i, c, c_i = moment_block(delta[None], n)
+    return MomentSet(n=n, delta=delta, B=float(b[0]), B_i=b_i[0], C=float(c[0]), C_i=c_i[0])
 
 
 def moment_block(delta, n):
     """Moments of a stack of deltas (B, n-2), from one kernel call.
 
-    Returns b (B,), b_i (B, n), c (B,) and c_i (B, n); every row is bit for
-    bit its own `compute_moments`.  Raises the DomainError of
-    `compute_moments` when any row has not |delta| < 1/2 (NaN included), and
-    AssertionError when the stack fails `MomentSet.validate`'s checks.
+    Returns b (B,), b_i (B, n), c (B,) and c_i (B, n), each row bit for bit
+    what the row alone gives.  B and B_i are one Gil-Pelaez integral
+    (`sphere.indicator_moment_columns`) at its fixed step in every
+    dimension, and the baseline is the same integral at delta = 0, so
+    delta = 0 gives C_i = 0 exactly; C is stored as sum(C_i).  A row not
+    inside |delta| < 1/2 (a NaN entry included) is a DomainError for the
+    stack, and columns that fail `_check_columns` an AssertionError.
     """
     if not (delta_norms(delta) < 0.5).all():
-        raise DomainError(_OUTSIDE)
-    b, b_i, c, c_i = _moments(indicator_moment_columns(n, _coeff_vector(n, delta)), n)
-    _check_moments(b, b_i, c, c_i)
-    return b, b_i, c, c_i
+        raise DomainError("compute_moments requires |delta| < 1/2")
+    cols = indicator_moment_columns(n, normal_form_diagonal(delta)[:, :-1])
+    _check_columns(cols)
+    b_i = -cols[:, 1:]
+    c_i = b_i + _zero_columns(n)[1:]
+    return -cols[:, 0], b_i, c_i.sum(axis=1), c_i
 
 
 def fourier_diagonal(b, b_i, n):

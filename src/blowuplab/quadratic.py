@@ -332,13 +332,3 @@ def diagonalize(q):
         raise DegeneracyError("cannot normalize the zero form")
     eigvals, eigvecs = _order_ties(*np.linalg.eigh(q.coeff))
     return normal_form(eigvals, eigvecs)
-
-
-def random_rotation(n, rng):
-    """Haar-ish random rotation from QR of a Gaussian matrix, det +1."""
-    m = rng.standard_normal((n, n))
-    q_mat, r = np.linalg.qr(m)
-    q_mat = q_mat * np.sign(np.diag(r))
-    if np.linalg.det(q_mat) < 0:
-        q_mat[:, 0] = -q_mat[:, 0]
-    return q_mat

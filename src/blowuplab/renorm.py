@@ -176,7 +176,7 @@ def _advance(tau, delta, cfg, rng=None):
     for the block.  The step reports two errors per cell, each in `failed`
     for its cell alone and in this order of precedence: tau <= 1, a
     DomainError, and a new diagonal with no negative value, a
-    DegeneracyError.  A moment set that fails `MomentSet.validate` raises
+    DegeneracyError.  Kernel columns that fail `moment_block`'s check raise
     AssertionError for the block.  `rng` is the block's random-noise
     generator, drawn once.
     """

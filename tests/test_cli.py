@@ -583,6 +583,26 @@ def test_refused_input_is_one_error_line(capsys, argv, message):
     assert err.count("blowuplab: error:") == 1 and message in err
 
 
+@pytest.mark.parametrize(
+    "flags, shown",
+    [
+        (["--r", "nan"], "r must be positive and finite, got nan"),
+        (["--h", "nan"], "h must be positive and finite, got nan"),
+        (["--radius", "nan"], "radius must be positive and finite, got nan"),
+        (["--radius", "-1"], "radius must be positive and finite, got -1.0"),
+        (["--r", "-1", "--radius", "2"], "r must be positive and finite, got -1.0"),
+    ],
+)
+def test_project_grid_names_a_refused_scale(capsys, flags, shown):
+    # NaN ended in "cannot convert float NaN to integer", naming no flag, and
+    # --radius -1 in "values must be a cube with odd side length"
+    with pytest.raises(SystemExit) as exc:
+        main(["project-grid", "--synthetic", "ztilde", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("blowuplab: error:") == 1 and err.splitlines()[-1].endswith(shown)
+
+
 def _off_by_1e_6(monkeypatch):
     """Make every moment set's B 1e-6 off, which A2 (tol 1e-8) must report."""
     compute = moments.compute_moments

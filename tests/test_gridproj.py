@@ -6,7 +6,9 @@ import pytest
 
 from blowuplab import correction, gridproj
 from blowuplab.errors import ConditioningWarning, CoverageError, DomainError, EvaluationError
-from blowuplab.quadratic import make_p_delta, random_rotation
+from blowuplab.quadratic import make_p_delta
+
+from helpers import random_rotation
 
 ETA = math.log(2.0) / (2.0 * math.pi)
 
@@ -164,8 +166,35 @@ class TestSampledField:
         with pytest.raises(EvaluationError):
             gridproj.SampledField.load(tmp_path / "field.bin")
 
+    @pytest.mark.parametrize(
+        "h, radius, shown",
+        [
+            (math.nan, 0.5, "h must be positive and finite, got nan"),
+            (math.inf, 0.5, "h must be positive and finite, got inf"),
+            (-0.25, 0.5, "h must be positive and finite, got -0.25"),
+            (0.25, math.nan, "radius must be positive and finite, got nan"),
+            (0.25, -1.0, "radius must be positive and finite, got -1.0"),
+            (0.25, 0.0, "radius must be positive and finite, got 0.0"),
+        ],
+    )
+    def test_refuses_bad_spacing_or_radius(self, h, radius, shown):
+        # h = NaN passed the old `h <= 0` test, and a NaN radius was not tested
+        with pytest.raises(DomainError, match=shown):
+            gridproj.SampledField(
+                n=2, h=h, center=np.zeros(2), radius=radius, values=np.zeros((5, 5))
+            )
+        with pytest.raises(DomainError, match=shown):
+            gridproj.SampledField.from_function(wavy, 2, h, radius)
+
 
 class TestProject:
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -0.5])
+    def test_refuses_bad_scale(self, r):
+        # r = NaN ended in math.floor's "cannot convert float NaN to integer"
+        field = gridproj.SampledField.from_function(wavy, 2, 0.125, 1.375)
+        with pytest.raises(DomainError, match=f"r must be positive and finite, got {r!r}"):
+            gridproj.project(field, r)
+
     def test_exact_on_quadratics(self):
         p = make_p_delta(3, np.array([0.05]))
         field = gridproj.SampledField.from_function(quad_field(p, 7.0), 3, 1 / 16, 1.25)

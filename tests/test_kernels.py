@@ -16,6 +16,8 @@ from blowuplab import _kernels, moments, renorm, sphere
 from blowuplab.errors import DomainError
 from blowuplab.quadratic import HarmonicQuadratic
 
+from helpers import coeff_vector
+
 
 def _block(n, coeffs):
     """The kernel's columns at its default step."""
@@ -107,7 +109,7 @@ class TestBatch:
         rng = np.random.default_rng(2)
 
         def peak(count):
-            rows = moments._coeff_vector(4, rng.uniform(-0.1, 0.1, (count, 2)))
+            rows = coeff_vector(rng.uniform(-0.1, 0.1, (count, 2)))
             tracemalloc.start()
             try:
                 _kernels.indicator_moment_block(rows, _kernels.STEP)
@@ -126,12 +128,12 @@ class TestScratch:
     # so what it returns is its own and threads give the serial bits
 
     def test_result_survives_next_call(self):
-        first = _block(4, moments._coeff_vector(4, np.array([3e-2, -1e-2])))
+        first = _block(4, coeff_vector(np.array([3e-2, -1e-2])))
         kept = first.copy()
-        _block(5, moments._coeff_vector(5, np.array([1e-2, -5e-3, 2e-3])))
-        _block(4, moments._coeff_vector(4, np.array([0.05, 1e-10])))
+        _block(5, coeff_vector(np.array([1e-2, -5e-3, 2e-3])))
+        _block(4, coeff_vector(np.array([0.05, 1e-10])))
         assert np.array_equal(first, kept)
-        assert np.array_equal(_block(4, moments._coeff_vector(4, np.array([3e-2, -1e-2]))), kept)
+        assert np.array_equal(_block(4, coeff_vector(np.array([3e-2, -1e-2]))), kept)
 
     def test_threads_match_serial(self):
         cases = [
@@ -142,7 +144,7 @@ class TestScratch:
             (5, [1e-2, -5e-3, 2e-3]),
             (6, [2e-2, -1e-2, 5e-3, -3e-3]),
         ]
-        coeffs = [moments._coeff_vector(n, np.array(d)) for n, d in cases]
+        coeffs = [coeff_vector(np.array(d)) for n, d in cases]
 
         def columns(k):
             return sphere.indicator_moment_columns(cases[k][0], coeffs[k])
@@ -277,7 +279,7 @@ def _n4_quad(c1, c2, b):
 _N3_DELTAS = [1e-10, 1e-7, -1e-5, 1e-3, -0.02, 0.3, -0.45]
 _N4_DELTAS = [(1e-7, 0.0), (1e-3, 1e-3), (0.2, 0.2), (-0.2, -0.1), (0.3, 0.1), (-0.1436, -4.9e-6)]
 
-# `_n4_quad(*_coeff_vector(4, delta))` for deltas of both signs, printed with
+# `_n4_quad(*coeff_vector(delta))` for deltas of both signs, printed with
 # repr: quad_vec subdivides toward the a ln|a| kink at the root of the prefix
 # angle, which takes 7-38 s a delta, so these are kept as constants.
 _N4_QUAD = {
@@ -300,7 +302,7 @@ class TestIndependentReferences:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 12])
     def test_zero_delta_matches_analytic(self, n):
         b0, bi0 = moments.analytic_baseline(n)
-        got = sphere.indicator_moment_columns(n, moments._coeff_vector(n, np.zeros(n - 2)))
+        got = sphere.indicator_moment_columns(n, coeff_vector(np.zeros(n - 2)))
         assert _norm_err(got, -np.concatenate([[b0], bi0])) <= 1e-15
 
     # quad reports roundoff against its 1e-15 absolute request beside the
@@ -308,19 +310,19 @@ class TestIndependentReferences:
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("delta", _N3_DELTAS)
     def test_n3_matches_quad(self, delta):
-        c1, c2 = moments._coeff_vector(3, np.array([delta]))
+        c1, c2 = coeff_vector(np.array([delta]))
         got = sphere.indicator_moment_columns(3, np.array([c1, c2]))
         assert _norm_err(got, _n3_quad(c1, c2)) <= 1e-14
 
     @pytest.mark.parametrize("delta", _N4_DELTAS)
     def test_n4_matches_quad(self, delta):
-        coeffs = moments._coeff_vector(4, np.array(delta))
+        coeffs = coeff_vector(np.array(delta))
         got = sphere.indicator_moment_columns(4, coeffs)
         assert _norm_err(got, _n4_quad(*coeffs)) <= 1e-14
 
     @pytest.mark.parametrize("delta", sorted(_N4_QUAD))
     def test_n4_matches_stored_quad(self, delta):
-        got = sphere.indicator_moment_columns(4, moments._coeff_vector(4, np.array(delta)))
+        got = sphere.indicator_moment_columns(4, coeff_vector(np.array(delta)))
         assert _norm_err(got, _N4_QUAD[delta]) <= 1e-14
 
 
@@ -514,7 +516,7 @@ _TABLE_DELTAS = {
 
 @lru_cache(maxsize=None)
 def _table_reference(n, kind):
-    return _imhof_quad(moments._coeff_vector(n, np.array(_TABLE_DELTAS[kind][: n - 2])))
+    return _imhof_quad(coeff_vector(np.array(_TABLE_DELTAS[kind][: n - 2])))
 
 
 class TestKernelTable:
@@ -527,7 +529,7 @@ class TestKernelTable:
         "n, order, kind", [(n, order, kind) for n, order in _TABLE_ORDERS for kind in sorted(_TABLE_DELTAS)]
     )
     def test_matches_per_row(self, n, order, kind):
-        coeffs = moments._coeff_vector(n, np.array(_TABLE_DELTAS[kind][: n - 2]))
+        coeffs = coeff_vector(np.array(_TABLE_DELTAS[kind][: n - 2]))
         got = sphere.indicator_moment_columns(n, coeffs)
         assert _norm_err(got, _table_reference(n, kind)) <= 1e-14
 
@@ -537,7 +539,7 @@ class TestKernelTable:
         # the integral has no order, and gives the quarter-step values to
         # its rounding floor
         n, delta = 8, np.array(_TABLE_DELTAS["tiny"])
-        coeffs = moments._coeff_vector(n, delta)
+        coeffs = coeff_vector(delta)
         got = sphere.indicator_moment_columns(n, coeffs)
         fine = _kernels.indicator_moment_block(coeffs, 0.25 * _kernels.STEP)
         assert _norm_err(got, fine) <= 6e-15
@@ -548,7 +550,7 @@ class TestKernelTable:
         # add exact zeros to theta and to ln(rho), so the integral is that
         # of n = 2 ("one row"), P(Q > 0) = 1/2 and every zero axis has the
         # same column to the bit
-        got = sphere.indicator_moment_columns(n, moments._coeff_vector(n, np.zeros(n - 2)))
+        got = sphere.indicator_moment_columns(n, coeff_vector(np.zeros(n - 2)))
         pair = _block(2, [1.0])
         area, pair_area = sphere.surface_area(n), sphere.surface_area(2)
         assert np.all(got[1 : n - 1] == got[1])
@@ -576,7 +578,7 @@ class TestLastAngleNodes:
         def worst(step):
             errs = []
             for delta in _floor_deltas(n):
-                coeffs = moments._coeff_vector(n, delta)
+                coeffs = coeff_vector(delta)
                 ref = _kernels.indicator_moment_block(coeffs, 0.25 * _kernels.STEP)
                 errs.append(_norm_err(_kernels.indicator_moment_block(coeffs, step), ref))
             return max(errs)
@@ -644,8 +646,8 @@ class TestMappedRule:
         for n in range(2, 9):
             coeffs = np.concatenate([
                 _mixed_rows(n, rng),
-                moments._coeff_vector(n, _floor_deltas(n)) if n > 2 else np.empty((0, 1)),
-                moments._coeff_vector(n, _widest_normal_forms(n)) if n > 2 else np.empty((0, 1)),
+                coeff_vector(_floor_deltas(n)) if n > 2 else np.empty((0, 1)),
+                coeff_vector(_widest_normal_forms(n)) if n > 2 else np.empty((0, 1)),
                 np.full((1, n - 1), _kernels.SNAP_EPS),
             ])
             for lam in _live_rows(coeffs):
@@ -662,7 +664,7 @@ class TestMappedRule:
     def test_half_step_nests(self, n):
         # the check pass keeps STEP's map, so every other node of h/2 is a
         # node of h, bit for bit
-        for lam in _live_rows(moments._coeff_vector(n, _floor_deltas(n)[::7])):
+        for lam in _live_rows(coeff_vector(_floor_deltas(n)[::7])):
             nodes = []
             for step in (_kernels.STEP, 0.5 * _kernels.STEP):
                 m, k, half = _node_map(lam, step)
@@ -674,8 +676,8 @@ class TestMappedRule:
     def test_normal_forms_take_at_most_161_nodes(self, n):
         # |delta| < 1/2 from 1.1e-11 to 0.49, and the widest bands: 65, 97,
         # 129 or 161 nodes a row, against 283-285 for the rule of 0.11.0
-        counts = [_node_count(lam) for lam in _live_rows(moments._coeff_vector(n, _floor_deltas(n)))]
-        widest = [_node_count(lam) for lam in _live_rows(moments._coeff_vector(n, _widest_normal_forms(n)))]
+        counts = [_node_count(lam) for lam in _live_rows(coeff_vector(_floor_deltas(n)))]
+        widest = [_node_count(lam) for lam in _live_rows(coeff_vector(_widest_normal_forms(n)))]
         assert set(counts + widest) <= {65, 97, 129, 161}
         assert max(widest) == 161 and np.median(counts) <= 129
 
@@ -730,7 +732,7 @@ class TestRowBlocks:
         # `order` chose the prefix rule and the kernel's row blocks up to
         # 0.8.0 and is a label only since 0.10.0: the columns are one kernel
         # block, and the moment set carries their bits
-        coeffs = moments._coeff_vector(n, np.array(delta))
+        coeffs = coeff_vector(np.array(delta))
         cols = sphere.indicator_moment_columns(n, coeffs)
         assert np.array_equal(cols, _block(n, coeffs))
         m = moments.compute_moments(np.array(delta), n)

@@ -241,6 +241,43 @@ class TestCheckMoments:
             m.validate()
 
 
+def _unbalanced(cols):
+    """The x_i^2 columns no longer sum to the indicator column."""
+    cols[..., 1] *= 1.0 + 1e-6
+
+
+def _one_negative(cols):
+    """Column 2 negated, its mass moved to column 1: the sum holds, but a B moment is positive."""
+    cols[..., 1] += 2.0 * cols[..., 2]
+    cols[..., 2] *= -1.0
+
+
+class TestComputedCheck:
+    """The check of the kernel's columns on the computed path, fed defective columns."""
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            (_unbalanced, "sum of B_i must equal B"),
+            (_one_negative, "B moments are integrals of -chi"),
+        ],
+    )
+    def test_defect_raises(self, monkeypatch, defect, message):
+        columns = moments.indicator_moment_columns
+
+        def defective(n, coeffs):
+            cols = columns(n, coeffs).copy()
+            defect(cols)
+            return cols
+
+        moments._zero_columns(4)  # cached before the patch, so only the delta's columns are bad
+        monkeypatch.setattr(moments, "indicator_moment_columns", defective)
+        with pytest.raises(AssertionError, match=message):
+            moments.moment_block(np.array([[0.01, -0.02], [0.0, 0.0]]), 4)
+        with pytest.raises(AssertionError, match=message):
+            moments.compute_moments(np.array([0.01, -0.02]), 4)
+
+
 class TestQuarticMatrix:
     def test_n4_values(self):
         mat = moments.quartic_moment_matrix(4)

@@ -12,10 +12,11 @@ from blowuplab.quadratic import (
     make_p_delta,
     normal_form,
     normal_forms,
-    random_rotation,
     sup_norm_ball,
 )
 from blowuplab.renorm import MapConfig
+
+from helpers import random_rotation
 
 
 class TestMakePDelta:

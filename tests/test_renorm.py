@@ -13,8 +13,9 @@ from blowuplab.quadratic import (
     diagonalize,
     make_p_delta,
     normal_form_diagonal,
-    random_rotation,
 )
+
+from helpers import random_rotation
 
 ETA = math.log(2.0) / (2.0 * math.pi)
 

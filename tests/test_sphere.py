@@ -14,6 +14,8 @@ from blowuplab.errors import (
 )
 from blowuplab.quadratic import HarmonicQuadratic, make_p_delta
 
+from helpers import coeff_vector
+
 
 def chi_indicator(p):
     return lambda x: (np.einsum("ij,pi,pj->p", p.coeff, x, x) > 0).astype(float)
@@ -350,7 +352,7 @@ class TestMonteCarlo:
             sphere.mc_integrate(3, f, 2000, 0)
 
 
-# The order-128 indicator_moment_columns of _coeff_vector(4, delta) as 0.2.0-0.8.0
+# The order-128 indicator_moment_columns of coeff_vector(delta) as 0.2.0-0.8.0
 # computed it, with the graded prefix rule of the circle rebuilt at 34
 # levels x 24 Gauss-Legendre nodes, printed with repr.  The per-call grading
 # loop of 0.2.0, run at 34 x 24 and order 128, agrees with these to 5e-15.
@@ -376,7 +378,7 @@ class TestGradedPrefix:
         ],
     )
     def test_against_deep_reference(self, delta, order, want):
-        coeffs = moments._coeff_vector(4, np.array(delta))
+        coeffs = coeff_vector(np.array(delta))
         got = sphere.indicator_moment_columns(4, coeffs)
         want = np.array(want)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
