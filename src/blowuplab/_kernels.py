@@ -171,7 +171,7 @@ def indicator_moment_block(coeffs, step):
     big = mags.max(axis=1)[live].tolist()
     small = np.where(mags > 0.0, mags, np.inf).min(axis=1)[live].tolist()
     # half-count -> (its rows, their m and k); a dict, not np.unique, whose
-    # first call costs more than a sweep step in every fresh pool worker
+    # first call costs more than a sweep step in every fresh process
     groups = {}
     for i, b, s in zip(live.tolist(), big, small):
         m, k, half = _node_map(b, s, step)

@@ -39,7 +39,7 @@ class MomentSet:
     def validate(self):
         """Internal consistency required of any moment set: `_check_columns`, and sum(C_i) = C."""
         _check_columns(-np.concatenate(([self.B], self.B_i))[None])
-        if abs(self.C_i.sum() - self.C) > 1e-9 * (abs(self.C) + 1e-30):
+        if not abs(self.C_i.sum() - self.C) <= 1e-9 * (abs(self.C) + 1e-30):
             raise AssertionError("sum of C_i must equal C")
         return self
 
@@ -48,13 +48,14 @@ def _check_columns(cols):
     """Check kernel columns cols (rows, n+1), each row -B and -B_i of one set.
 
     sum(B_i) = B to 1e-9 relative (sum x_i^2 = 1), and no B moment is
-    positive; AssertionError otherwise.  `moment_block` needs no test of
-    sum(C_i) = C, since it stores C as that sum.
+    positive; AssertionError otherwise, a NaN included (each test is written
+    so that NaN fails it).  `moment_block` needs no test of sum(C_i) = C,
+    since it stores C as that sum.
     """
     indicator = cols[:, 0]
-    if (abs(cols[:, 1:].sum(axis=1) - indicator) > 1e-9 * abs(indicator)).any():
+    if not (abs(cols[:, 1:].sum(axis=1) - indicator) <= 1e-9 * abs(indicator)).all():
         raise AssertionError("sum of B_i must equal B (sum x_i^2 = 1)")
-    if (cols < 0.0).any():
+    if not (cols >= 0.0).all():
         raise AssertionError("B moments are integrals of -chi * nonneg")
 
 

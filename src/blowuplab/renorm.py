@@ -16,9 +16,9 @@ frame rides in the block: a step reports each cell's column order, and only
 `_step_detail`, behind `half_step` and the `map` command, turns it into a
 new frame, `DeltaState` and `MomentSet`; the monotonicity reports and the
 threshold calibration read the block's arrays.  `iterate` is a block of one
-that records every step, `sweep` one block per worker, and `_step_detail`
-one step of a block of one.  Each cell's numbers are bit for bit the same
-whatever cells share its block.
+that records every step, `sweep` one block per worker (this process runs
+the first), and `_step_detail` one step of a block of one.  Each cell's
+numbers are bit for bit the same whatever cells share its block.
 """
 
 import math
@@ -577,6 +577,15 @@ def _sweep_block(args):
     ]
 
 
+def _sweep_child(send, task):
+    """A worker process's body: send (True, rows) of its block, or (False, exc) if the block raises."""
+    try:
+        result = True, _sweep_block(task)
+    except Exception as exc:  # the caller re-raises it
+        result = False, exc
+    send.send(result)
+
+
 def default_workers():
     """The CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -587,13 +596,15 @@ def default_workers():
 def sweep(tau0_values, delta0_values, cfg, max_steps, workers=None):
     """Classify a grid of initial conditions; rows ordered by cell index.
 
-    The cells are cut into `workers` contiguous blocks, one task per
-    worker process, and each block runs in lock-step (`_Block`); with one
-    worker the whole grid is one block in this process.  Every row is bit
-    for bit the cell's own `iterate`, so the table is independent of the
-    worker count.  `workers` defaults to `default_workers()`; below 1 is a
-    ValueError.  A start that `quadratic.check_start` refuses is its
-    DomainError, raised before any block runs.
+    The cells are cut into `workers` contiguous blocks, each run in
+    lock-step (`_Block`): this process runs the first, and a forked worker
+    process each other one, sending its rows back through a pipe.  Every
+    row is bit for bit the cell's own `iterate`, so the table is independent
+    of the worker count.  `workers` defaults to `default_workers()`; below 1
+    is a ValueError.  A start that `quadratic.check_start` refuses is its
+    DomainError, raised before any block runs.  A worker's exception is
+    raised here, a worker that dies without sending is a RuntimeError naming
+    its exit code, and no worker outlives the call.
     """
     workers = default_workers() if workers is None else workers
     if workers < 1:
@@ -606,12 +617,39 @@ def sweep(tau0_values, delta0_values, cfg, max_steps, workers=None):
         return _sweep_block((cells, cfg, max_steps))
     cuts = [len(cells) * i // parts for i in range(parts + 1)]
     tasks = [(cells[lo:hi], cfg, max_steps) for lo, hi in zip(cuts, cuts[1:])]
-    # imported here: loading the pool machinery costs every import of the
+    # imported here: loading the process machinery costs every import of the
     # package, and only a sweep on more than one worker uses it
-    from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing
 
-    with ProcessPoolExecutor(max_workers=parts) as pool:
-        return [row for rows in pool.map(_sweep_block, tasks) for row in rows]
+    children = []
+    try:
+        for task in tasks[1:]:
+            recv, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_sweep_child, args=(send, task), daemon=True)
+            child.start()
+            children.append((child, recv))
+            # only the child holds the write end now: no later child inherits
+            # it, and a child that dies without sending is EOFError below
+            send.close()
+        rows = _sweep_block(tasks[0])
+        for child, recv in children:
+            try:
+                ok, result = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"sweep worker died with exit code {child.exitcode}") from None
+            if not ok:
+                raise result
+            rows += result
+        return rows
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
 
 
 def sweep_to_csv(rows, n):

@@ -760,14 +760,18 @@ start = DeltaState(n=4, tau=10.0, delta=np.array([0.05, -0.01]))
 
 class TestProcessFootprint:
     def test_import_loads_no_process_pool(self):
-        # only a sweep on more than one worker starts a process pool, so an
-        # import leaves its machinery unloaded
+        # only a sweep on more than one worker starts processes, so an import
+        # leaves their machinery unloaded; the sweep forks plain processes,
+        # so even then no executor is loaded
         out = _fresh_interpreter("""
 import sys
 import blowuplab
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")))
+import numpy as np
+blowuplab.sweep([10.0, 20.0], [np.zeros(2)], blowuplab.MapConfig(n=4, C_gamma=0.0), 3, workers=2)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "concurrent"))
 """)
-        assert out == "[]"
+        assert out == "[]\n[]"
 
     def test_no_scipy_import(self):
         # nothing the package computes loads scipy, so an import and a first

@@ -233,6 +233,9 @@ class TestCheckMoments:
             (-1.0, [-0.5, -0.4], 0.0, [0.0, 0.0], "sum of B_i must equal B"),
             (-1.0, [-0.5, -0.5], 0.1, [0.0, 0.0], "sum of C_i must equal C"),
             (1.0, [0.5, 0.5], 0.0, [0.0, 0.0], "B moments are integrals of -chi"),
+            # a NaN moment fails the checks, though NaN > tol and NaN < 0 are both False
+            (math.nan, [math.nan, -1.0], 0.0, [0.0, 0.0], "sum of B_i must equal B"),
+            (-1.0, [-0.5, -0.5], math.nan, [0.0, 0.0], "sum of C_i must equal C"),
         ],
     )
     def test_defect_raises(self, b, b_i, c, c_i, message):
@@ -252,6 +255,11 @@ def _one_negative(cols):
     cols[..., 2] *= -1.0
 
 
+def _one_nan(cols):
+    """Column 2 is NaN."""
+    cols[..., 2] = math.nan
+
+
 class TestComputedCheck:
     """The check of the kernel's columns on the computed path, fed defective columns."""
 
@@ -260,6 +268,7 @@ class TestComputedCheck:
         [
             (_unbalanced, "sum of B_i must equal B"),
             (_one_negative, "B moments are integrals of -chi"),
+            (_one_nan, "sum of B_i must equal B"),
         ],
     )
     def test_defect_raises(self, monkeypatch, defect, message):

@@ -1,6 +1,10 @@
+import contextlib
 import dataclasses
 import math
+import multiprocessing
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -467,6 +471,30 @@ class TestIterate:
         assert man["tau_monotone"] is True
 
 
+# the failure-path tests patch the package in this process and rely on the
+# sweep's workers inheriting the patch, which only a forked worker does
+_FORKED = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="sweep workers are not forked, so they would not see the test's monkeypatch",
+)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the body once it has run `seconds`, so that a hang fails the test."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestSweep:
     def test_single_cell(self):
         cfg = cfg4()
@@ -483,13 +511,14 @@ class TestSweep:
 
     def test_pool_forks_from_warm_caches(self):
         # workers forked from a parent with cold caches fill their own
-        # zero-delta columns, and the rows match a serial run
+        # zero-delta columns, and the rows match a serial run; the caller's
+        # own block fills the one entry of the parent's cache
         cfg = cfg4()
         moments._zero_columns.cache_clear()
         taus = [10.0, 20.0]
         deltas = [np.array([0.05, 0.0]), np.array([0.02, -0.01])]
         parallel = renorm.sweep(taus, deltas, cfg, 10, workers=2)
-        assert moments._zero_columns.cache_info().currsize == 0
+        assert moments._zero_columns.cache_info().currsize == 1
         assert parallel == renorm.sweep(taus, deltas, cfg, 10, workers=1)
 
     def test_permutation_symmetric_classifications(self):
@@ -523,6 +552,54 @@ class TestSweep:
                 renorm.sweep([10.0, tau0], [np.zeros(2)], cfg, 5, workers=workers)
         with pytest.raises(DomainError, match="length n-2 = 2 and finite entries"):
             renorm.sweep([10.0], [np.zeros(2), np.array([math.nan, 0.0])], cfg, 5, workers=workers)
+
+    # a grid of three cells, one block each: the caller runs tau0 = 30 and
+    # the workers tau0 = 7 and 8, values the caller's tau never takes
+    TAUS = [30.0, 7.0, 8.0]
+
+    @_FORKED
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        advance = renorm._advance
+
+        def failing(tau, delta, cfg, rng=None):
+            if (tau == 7.0).any():
+                raise EvaluationError("non-finite columns in block 1")
+            return advance(tau, delta, cfg, rng)
+
+        monkeypatch.setattr(renorm, "_advance", failing)
+        with _deadline(60), pytest.raises(EvaluationError, match="non-finite columns in block 1"):
+            renorm.sweep(self.TAUS, [np.zeros(2)], cfg4(), 5, workers=3)
+        assert multiprocessing.active_children() == []
+
+    @_FORKED
+    def test_caller_error_terminates_workers(self, monkeypatch):
+        advance = renorm._advance
+
+        def failing(tau, delta, cfg, rng=None):
+            if (tau < 10.0).any():
+                time.sleep(600)  # the workers would outlast the deadline
+            if (tau == 30.0).any():
+                raise EvaluationError("non-finite columns in block 0")
+            return advance(tau, delta, cfg, rng)
+
+        monkeypatch.setattr(renorm, "_advance", failing)
+        with _deadline(60), pytest.raises(EvaluationError, match="non-finite columns in block 0"):
+            renorm.sweep(self.TAUS, [np.zeros(2)], cfg4(), 5, workers=3)
+        assert multiprocessing.active_children() == []
+
+    @_FORKED
+    def test_dead_worker_names_exit_code(self, monkeypatch):
+        block, caller = renorm._sweep_block, os.getpid()
+
+        def dying(task):
+            if os.getpid() != caller:
+                os._exit(3)
+            return block(task)
+
+        monkeypatch.setattr(renorm, "_sweep_block", dying)
+        with _deadline(60), pytest.raises(RuntimeError, match="exit code 3"):
+            renorm.sweep(self.TAUS, [np.zeros(2)], cfg4(), 5, workers=3)
+        assert multiprocessing.active_children() == []
 
     def test_csv(self):
         cfg = cfg4()
