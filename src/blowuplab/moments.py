@@ -86,30 +86,34 @@ def analytic_baseline(n):
 def compute_moments(delta, n, order=None):
     """Moment set at delta, with increments against the delta = 0 baseline.
 
-    `moment_block` on a block of one: a delta without n-2 entries is a
-    DomainError here, and the rest is `moment_block`'s.
+    The one test of the moments' domain: a delta without n-2 entries, or
+    not inside |delta| < 1/2 (a NaN entry included), is a DomainError here;
+    the rest is `moment_block` on a block of one.
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=np.float64))
     if delta.shape != (n - 2,):
         raise DomainError(f"delta must have length n-2 = {n - 2}")
-    b, b_i, c, c_i = moment_block(delta[None], n)
+    if not delta_norms(delta) < 0.5:
+        raise DomainError("compute_moments requires |delta| < 1/2")
+    b, b_i, c, c_i = moment_block(normal_form_diagonal(delta[None]))
     return MomentSet(n=n, delta=delta, B=float(b[0]), B_i=b_i[0], C=float(c[0]), C_i=c_i[0])
 
 
-def moment_block(delta, n):
-    """Moments of a stack of deltas (B, n-2), from one kernel call.
+def moment_block(p):
+    """Moments of a stack of normal forms, from one kernel call.
 
-    Returns b (B,), b_i (B, n), c (B,) and c_i (B, n), each row bit for bit
-    what the row alone gives.  B and B_i are one Gil-Pelaez integral
+    `p` (B, n) holds `normal_form_diagonal` of each delta, which the caller
+    has checked lies inside |delta| < 1/2 (`compute_moments` does, and a
+    half-scale step's cells lie in the map's kappa0 ball).  Returns b (B,),
+    b_i (B, n), c (B,) and c_i (B, n), each row bit for bit what the row
+    alone gives.  B and B_i are one Gil-Pelaez integral
     (`sphere.indicator_moment_columns`) at its fixed step in every
     dimension, and the baseline is the same integral at delta = 0, so
-    delta = 0 gives C_i = 0 exactly; C is stored as sum(C_i).  A row not
-    inside |delta| < 1/2 (a NaN entry included) is a DomainError for the
-    stack, and columns that fail `_check_columns` an AssertionError.
+    delta = 0 gives C_i = 0 exactly; C is stored as sum(C_i).  Columns that
+    fail `_check_columns` are an AssertionError for the stack.
     """
-    if not (delta_norms(delta) < 0.5).all():
-        raise DomainError("compute_moments requires |delta| < 1/2")
-    cols = indicator_moment_columns(n, normal_form_diagonal(delta)[:, :-1])
+    n = p.shape[1]
+    cols = indicator_moment_columns(n, p[:, :-1])
     _check_columns(cols)
     b_i = -cols[:, 1:]
     c_i = b_i + _zero_columns(n)[1:]

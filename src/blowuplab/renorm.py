@@ -14,15 +14,17 @@ classifies each cell as converged / escaped / exhausted, the escape
 criterion being leaving the small-delta ball of `MapConfig.in_ball`.  No
 frame rides in the block: a step reports each cell's column order, and only
 `_step_detail`, behind `half_step` and the `map` command, turns it into a
-new frame, `DeltaState` and `MomentSet`; the monotonicity reports and the
-threshold calibration read the block's arrays.  `iterate` is a block of one
-that records every step, `sweep` one block per worker (this process runs
-the first), and `_step_detail` one step of a block of one.  Each cell's
-numbers are bit for bit the same whatever cells share its block.
+new frame, `DeltaState` and `MomentSet`.  `iterate` is a block of one
+that builds its rows and reports in one pass after the run, `sweep` one
+block per worker (this process runs the first), and `_step_detail` one
+step of a block of one.  Each cell's numbers are bit for bit the same
+whatever cells share its block.  Every state a step takes is in the
+frozen config's ball, so inside |delta| < 1/2 where moments are defined.
 """
 
 import math
 import os
+import traceback
 from dataclasses import InitVar, asdict, dataclass, field
 from functools import lru_cache
 
@@ -46,11 +48,13 @@ from .sphere import philox, seed_key
 NOISE_MODES = ("off", "random", "adversarial")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MapConfig:
     """Configuration of the half-scale map; a field out of its domain is a DomainError.
 
-    c_noise, tol_conv and a C_gamma other than None must be finite, the seed an integer in [0, 2^64)."""
+    c_noise, tol_conv and a C_gamma other than None must be finite, the seed
+    an integer in [0, 2^64).  Frozen, so a config checked once stays valid:
+    its kappa0 ball lies inside |delta| < 1/2 for the object's whole life."""
 
     n: int
     gamma: float = 0.1
@@ -169,25 +173,25 @@ class _Step:
 def _advance(tau, delta, cfg, rng=None):
     """One half-scale step for a block of cells: tau (B,), delta (B, n-2).
 
-    All cells' moments come from one kernel call and the rest is array
-    arithmetic on the block; no object is built per cell.  Callers step
-    only cells inside `cfg`'s ball, so inside |delta| < 1/2 where the
-    moments are defined; a cell outside that is `moment_block`'s DomainError
-    for the block.  The step reports two errors per cell, each in `failed`
-    for its cell alone and in this order of precedence: tau <= 1, a
-    DomainError, and a new diagonal with no negative value, a
-    DegeneracyError.  Kernel columns that fail `moment_block`'s check raise
-    AssertionError for the block.  `rng` is the block's random-noise
-    generator, drawn once.
+    Precondition, which the step does not test: `cfg.in_ball(delta)` on
+    every row, so |delta| < 1/2 where the moments are defined.  One kernel
+    call gives all cells' moments and the rest is array arithmetic on the
+    block, from one normal-form diagonal.  The step reports two errors per
+    cell, each in `failed` for its cell alone and in this order of
+    precedence: tau <= 1, a DomainError, and a new diagonal with no
+    negative value, a DegeneracyError.  Kernel columns that fail
+    `moment_block`'s check raise AssertionError for the block.  `rng` is
+    the block's random-noise generator, drawn once.
     """
     n = cfg.n
-    b, b_i, c, c_i = moment_block(delta, n)
+    p = normal_form_diagonal(delta)
+    b, b_i, c, c_i = moment_block(p)
     # the correction q = block / (n+2) (`correction.from_fourier_block`) at
     # scale 1/2 is q ln(1/2) (`correction.scale_projection`)
     z = fourier_diagonal(b, b_i, n) * (1.0 / (n + 2)) * math.log(0.5)
     xi = _noise_diagonal(tau, delta, cfg, rng)
 
-    diag = tau[:, None] * normal_form_diagonal(delta) + z + xi
+    diag = tau[:, None] * p + z + xi
     diag -= diag.sum(axis=1, keepdims=True) / n  # the rounding-level trace of the sum
     order = np.argsort(diag, axis=1, kind="stable")
     tau_new, delta_new, defect, failed = normal_forms(diag[np.arange(tau.shape[0])[:, None], order])
@@ -357,12 +361,6 @@ def _predicates(tau, d0, d1, sum_ci, cfg):
     return regime, threshold, exceeds, sign * before, sign * after, claim, neg
 
 
-def _report(tau, d0, d1, sum_ci, cfg):
-    """The `MonotonicityReport` of a block of one step (see `_predicates`)."""
-    fields = (value.tolist()[0] for value in _predicates(tau, d0, d1, sum_ci, cfg))
-    return MonotonicityReport(float(sum_ci[0]), *fields)
-
-
 def check_monotonicity(state, next_state, cfg, moments_at_state=None):
     """Evaluate the ratio-growth predicates between consecutive states.
 
@@ -370,13 +368,14 @@ def check_monotonicity(state, next_state, cfg, moments_at_state=None):
     strictly increases once max(delta) exceeds C_gamma tau^-gamma, and that
     a negative minimal entry's ratio strictly decreases; the mirrored
     regime reverses the inequalities.  It reads the states' tau and delta
-    only, as one row of the arrays `iterate` and the calibration evaluate;
-    the moments at `state` are computed when not given.
+    only: `_predicates` on one row, bit for bit the row `iterate` records
+    for the step; the moments at `state` are computed when not given.
     """
     m = moments_at_state or compute_moments(state.delta, cfg.n)
-    return _report(
+    fields = _predicates(
         np.array([float(state.tau)]), state.delta[None], next_state.delta[None], np.array([m.C]), cfg
     )
+    return MonotonicityReport(float(m.C), *(value.tolist()[0] for value in fields))
 
 
 def calibrate_threshold_constant(n, gamma, kappa0=MapConfig.kappa0):
@@ -490,68 +489,57 @@ def iterate(state0, cfg, max_steps, record_monotonicity=False):
     """Iterate the half-scale map, recording and classifying the trajectory.
 
     The run is a block of one (see `_Block.run` for the classification
-    rule), recorded step by step.  Classification: "escaped" at step 0 when
-    `state0` is outside the kappa0 ball of `cfg.in_ball`, and at the step
-    that leaves it otherwise; "converged" when the per-step delta movement
-    summed over the last quarter of the run stays below tol_conv (with the
-    partial sums' domination constant against sum tau_k^(-1-gamma) fitted
-    and recorded); "exhausted" otherwise.  Each row's `cum_abs_ddelta` is
-    the block's `cum` after that step, and the fit reads those partial sums.
+    rule).  Classification: "escaped" at step 0 when `state0` is outside the
+    kappa0 ball of `cfg.in_ball`, and at the step that leaves it otherwise;
+    "converged" when the per-step delta movement summed over the last
+    quarter of the run stays below tol_conv (with the partial sums'
+    domination constant against sum tau_k^(-1-gamma) fitted and recorded);
+    "exhausted" otherwise.
 
-    The step that leaves the ball is recorded like every other step, with
-    its row and, when asked for, its monotonicity report, read from the row
-    before it and the step's arrays with the moments the step computed; the
-    run then ends as "escaped".  The two errors a step reports for its cell
-    (tau <= 1 and no negative value) end the run as "exhausted" with the
-    message in `rec.error`.  Exceptions, such as EvaluationError, numpy's
-    LinAlgError or the AssertionError of a moment set that fails its
-    checks, propagate to the caller, and so does the DomainError of a state
-    whose dimension is not cfg.n.
+    Each step keeps its tau, delta, defect, sum(C_i) and the block's `cum`;
+    after the run the rows (row 0 the start), their ratios (one
+    `delta_ratios` call), the monotonicity reports when asked for (one
+    `_predicates` call, each bit for bit `check_monotonicity`) and the fit
+    come from those lists.  The step that leaves the ball is recorded like
+    every other step; the run then ends as "escaped".  The two errors a
+    step reports for its cell (tau <= 1 and no negative value) end the run
+    as "exhausted" with the message in `rec.error`.  Exceptions, such as
+    EvaluationError, numpy's LinAlgError or the AssertionError of moments
+    that fail their checks, propagate to the caller, and so does the
+    DomainError of a state whose dimension is not cfg.n.
     """
     if state0.n != cfg.n:
         raise DomainError("state and config dimensions differ")
-    rec = TrajectoryRecord(config=cfg, monotonicity=[] if record_monotonicity else None)
-    rec.steps.append(
-        StepRow(
-            k=0,
-            tau=state0.tau,
-            delta=state0.delta.copy(),
-            ratio=state0.ratio(),
-            cum_abs_ddelta=0.0,
-            defect=state0.consistency_defect,
-        )
-    )
     block = _Block([state0.tau], state0.delta[None], cfg)
+    # one entry a recorded state, the start first; sum_ci one a step
+    taus, deltas, cums, defects = [state0.tau], [state0.delta], [0.0], [state0.consistency_defect]
+    sum_ci = []
 
     def record(k, cells, step):
-        before = rec.steps[-1]
-        rec.steps.append(
-            StepRow(
-                k=k,
-                tau=float(step.tau[0]),
-                delta=step.delta[0].copy(),
-                ratio=float(delta_ratios(step.delta)[0]),
-                cum_abs_ddelta=float(block.cum[0]),
-                defect=float(step.defect[0]),
-            )
-        )
-        if record_monotonicity:
-            rec.monotonicity.append(
-                _report(np.array([before.tau]), before.delta[None], step.delta, step.c, cfg)
-            )
+        taus.append(float(step.tau[0]))
+        deltas.append(step.delta[0])
+        cums.append(float(block.cum[0]))
+        defects.append(float(step.defect[0]))
+        sum_ci.append(float(step.c[0]))
 
     block.run(max_steps, record)
+    tau, deltas = np.array(taus), np.array(deltas)
+    rows = zip(taus, deltas, delta_ratios(deltas).tolist(), cums, defects)
+    rec = TrajectoryRecord(cfg, error=block.error[0], tau_monotone=bool(block.tau_monotone[0]))
+    rec.steps = [StepRow(k, *row) for k, row in enumerate(rows)]
+    rec.monotonicity = [] if record_monotonicity else None
+    if record_monotonicity and sum_ci:  # a run with no step calibrates nothing
+        fields = _predicates(tau[:-1], deltas[:-1], deltas[1:], np.array(sum_ci), cfg)
+        rows = zip(sum_ci, *(value.tolist() for value in fields))
+        rec.monotonicity = [MonotonicityReport(*row) for row in rows]
     kind, step = block.kind[0], block.step[0]
-    rec.error = block.error[0]
-    rec.tau_monotone = bool(block.tau_monotone[0])
     if kind == "escaped" or rec.error is not None:
         rec.classification = Classification(kind=kind, step=step)
         return rec
 
-    bounds = np.cumsum(rec.taus()[:-1] ** (-1.0 - cfg.gamma))
-    partials = np.array([row.cum_abs_ddelta for row in rec.steps[1:]])
+    bounds = np.cumsum(tau[:-1] ** (-1.0 - cfg.gamma))
     with np.errstate(divide="ignore", invalid="ignore"):
-        fitted = float(np.max(partials / bounds))
+        fitted = float(np.max(np.array(cums[1:]) / bounds))
     delta_inf = block.delta[0].copy() if kind == "converged" else None
     rec.classification = Classification(kind=kind, step=step, delta_inf=delta_inf, fitted_C=fitted)
     return rec
@@ -577,12 +565,17 @@ def _sweep_block(args):
     ]
 
 
+class _WorkerTraceback(Exception):
+    """A sweep worker's traceback as text (a pickled exception loses its own), raised as the
+    cause of the worker's exception, as `concurrent.futures` raises its `_RemoteTraceback`."""
+
+
 def _sweep_child(send, task):
-    """A worker process's body: send (True, rows) of its block, or (False, exc) if the block raises."""
+    """A worker process's body: send (True, rows) of its block, or (False, (exc, its traceback))."""
     try:
         result = True, _sweep_block(task)
     except Exception as exc:  # the caller re-raises it
-        result = False, exc
+        result = False, (exc, traceback.format_exc())
     send.send(result)
 
 
@@ -603,7 +596,8 @@ def sweep(tau0_values, delta0_values, cfg, max_steps, workers=None):
     of the worker count.  `workers` defaults to `default_workers()`; below 1
     is a ValueError.  A start that `quadratic.check_start` refuses is its
     DomainError, raised before any block runs.  A worker's exception is
-    raised here, a worker that dies without sending is a RuntimeError naming
+    raised here, caused by a `_WorkerTraceback` with the worker's traceback
+    as text; a worker that dies without sending is a RuntimeError naming
     its exit code, and no worker outlives the call.
     """
     workers = default_workers() if workers is None else workers
@@ -639,7 +633,8 @@ def sweep(tau0_values, delta0_values, cfg, max_steps, workers=None):
                 child.join()
                 raise RuntimeError(f"sweep worker died with exit code {child.exitcode}") from None
             if not ok:
-                raise result
+                exc, text = result
+                raise exc from _WorkerTraceback(text)
             rows += result
         return rows
     except BaseException:

@@ -14,6 +14,8 @@ from blowuplab.errors import DegeneracyError, DomainError, EscapeError, Evaluati
 from blowuplab.quadratic import (
     DeltaState,
     HarmonicQuadratic,
+    delta_norms,
+    delta_ratios,
     diagonalize,
     make_p_delta,
     normal_form_diagonal,
@@ -567,9 +569,16 @@ class TestSweep:
             return advance(tau, delta, cfg, rng)
 
         monkeypatch.setattr(renorm, "_advance", failing)
-        with _deadline(60), pytest.raises(EvaluationError, match="non-finite columns in block 1"):
+        with _deadline(60), pytest.raises(
+            EvaluationError, match="non-finite columns in block 1"
+        ) as info:
             renorm.sweep(self.TAUS, [np.zeros(2)], cfg4(), 5, workers=3)
         assert multiprocessing.active_children() == []
+        # the worker's traceback rides along as the cause, down to the raising line
+        cause = info.value.__cause__
+        assert isinstance(cause, renorm._WorkerTraceback)
+        assert ", in failing\n" in str(cause)
+        assert "non-finite columns in block 1" in str(cause)
 
     @_FORKED
     def test_caller_error_terminates_workers(self, monkeypatch):
@@ -761,6 +770,155 @@ class TestIterateErrors:
     def test_other_errors_propagate(self, monkeypatch, exc):
         with pytest.raises(type(exc)):
             self._run(monkeypatch, exc)
+
+
+class TestStepOnce:
+    """`_advance` takes each step quantity once and does not test its rows'
+    domain: every caller steps only states in the config's ball, so inside
+    |delta| < 1/2 where the moments are defined."""
+
+    @pytest.fixture
+    def stepped(self, monkeypatch):
+        """Each `_advance` call's (rows, all in the ball, all inside |delta| < 1/2)."""
+        calls = []
+        advance = renorm._advance
+
+        def checked(tau, delta, cfg, rng=None):
+            calls.append((len(delta), cfg.in_ball(delta).all(), (delta_norms(delta) < 0.5).all()))
+            return advance(tau, delta, cfg, rng)
+
+        monkeypatch.setattr(renorm, "_advance", checked)
+        return calls
+
+    @staticmethod
+    def _all_inside(calls):
+        assert calls and all(inside and half for _, inside, half in calls)
+
+    def test_iterate_escaping_mid_run(self, stepped):
+        rec = renorm.iterate(DeltaState(n=4, tau=10.0, delta=np.array([0.185, 0.0])), cfg4(), 40)
+        assert rec.classification.kind == "escaped" and rec.classification.step >= 1
+        assert len(stepped) == rec.classification.step
+        self._all_inside(stepped)
+
+    def test_sweep_escaping_at_start_and_mid_run(self, stepped):
+        taus, deltas = _lockstep_grid(4)
+        rows = renorm.sweep(taus, deltas, cfg4(), 40, workers=1)
+        ends = {(row["classification"], min(row["step"], 2)) for row in rows}
+        assert {("escaped", 0), ("escaped", 2), ("exhausted", 1)} <= ends
+        self._all_inside(stepped)
+
+    def test_single_steps(self, stepped):
+        state = DeltaState(n=4, tau=10.0, delta=np.array([0.05, -0.02]))
+        renorm.half_step(state, cfg4())
+        renorm._step_detail(state, cfg4())
+        outside = DeltaState(n=4, tau=10.0, delta=np.array([0.45, 0.0]))
+        for step in (renorm.half_step, renorm._step_detail):
+            with pytest.raises(DomainError, match="kappa0 ball"):
+                step(outside, cfg4())
+        assert len(stepped) == 2
+        self._all_inside(stepped)
+
+    @pytest.mark.parametrize("kappa0", [0.1, 0.5])
+    def test_cold_calibration(self, stepped, kappa0):
+        renorm.calibrate_threshold_constant.cache_clear()
+        try:
+            for n in range(3, 7):
+                renorm.calibrate_threshold_constant(n, 0.1, kappa0)
+        finally:
+            renorm.calibrate_threshold_constant.cache_clear()
+        assert len(stepped) == 4
+        self._all_inside(stepped)
+
+    def test_random_noise(self, stepped):
+        cfg = renorm.MapConfig(n=4, C_gamma=0.0, noise="random", c_noise=0.5, seed=3)
+        renorm.iterate(DeltaState(n=4, tau=3.0, delta=np.array([0.12, 0.0])), cfg, 40)
+        taus, deltas = _lockstep_grid(4)
+        renorm.sweep(taus, deltas, cfg, 40, workers=1)
+        self._all_inside(stepped)
+
+    def test_config_is_frozen(self):
+        # a config's ball is checked once, at construction, and stays inside |delta| <= 1/2
+        cfg = cfg4()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.kappa0 = 0.9
+        assert cfg.kappa0 == 0.2
+
+    def test_call_counts(self, monkeypatch):
+        calls = {}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (renorm, moments):
+            counted(module, "normal_form_diagonal")
+            counted(module, "delta_norms")
+        counted(renorm, "delta_ratios")
+        counted(renorm, "_predicates")
+        state = DeltaState(n=4, tau=10.0, delta=np.array([0.01, -0.005]))
+        rec = renorm.iterate(state, cfg4(C_gamma=0.05), 20, record_monotonicity=True)
+        assert len(rec.steps) == 21 and len(rec.monotonicity) == 20
+        assert calls == {
+            "normal_form_diagonal": 20,  # one a step
+            "delta_norms": 2 * 20 + 1,  # a step's ball test and increment, and the start's
+            "delta_ratios": 1,  # one a run
+            "_predicates": 1,
+        }
+
+
+def _assert_rows_are_public(rec, cfg):
+    """Each recorded ratio is `delta_ratios` of its row, and each recorded
+    report `check_monotonicity` of its step's two states, bit for bit."""
+    steps = rec.steps
+    assert len(rec.monotonicity) == len(steps) - 1
+    for k, row in enumerate(steps):
+        assert repr(row.ratio) == repr(delta_ratios(row.delta[None])[0].item())
+        if k:
+            before = DeltaState(cfg.n, steps[k - 1].tau, steps[k - 1].delta)
+            after = DeltaState(cfg.n, row.tau, row.delta)
+            public = renorm.check_monotonicity(before, after, cfg)
+            assert repr(rec.monotonicity[k - 1]) == repr(public)
+
+
+class TestRecordedRows:
+    """`iterate` builds its ratios and reports in one pass after the run; each
+    row is bit for bit what the public one-row functions give."""
+
+    @pytest.mark.parametrize("noise", renorm.NOISE_MODES)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_rows_equal_public_predicates(self, n, noise, monkeypatch):
+        cfg = renorm.MapConfig(n=n, noise=noise, c_noise=0.0 if noise == "off" else 0.5, seed=7)
+        mixed = np.linspace(0.03, -0.02, n - 2)
+        runs = [(10.0, mixed), (10.0, -mixed)]
+        if n > 2:  # two that leave the ball, in either regime
+            runs += [(10.0, np.eye(n - 2)[0] * 0.185), (10.0, np.eye(n - 2)[0] * -0.185)]
+        kinds = set()
+        for tau0, delta0 in runs:
+            rec = renorm.iterate(DeltaState(n, tau0, delta0), cfg, 30, record_monotonicity=True)
+            kinds.add(rec.classification.kind)
+            _assert_rows_are_public(rec, cfg)
+        if n > 2:
+            assert "escaped" in kinds
+        # a DegeneracyError on step 4 ends the run as exhausted after three recorded steps
+        advance, taken = renorm._advance, []
+
+        def degenerate(tau, delta, cfg, rng=None):
+            taken.append(1)
+            step = advance(tau, delta, cfg, rng)
+            if len(taken) == 4:
+                step = dataclasses.replace(step, failed={0: DegeneracyError("tie")})
+            return step
+
+        monkeypatch.setattr(renorm, "_advance", degenerate)
+        rec = renorm.iterate(DeltaState(n, 10.0, mixed), cfg, 30, record_monotonicity=True)
+        assert (rec.classification.kind, rec.classification.step) == ("exhausted", 4)
+        assert len(rec.steps) == 4
+        _assert_rows_are_public(rec, cfg)
 
 
 class TestResultTables:
