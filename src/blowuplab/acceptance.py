@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import correction, gridproj, moments, renorm, sphere
-from .quadratic import DeltaState, make_p_delta
-
-LN2_OVER_2PI = math.log(2.0) / (2.0 * math.pi)
+from .correction import LN2_OVER_2PI
+from .quadratic import DeltaState
 
 
 @dataclass
@@ -63,11 +62,11 @@ def _seed(label):
 
 
 @_criterion("A1", "surface measure", "surface measure weights")
-def a1_surface_measure(order=16):
+def a1_surface_measure():
     """Sum of product-rule weights equals |S^{n-1}| to 1e-10 for n = 2..6."""
     worst = 0.0
     for n in range(2, 7):
-        rule = sphere.build_rule(n, order)
+        rule = sphere.build_rule(n, 16)
         rel = abs(rule.weights().sum() / sphere.surface_area(n) - 1.0)
         worst = max(worst, rel)
     return worst <= 1e-10, f"max rel err {worst:.2e} (tol 1e-10)"
@@ -92,22 +91,9 @@ def a2_zero_delta_moments():
 
 
 @_criterion("A3", "2-D oracle", "fourier2d oracle reconstruction projection")
-def a3_two_dimensional_oracle(max_degree=40, n_points=100):
+def a3_two_dimensional_oracle():
     """Degree-40 reconstruction vs the closed form, and the r = 1/2 projection."""
-    p_rot = np.array([[0.0, 0.5], [0.5, 0.0]])
-    from .quadratic import HarmonicQuadratic
-
-    dec = correction.fourier_series_2d(HarmonicQuadratic(2, p_rot), max_degree)
-    rng = sphere.philox(_seed("a3-points"))
-    angles = rng.uniform(0.0, 2.0 * math.pi, n_points)
-    radii = np.sqrt(rng.uniform(0.0, 1.0, n_points))
-    radii = np.maximum(radii, 1e-3)
-    pts = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
-    recon_err = float(
-        np.abs(correction.reconstruct(dec, pts) - correction.explicit_solution_2d(pts)).max()
-    )
-
-    proj = correction.scale_projection(dec, 0.5)
+    dec, recon_err, proj = correction.oracle_check("rotated", 40, 100, _seed("a3-points"))
     err_rot = abs(proj.coeff[0, 1] - LN2_OVER_2PI) + abs(proj.coeff[0, 0])
 
     m0 = moments.compute_moments(np.zeros(0), 2)
@@ -187,10 +173,10 @@ def a5_quartic_matrix():
 
 
 @_criterion("A6", "inner-slab asymptotic", "inner-slab asymptotic")
-def a6_inner_slab(mu=0.1):
+def a6_inner_slab():
     """Inner-slab numeric vs leading asymptotic at kappa = 1e-4, 1e-6."""
-    r4 = moments.inner_slab_integral(1e-4, mu)
-    r6 = moments.inner_slab_integral(1e-6, mu)
+    r4 = moments.inner_slab_integral(1e-4, 0.1)
+    r6 = moments.inner_slab_integral(1e-6, 0.1)
     q4 = r4.numeric / r4.asymptotic
     q6 = r6.numeric / r6.asymptotic
     bracket_ok = 0.85 <= q4 <= 1.15 and 0.85 <= q6 <= 1.15
@@ -224,10 +210,10 @@ def a7_fixed_point():
 
 
 @_criterion("A8", "dichotomy", "dichotomy convergence escape")
-def a8_dichotomy(gamma=0.1, max_steps=200):
+def a8_dichotomy():
     """Convergence below the calibrated threshold, escape with growing ratio above."""
     t0 = time.time()  # for the 300 s cap
-    n = 4
+    n, gamma, max_steps = 4, 0.1, 200
     cfg = renorm.MapConfig(n=n, gamma=gamma)
     c_gamma = cfg.effective_C_gamma()
 
@@ -263,13 +249,8 @@ def a8_dichotomy(gamma=0.1, max_steps=200):
 @_criterion("A9", "grid-vs-analytic", "grid projection refinement")
 def a9_grid_consistency():
     """Grid half-step against the analytic correction projection."""
-    p0 = make_p_delta(2, np.zeros(0))
     target = np.diag([LN2_OVER_2PI, -LN2_OVER_2PI])
-
-    def u(pts):
-        quad = 10.0 * np.einsum("ij,pi,pj->p", p0.coeff, pts, pts)
-        return quad + correction.explicit_solution_2d(pts, frame="axis")
-
+    u = correction.synthetic_solution("p0-plus-ztilde", 10.0)
     errs = {}
     for h in (1 / 32, 1 / 64, 1 / 128, 1 / 256):
         fld = gridproj.SampledField.from_function(u, 2, h, 1.0 + 5 * h)
@@ -290,8 +271,9 @@ def a9_grid_consistency():
 
 
 @_criterion("A10", "oracle agreement", "monte carlo oracle agreement")
-def a10_oracle_agreement(samples=10**6):
+def a10_oracle_agreement():
     """Every quadrature moment used in A2/A4/A7 vs Monte Carlo within 3 sigma."""
+    samples = 10**6
     configs = [(n, np.zeros(n - 2)) for n in range(2, 7)]
     for n in (3, 4):
         for s in (1e-3, 1e-4, 1e-5):

@@ -14,7 +14,6 @@ import dataclasses
 import functools
 import io
 import json
-import math
 import platform
 import sys
 from pathlib import Path
@@ -29,10 +28,9 @@ from . import (
     gridproj,
     moments,
     renorm,
-    sphere,
 )
 from .errors import EvaluationError
-from .quadratic import DeltaState, HarmonicQuadratic, make_p_delta
+from .quadratic import DeltaState
 
 
 def _parse_delta(text, n):
@@ -324,25 +322,11 @@ def _cmd_fourier2d(args, parser):
         parser.error("max-degree must be >= 2")
     if args.points < 1:
         parser.error("points must be >= 1")
+    dec, err, proj = correction.oracle_check(args.frame, args.max_degree, args.points, args.seed)
     if args.frame == "rotated":
-        p = HarmonicQuadratic(2, np.array([[0.0, 0.5], [0.5, 0.0]]))
-        expected = ("x1*x2", math.log(2.0) / math.pi)
+        expected = ("x1*x2", 2.0 * correction.LN2_OVER_2PI)
     else:
-        p = make_p_delta(2, np.zeros(0))
-        expected = ("x1^2-x2^2", math.log(2.0) / (2.0 * math.pi))
-    dec = correction.fourier_series_2d(p, args.max_degree)
-    rng = sphere.philox(args.seed)
-    angles = rng.uniform(0.0, 2.0 * math.pi, args.points)
-    radii = np.sqrt(rng.uniform(0.0, 1.0, args.points))
-    pts = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
-    frame = args.frame
-    err = float(
-        np.abs(
-            correction.reconstruct(dec, pts)
-            - correction.explicit_solution_2d(pts, frame=frame)
-        ).max()
-    )
-    proj = correction.scale_projection(dec, 0.5)
+        expected = ("x1^2-x2^2", correction.LN2_OVER_2PI)
     out = {
         "frame": args.frame,
         "max_degree": args.max_degree,
@@ -366,14 +350,7 @@ def _cmd_project_grid(args, parser):
         radius = args.radius
         if radius is None:  # --r's, so a refused --r is named as itself
             radius = gridproj.positive("r", args.r) + 5 * args.h
-
-        def synthetic(pts):
-            if args.synthetic == "ztilde":
-                return correction.explicit_solution_2d(pts)
-            p0 = make_p_delta(2, np.zeros(0))
-            base = args.tau0 * np.einsum("ij,pi,pj->p", p0.coeff, pts, pts)
-            return base + correction.explicit_solution_2d(pts, frame="axis")
-
+        synthetic = correction.synthetic_solution(args.synthetic, args.tau0)
         field = gridproj.SampledField.from_function(synthetic, 2, args.h, radius)
     results = {}
     scales = [args.r, args.r / 2.0] if args.half_step else [args.r]

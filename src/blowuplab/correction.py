@@ -22,7 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadratic import HarmonicQuadratic
+from .quadratic import HarmonicQuadratic, make_p_delta
+from .sphere import philox
+
+LN2_OVER_2PI = math.log(2.0) / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,8 @@ def fourier_series_2d(p, max_degree):
     set of a quadratic on the circle is a pair of antipodal arcs), the
     degree-2 pair becomes q and every other degree a bounded-part term
     with coefficient a_k/((n+k)(2-k)).  The truncation tail is estimated
-    from the 1/k coefficient decay and reported.
+    from the 1/k coefficient decay and reported: D sum_{k>K} 1/(k(k-2)(k+2))
+    with |a_k| <= D/k, which telescopes to the closed form below.
     """
     if p.n != 2:
         raise DomainError("full series reconstruction is implemented for n = 2")
@@ -147,9 +151,8 @@ def fourier_series_2d(p, max_degree):
                 decay = max(decay, abs(a_k) * k)
             if a_k != 0.0:
                 terms.append(PhiTerm(k, kind, a_k / float((2 + k) * (2 - k))))
-    tail = decay * sum(
-        1.0 / (k * abs((2 + k) * (2 - k))) for k in range(max_degree + 1, 4000)
-    )
+    K = max_degree
+    tail = decay * (1.0 / (K - 1) + 1.0 / K - 1.0 / (K + 1) - 1.0 / (K + 2)) / 8.0
     q = HarmonicQuadratic(2, q_mat / 4.0)
     return CorrectionDecomposition(n=2, q=q, phi_terms=tuple(terms), tail_bound=tail)
 
@@ -207,3 +210,39 @@ def explicit_solution_2d(points, frame="rotated"):
     vals = (w - math.pi * r2 + 8.0 * a * b) / (8.0 * math.pi)
     vals = np.where(r2 > 0.0, vals, 0.0)
     return float(vals[0]) if single else vals
+
+
+def oracle_check(frame, max_degree, points, seed):
+    """The plane's oracle: the series of -chi_{p>0} against the closed form.
+
+    p is x1 x2 for frame="rotated" and x1^2 - x2^2 for frame="axis"; the
+    degree-`max_degree` series is compared with `explicit_solution_2d` at
+    `points` points drawn uniformly from the unit disk by `philox(seed)`.
+    Returns the decomposition, the largest pointwise error and the
+    projection at scale 1/2.  An unknown frame is a DomainError.
+    """
+    if frame not in ("rotated", "axis"):
+        raise DomainError("frame must be 'rotated' or 'axis'")
+    p = np.array([[0.0, 0.5], [0.5, 0.0]]) if frame == "rotated" else np.diag([1.0, -1.0])
+    dec = fourier_series_2d(HarmonicQuadratic(2, p), max_degree)
+    rng = philox(seed)
+    angles = rng.uniform(0.0, 2.0 * math.pi, points)
+    radii = np.sqrt(rng.uniform(0.0, 1.0, points))
+    pts = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
+    err = float(np.abs(reconstruct(dec, pts) - explicit_solution_2d(pts, frame=frame)).max())
+    return dec, err, scale_projection(dec, 0.5)
+
+
+def synthetic_solution(name, tau0):
+    """The field function of a sampled test solution in the plane.
+
+    "ztilde" is `explicit_solution_2d`; "p0-plus-ztilde" is
+    tau0 * p0 + the axis-frame correction, with p0 = x1^2 - x2^2.  An
+    unknown name is a DomainError.
+    """
+    if name == "ztilde":
+        return explicit_solution_2d
+    if name != "p0-plus-ztilde":
+        raise DomainError("synthetic solution must be 'ztilde' or 'p0-plus-ztilde'")
+    p0 = make_p_delta(2, np.zeros(0))
+    return lambda pts: tau0 * p0(pts) + explicit_solution_2d(pts, frame="axis")

@@ -24,10 +24,9 @@ class CoverageError(BlowupLabError, ValueError):
 class EscapeError(BlowupLabError, RuntimeError):
     """A trajectory left the small-delta ball where the half-scale map is defined."""
 
-    def __init__(self, message, state=None, step=None):
+    def __init__(self, message, state=None):
         super().__init__(message)
         self.state = state
-        self.step = step
 
 
 class QuadratureConvergenceWarning(UserWarning):

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CoverageError, DomainError, ConditioningWarning, EvaluationError
+from .moments import csv_table
 from .quadratic import HarmonicQuadratic
 
 
@@ -67,16 +68,15 @@ class SampledField:
         return (self.values.shape[0] - 1) // 2
 
     @classmethod
-    def from_function(cls, f, n, h, radius, center=None):
-        """Sample a vectorized function of (..., n) points on the lattice."""
-        center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+    def from_function(cls, f, n, h, radius):
+        """Sample a vectorized function of (..., n) points on the lattice about 0."""
         positive("h", h)
         k = int(math.ceil(positive("radius", radius) / h))
         axis = h * np.arange(-k, k + 1)
-        grids = np.meshgrid(*[axis + c for c in center], indexing="ij")
+        grids = np.meshgrid(*[axis] * n, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=1)
         vals = np.asarray(f(pts), dtype=np.float64).reshape(grids[0].shape)
-        return cls(n=n, h=h, center=center, radius=k * h, values=vals)
+        return cls(n=n, h=h, center=np.zeros(n), radius=k * h, values=vals)
 
     def lattice_points(self):
         k = self.half_points
@@ -88,12 +88,9 @@ class SampledField:
         """Flat binary of doubles plus a JSON header, or CSV for small grids."""
         path = Path(path)
         if path.suffix == ".csv":
-            pts = self.lattice_points()
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(",".join([f"x_{i+1}" for i in range(self.n)] + ["value"]))
-                fh.write("\n")
-                for row, v in zip(pts, self.values.ravel()):
-                    fh.write(",".join(f"{c:.17g}" for c in row) + f",{v:.17g}\n")
+            header = [f"x_{i+1}" for i in range(self.n)] + ["value"]
+            rows = (list(row) + [v] for row, v in zip(self.lattice_points(), self.values.ravel()))
+            path.write_text(csv_table(header, rows), encoding="utf-8")
             return
         header = {
             "n": self.n,

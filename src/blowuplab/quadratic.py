@@ -34,10 +34,13 @@ class HarmonicQuadratic:
         a = np.asarray(self.coeff, dtype=np.float64)
         if a.shape != (self.n, self.n):
             raise DomainError(f"coefficient matrix must be {self.n}x{self.n}")
+        # each test is written so that NaN fails it
         scale = 1.0 + np.abs(a).max()
-        if np.abs(a - a.T).max() > _SYM_TOL * scale:
+        if not scale < np.inf:
+            raise DomainError("coefficient matrix must be finite")
+        if not np.abs(a - a.T).max() <= _SYM_TOL * scale:
             raise DomainError("coefficient matrix must be symmetric")
-        if abs(np.trace(a)) > _TRACE_TOL * scale:
+        if not abs(np.trace(a)) <= _TRACE_TOL * scale:
             raise DomainError("coefficient matrix must be trace-free (harmonic)")
         object.__setattr__(self, "coeff", a)
 
@@ -63,9 +66,9 @@ class HarmonicQuadratic:
     def diagonal(self):
         return np.diag(self.coeff).copy()
 
-    def is_diagonal(self, tol=1e-12):
+    def is_diagonal(self):
         off = self.coeff - np.diag(np.diag(self.coeff))
-        return np.abs(off).max() <= tol * (1.0 + np.abs(self.coeff).max())
+        return np.abs(off).max() <= 1e-12 * (1.0 + np.abs(self.coeff).max())
 
     def sup_norm_ball(self):
         """sup over the closed unit ball; equals the largest |eigenvalue|."""

@@ -200,7 +200,7 @@ def _advance(tau, delta, cfg, rng=None):
     return _Step(tau_new, delta_new, order, defect, b, b_i, c, c_i, z, xi, failed)
 
 
-def _step_detail(state, cfg, rng=None):
+def _step_detail(state, cfg):
     """One half-scale step of one state (`_advance` on a block of one).
 
     Returns the new state, the moment set at `state`, the correction's
@@ -214,8 +214,7 @@ def _step_detail(state, cfg, rng=None):
         raise DomainError("state and config dimensions differ")
     if not cfg.in_ball(state.delta):
         raise DomainError("half_step requires the state inside the kappa0 ball")
-    if rng is None and cfg.noise == "random":
-        rng = philox(cfg.seed)
+    rng = philox(cfg.seed) if cfg.noise == "random" else None
     step = _advance(np.array([float(state.tau)]), state.delta[None], cfg, rng).take(0)
     if step.failed:
         raise step.failed[0]
@@ -225,13 +224,13 @@ def _step_detail(state, cfg, rng=None):
     return new_state, m, step.z, step.xi
 
 
-def half_step(state, cfg, rng=None):
+def half_step(state, cfg):
     """Apply the half-scale map once.
 
     Raises EscapeError, carrying the new state, when the step leaves the
     kappa0 ball; DomainError when `state` is outside the ball or tau <= 1.
     """
-    new_state, _, _, _ = _step_detail(state, cfg, rng)
+    new_state, _, _, _ = _step_detail(state, cfg)
     if not cfg.in_ball(new_state.delta):
         raise EscapeError(
             f"|delta| = {np.linalg.norm(new_state.delta):.6f} left the "

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blowuplab import __version__, _kernels, moments, renorm
+from blowuplab import __version__, _kernels, acceptance, correction, gridproj, moments, renorm
 from blowuplab.cli import main
 
 
@@ -405,6 +405,59 @@ class TestFourier2D:
         assert report["reconstruction_max_err"] < report["tail_bound"]
         # q off-diagonal is -1/(2 pi)
         assert report["q_matrix"][1] == pytest.approx(-0.15915494, abs=1e-8)
+
+    def test_tail_bound_beyond_degree_3999(self, capsys):
+        # the tail was summed up to k = 3999 only, so it printed 0.0 here
+        code, out = run(capsys, ["fourier2d", "--max-degree", "4000", "--points", "1"])
+        assert code == 0
+        assert json.loads(out)["tail_bound"] > 0.0
+
+
+class TestSharedWithVerify:
+    """The README's `fourier2d` and `project-grid --synthetic` examples run A3's and A9's code."""
+
+    def test_fourier2d_is_a3(self, capsys, monkeypatch):
+        seen = []
+        oracle_check = correction.oracle_check
+
+        def spy(*args):
+            seen.append(oracle_check(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(correction, "oracle_check", spy)
+        acceptance.a3_two_dimensional_oracle()
+        monkeypatch.undo()
+        [(_, a3_err, _)] = seen
+        code, out = run(capsys, [
+            "fourier2d", "--frame", "rotated", "--max-degree", "40", "--points", "100",
+            "--seed", str(acceptance._seed("a3-points")),
+        ])
+        assert code == 0
+        assert json.loads(out)["reconstruction_max_err"] == a3_err
+
+    def test_project_grid_is_a9(self, capsys, monkeypatch):
+        seen = {}
+        half_step_empirical = gridproj.half_step_empirical
+
+        def spy(field, r):
+            seen[field.h] = half_step_empirical(field, r)
+            return seen[field.h]
+
+        monkeypatch.setattr(gridproj, "half_step_empirical", spy)
+        a9 = acceptance.a9_grid_consistency()
+        monkeypatch.undo()
+        code, out = run(capsys, [
+            "project-grid", "--synthetic", "p0-plus-ztilde", "--tau0", "10",
+            "--h", "0.00390625", "--r", "1", "--half-step",
+        ])
+        assert code == 0
+        report = json.loads(out)
+        raw_a, raw_b = (np.reshape(report[key]["raw_matrix"], (2, 2)) for key in ("r=1", "r=0.5"))
+        target = np.diag([correction.LN2_OVER_2PI, -correction.LN2_OVER_2PI])
+        err = float(np.abs(raw_b - raw_a - target).max())
+        ra, rb = seen[1 / 256]
+        assert err == float(np.abs((rb.raw - ra.raw).coeff - target).max())
+        assert f"err(h=1/256) {err:.2e} " in a9.detail
 
 
 class TestProjectGrid:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -95,6 +96,28 @@ class TestFourierSeries2D:
         t80 = correction.fourier_series_2d(P_ROT, 80).tail_bound
         assert t80 < t40
 
+    @pytest.mark.parametrize("degree", [2, 40, 3999, 4000, 4500])
+    def test_tail_bound_is_the_closed_form(self, degree):
+        # the tail was summed up to k = 3999 only, so it read 0.0 from 3999 on
+        dec = correction.fourier_series_2d(P_ROT, degree)
+        decay = max(
+            (abs(t.coefficient) * t.degree * (t.degree + 2) * (t.degree - 2)
+             for t in dec.phi_terms if t.degree >= 3),
+            default=0.0,
+        )
+        k = degree
+        closed = (1 / (k - 1) + 1 / k - 1 / (k + 1) - 1 / (k + 2)) / 8
+        assert dec.tail_bound == pytest.approx(decay * closed, rel=1e-12)
+        assert degree == 2 or dec.tail_bound > 0.0
+
+    def test_tail_bound_sums_the_tail(self):
+        dec = correction.fourier_series_2d(P_ROT, 40)
+        decay = max(abs(t.coefficient) * t.degree * (t.degree + 2) * (t.degree - 2)
+                    for t in dec.phi_terms if t.degree >= 3)
+        # the terms beyond k = 400 000 add under 4e-8 of the sum
+        tail = math.fsum(1.0 / (k * (k - 2) * (k + 2)) for k in range(41, 400_001))
+        assert dec.tail_bound == pytest.approx(decay * tail, rel=1e-7)
+
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
             correction.fourier_series_2d(make_p_delta(3, np.zeros(1)), 40)
@@ -172,3 +195,51 @@ class TestFromFourierBlock:
         assert np.allclose(loaded.q.coeff, dec.q.coeff)
         assert loaded.phi_terms == dec.phi_terms
         assert loaded.tail_bound == dec.tail_bound
+
+    def test_from_json_rejects_nan_q(self):
+        obj = json.loads(correction.fourier_series_2d(P_ROT, 12).to_json())
+        obj["q"]["coeff"] = [math.nan, 0.0, 0.0, math.nan]
+        with pytest.raises(DomainError, match="finite"):
+            correction.CorrectionDecomposition.from_json(json.dumps(obj))
+
+
+class TestOracleCheck:
+    @pytest.mark.parametrize("frame", ["rotated", "axis"])
+    def test_is_the_series_against_the_closed_form(self, frame):
+        dec, err, proj = correction.oracle_check(frame, 12, 50, 3)
+        p = P_ROT if frame == "rotated" else make_p_delta(2, np.zeros(0))
+        assert dec.to_json() == correction.fourier_series_2d(p, 12).to_json()
+        rng = np.random.Generator(np.random.Philox(key=3))
+        angles = rng.uniform(0.0, 2.0 * math.pi, 50)
+        radii = np.sqrt(rng.uniform(0.0, 1.0, 50))
+        pts = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
+        want = np.abs(
+            correction.reconstruct(dec, pts) - correction.explicit_solution_2d(pts, frame=frame)
+        ).max()
+        assert err == want
+        assert np.array_equal(proj.coeff, correction.scale_projection(dec, 0.5).coeff)
+
+    def test_rejects_unknown_frame(self):
+        with pytest.raises(DomainError, match="frame"):
+            correction.oracle_check("diagonal", 40, 100, 0)
+
+    def test_ln2_over_2pi(self):
+        assert correction.LN2_OVER_2PI == LN2 / (2.0 * math.pi)
+        assert 2.0 * correction.LN2_OVER_2PI == LN2 / math.pi
+
+
+class TestSyntheticSolution:
+    def test_ztilde_is_the_closed_form(self):
+        assert correction.synthetic_solution("ztilde", 10.0) is correction.explicit_solution_2d
+
+    def test_p0_plus_ztilde(self):
+        pts = np.array([[0.3, -0.2], [0.0, 0.0], [-0.7, 0.5]])
+        u = correction.synthetic_solution("p0-plus-ztilde", 2.5)
+        want = 2.5 * (pts[:, 0] ** 2 - pts[:, 1] ** 2) + correction.explicit_solution_2d(
+            pts, frame="axis"
+        )
+        assert np.array_equal(u(pts), want)
+
+    def test_rejects_unknown_name(self):
+        with pytest.raises(DomainError, match="synthetic"):
+            correction.synthetic_solution("p0", 10.0)

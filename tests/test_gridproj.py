@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -15,6 +16,13 @@ ETA = math.log(2.0) / (2.0 * math.pi)
 
 def quad_field(p, tau=1.0):
     return lambda pts: tau * np.einsum("ij,pi,pj->p", p.coeff, pts, pts)
+
+
+def sampled(f, n, h, radius, center):
+    """`from_function`'s field of f, on the lattice about `center` (None: 0)."""
+    c = np.zeros(n) if center is None else np.asarray(center, dtype=np.float64)
+    field = gridproj.SampledField.from_function(lambda x: f(x + c), n, h, radius)
+    return dataclasses.replace(field, center=c)
 
 
 def gathered_hessian_average(field, r, step):
@@ -106,7 +114,7 @@ class TestSampledField:
     def test_csv_keeps_non_dyadic_spacing(self, tmp_path, n, h, radius, r, center):
         # a difference of two printed coordinates is an ulp off h = 0.1 or
         # 0.05, and an ulp flips ball membership where r/h is an integer
-        field = gridproj.SampledField.from_function(wavy, n, h, radius, center)
+        field = sampled(wavy, n, h, radius, center)
         field.save(tmp_path / "field.csv")
         loaded = gridproj.SampledField.load(tmp_path / "field.csv")
         assert loaded.h == field.h and loaded.radius == field.radius
@@ -307,7 +315,7 @@ class TestHessianAverage:
              "3d", "3d-offcentre", "3d-clipped-fraction"],
     )
     def test_equals_gathered_average(self, n, h, radius, center, r, step):
-        field = gridproj.SampledField.from_function(wavy, n, h, radius, center)
+        field = sampled(wavy, n, h, radius, center)
         hess, used = gridproj._hessian_average(field, r, step)
         want, want_used = gathered_hessian_average(field, r, step)
         assert np.array_equal(hess, want)

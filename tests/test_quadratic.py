@@ -63,6 +63,21 @@ class TestHarmonicQuadratic:
         q = HarmonicQuadratic.from_json(p.to_json())
         assert np.array_equal(p.coeff, q.coeff)
 
+    @pytest.mark.parametrize(
+        "coeff",
+        [[[np.inf, 0.0], [0.0, -np.inf]], [[np.nan, 0.0], [0.0, np.nan]],
+         [[0.0, np.nan], [np.nan, 0.0]], [[1.0, np.inf], [np.inf, -1.0]]],
+        ids=["inf-diagonal", "nan-diagonal", "nan-off-diagonal", "inf-off-diagonal"],
+    )
+    def test_rejects_non_finite(self, coeff):
+        # NaN passed the symmetry and trace tests, and inf - inf warned
+        with pytest.raises(DomainError, match="finite"):
+            HarmonicQuadratic(2, np.array(coeff))
+
+    def test_from_json_rejects_nan(self):
+        with pytest.raises(DomainError, match="finite"):
+            HarmonicQuadratic.from_json('{"n": 2, "coeff": [NaN, 0, 0, NaN]}')
+
 
 class TestSupNorm:
     def test_examples(self):
